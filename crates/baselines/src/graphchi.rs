@@ -202,6 +202,8 @@ impl<P: VertexProgram> GraphChiEngine<P> {
         let esz = std::mem::size_of::<ShardEdge>();
         let dsz = std::mem::size_of::<P::EdgeData>();
         let mut changed = 0u64;
+        // One byte buffer reused by every sliding-window load.
+        let mut window_bytes = Vec::new();
         for s in 0..kp {
             // 1. Load the memory shard (in-edges of interval s).
             let shard_bytes = self.store.read_all(&shard_name(s))?;
@@ -231,14 +233,22 @@ impl<P: VertexProgram> GraphChiEngine<P> {
                     window_edges.push(Vec::new());
                     window_data.push(Vec::new());
                 } else {
-                    let eb = self
-                        .store
-                        .read_range(&shard_name(t), lo * esz as u64, count * esz)?;
-                    let db = self
-                        .store
-                        .read_range(&data_name(t), lo * dsz as u64, count * dsz)?;
-                    window_edges.push(decode_records(&eb));
-                    window_data.push(decode_records(&db));
+                    window_bytes.clear();
+                    self.store.read_range_into(
+                        &shard_name(t),
+                        lo * esz as u64,
+                        count * esz,
+                        &mut window_bytes,
+                    )?;
+                    window_edges.push(decode_records(&window_bytes));
+                    window_bytes.clear();
+                    self.store.read_range_into(
+                        &data_name(t),
+                        lo * dsz as u64,
+                        count * dsz,
+                        &mut window_bytes,
+                    )?;
+                    window_data.push(decode_records(&window_bytes));
                 }
             }
 

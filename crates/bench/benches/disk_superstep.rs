@@ -1,7 +1,6 @@
 //! The `disk_superstep` benchmark: the pooled, fully overlapped
-//! out-of-core pipeline vs. the allocate-per-superstep (PR 1)
-//! reference on an RMAT scale-18 graph (2^18 vertices, ≈ 8.4M
-//! undirected edges), forced onto the spill path.
+//! out-of-core pipeline on an RMAT scale-18 graph (2^18 vertices,
+//! ≈ 8.4M undirected edges), forced onto the spill path.
 //!
 //! Measures one full out-of-core superstep of a constant-volume
 //! program (every edge emits an update every iteration):
@@ -14,11 +13,6 @@
 //! * `pooled_overlap_*_noverify` — the same pipeline with
 //!   verify-on-read disabled; the delta against the default is the
 //!   per-chunk CRC cost.
-//! * `reference_alloc_*` — the PR 1 pipeline kept as
-//!   `DiskEngine::try_scatter_gather_reference`: a fresh writer
-//!   thread per superstep, a fresh prefetch thread per stream,
-//!   per-chunk scatter `Vec`s from scoped spawns, a `to_vec()` byte
-//!   copy per spill run, delete-and-reopen update streams.
 //!
 //! Run with `CRITERION_JSON=<path> cargo bench --bench disk_superstep`
 //! to record the JSON baseline (`BENCH_disk_superstep.json` at the
@@ -142,26 +136,8 @@ fn bench_disk_superstep(c: &mut Criterion) {
     );
     drop(pooled);
 
-    let mut reference =
-        DiskEngine::from_graph(fresh_store("reference"), &g, &DegreeCount, disk_cfg()).unwrap();
-    for _ in 0..3 {
-        reference
-            .try_scatter_gather_reference(&DegreeCount)
-            .unwrap();
-    }
-    group.bench_function("reference_alloc_rmat18_spill", |b| {
-        b.iter(|| {
-            black_box(
-                reference
-                    .try_scatter_gather_reference(&DegreeCount)
-                    .unwrap(),
-            )
-        })
-    });
-    drop(reference);
-
     group.finish();
-    for tag in ["pooled", "noverify", "reference"] {
+    for tag in ["pooled", "noverify"] {
         let _ =
             std::fs::remove_dir_all(std::env::temp_dir().join(format!("xstream_bench_disk_{tag}")));
     }

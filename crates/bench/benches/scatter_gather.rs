@@ -1,6 +1,6 @@
-//! The `scatter_gather` benchmark: pooled fused pipeline vs. the
-//! allocate-per-iteration reference on an RMAT scale-18 graph
-//! (2^18 vertices, 16× edge factor ≈ 4.2M edges), 16 worker threads.
+//! The `scatter_gather` benchmark: the pooled fused pipeline on an
+//! RMAT scale-18 graph (2^18 vertices, 16× edge factor ≈ 4.2M edges),
+//! 16 worker threads.
 //!
 //! Measures one full scatter → shuffle → gather superstep of a
 //! constant-volume program (every edge emits an update every
@@ -10,9 +10,6 @@
 //!   [`xstream_storage::ShufflePool`] scratch, scatter fused with the
 //!   first shuffle stage, in-place remaining stages, merge-free
 //!   gather, persistent worker pool.
-//! * `reference_alloc_*` — the pre-redesign pipeline kept as
-//!   `InMemoryEngine::scatter_gather_reference`: fresh update
-//!   vectors, owned multi-stage shuffle, scoped thread spawns.
 //!
 //! Run with `CRITERION_JSON=<path> cargo bench --bench scatter_gather`
 //! to record the JSON baseline (`BENCH_superstep.json` at the repo
@@ -102,12 +99,6 @@ fn bench_superstep(c: &mut Criterion) {
             alloc_counts.iter().all(|&n| n == 0),
             "{tag}: pooled pipeline allocated in steady state: {alloc_counts:?}"
         );
-
-        let mut reference = InMemoryEngine::from_graph(&g, &DegreeCount, cfg.clone());
-        reference.scatter_gather_reference(&DegreeCount);
-        group.bench_function(format!("reference_alloc_{tag}"), |b| {
-            b.iter(|| black_box(reference.scatter_gather_reference(&DegreeCount)))
-        });
     }
     group.finish();
 }

@@ -13,12 +13,6 @@
 //! files are reported but do not fail the gate (new benchmarks land
 //! before their baselines do). Improvements are reported as such;
 //! refresh the committed baseline when they are real.
-//!
-//! Ids containing `reference` are reported but never gated: those are
-//! the retained allocate-per-superstep ablation baselines, kept for
-//! comparison only — their allocator- and scheduler-bound timings
-//! swing far more than the production pipelines', and a "regression"
-//! there carries no signal about the shipped code.
 
 use std::process::ExitCode;
 
@@ -93,12 +87,9 @@ fn main() -> ExitCode {
             );
             continue;
         };
-        let gated = !id.contains("reference");
-        compared += usize::from(gated);
+        compared += 1;
         let ratio = *fresh_median as f64 / (*base_median).max(1) as f64;
-        let verdict = if !gated {
-            "ABLATION "
-        } else if ratio > tolerance {
+        let verdict = if ratio > tolerance {
             failed = true;
             "REGRESSED"
         } else if ratio < 1.0 / tolerance {

@@ -22,7 +22,9 @@
 //! * engine configuration ([`config`]), statistics ([`stats`]) and
 //!   process-wide allocation accounting ([`alloc_stats`]),
 //! * the [`engine::Engine`] abstraction implemented by the
-//!   in-memory and out-of-core engines ([`engine`]).
+//!   in-memory and out-of-core engines ([`engine`]),
+//! * the literal §2 [`oracle::OracleEngine`] both engines are tested
+//!   against ([`oracle`]).
 
 // Docs are load-bearing in this repo (docs/ARCHITECTURE.md maps the
 // paper onto these items); CI builds rustdoc with `-D warnings`.
@@ -33,6 +35,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod frontier;
+pub mod oracle;
 pub mod partition;
 pub mod program;
 pub mod record;
@@ -44,6 +47,7 @@ pub use config::{DeviceMap, EngineConfig, PinMode, RetryPolicy};
 pub use engine::{Engine, Termination};
 pub use error::{Error, Result};
 pub use frontier::{Frontier, FrontierMode, FrontierPair};
+pub use oracle::OracleEngine;
 pub use partition::Partitioner;
 pub use program::{EdgeProgram, TargetedUpdate};
 pub use record::Record;

@@ -24,9 +24,7 @@
 //! [`xstream_storage::WorkerPool`] whose workers append into pooled
 //! per-partition buckets, and update streams are truncated (a TRIM)
 //! rather than deleted so file handles survive across supersteps. See
-//! [`engine`] for the pipeline walk-through and
-//! [`DiskEngine::try_scatter_gather_reference`] for the retained
-//! allocate-per-superstep baseline.
+//! [`engine`] for the pipeline walk-through.
 
 //! # Examples
 //!

@@ -158,25 +158,6 @@ impl<S: Record> VertexStorage<S> {
         }
     }
 
-    /// Loads the states of partition `p` into an owned vector for
-    /// mutation; call [`Self::store_back`] afterwards. Prefer
-    /// [`Self::update_partition`] on hot paths — this variant copies
-    /// even the in-memory case.
-    pub fn load_mut(
-        &mut self,
-        store: &StreamStore,
-        partitioner: &Partitioner,
-        p: usize,
-    ) -> Result<Vec<S>> {
-        match self {
-            VertexStorage::InMemory(states) => Ok(states[partitioner.range(p)].to_vec()),
-            VertexStorage::OnDisk { names, .. } => {
-                let bytes = store.read_all(&names[p])?;
-                Ok(decode_records(&bytes))
-            }
-        }
-    }
-
     /// Writes mutated partition states back (a copy into the in-memory
     /// array under optimization 1; a file replace otherwise).
     pub fn store_back(
@@ -253,7 +234,7 @@ mod tests {
         assert_eq!(all[10], 30);
         // Mutate one partition.
         let p = part.partition_of(10);
-        let mut states = vs.load_mut(&st, &part, p).unwrap();
+        let mut states = vs.load(&st, &part, p).unwrap().to_vec();
         let local = 10 - part.range(p).start;
         states[local] = 999;
         vs.store_back(&st, &part, p, &states).unwrap();
@@ -269,8 +250,8 @@ mod tests {
         let mut a = VertexStorage::<u32>::initialize(&st, &part, true, |v| v * v).unwrap();
         let mut b = VertexStorage::<u32>::initialize(&st, &part, false, |v| v * v).unwrap();
         for p in part.iter() {
-            let sa = a.load_mut(&st, &part, p).unwrap();
-            let sb = b.load_mut(&st, &part, p).unwrap();
+            let sa = a.load(&st, &part, p).unwrap().to_vec();
+            let sb = b.load(&st, &part, p).unwrap().to_vec();
             assert_eq!(sa, sb);
             let bumped: Vec<u32> = sa.iter().map(|x| x + 1).collect();
             a.store_back(&st, &part, p, &bumped).unwrap();

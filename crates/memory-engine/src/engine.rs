@@ -30,10 +30,8 @@
 //! persistent [`WorkerPool`] rather than respawned per phase. From the
 //! second iteration onward a superstep performs **no heap allocation**
 //! (tracked in [`IterationStats::alloc_count`] via
-//! [`xstream_core::alloc_stats`]). The previous allocate-per-iteration
-//! pipeline is retained as
-//! [`InMemoryEngine::scatter_gather_reference`] for ablations and
-//! differential tests.
+//! [`xstream_core::alloc_stats`]). Tests check the pipeline against
+//! the sequential [`xstream_core::OracleEngine`].
 
 use std::mem::size_of;
 use std::time::Instant;
@@ -269,155 +267,11 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         }
     }
 
-    /// Runs one phase body on every worker with freshly spawned scoped
-    /// threads; used by the allocate-per-iteration reference pipeline.
-    fn run_workers<F, R>(&self, f: F) -> Vec<R>
-    where
-        F: Fn(usize) -> R + Sync,
-        R: Send,
-    {
-        let threads = self.config.threads.max(1);
-        if threads == 1 {
-            return vec![f(0)];
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || f(t))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine worker panicked"))
-                .collect()
-        })
-    }
-
-    /// The allocate-per-iteration pipeline this engine used before the
-    /// pooled redesign: scatter into fresh per-thread `Vec`s, shuffle
-    /// them through the owned multi-stage shuffler (allocating the
-    /// stage buffers and count arrays anew), gather from the resulting
-    /// stream buffers.
-    ///
-    /// Kept as the differential-testing oracle and as the baseline the
-    /// `scatter_gather` criterion benchmark measures the pooled
-    /// pipeline against. Results are identical to
-    /// [`Engine::scatter_gather`]; only the allocation and data-
-    /// movement behavior differs.
-    pub fn scatter_gather_reference(&mut self, program: &P) -> IterationStats {
-        let alloc_before = alloc_stats::snapshot();
-        let mut stats = IterationStats::default();
-        let k = self.partitioner.num_partitions();
-        let threads = self.config.threads.max(1);
-
-        struct ScatterOut<U> {
-            updates: Vec<TargetedUpdate<U>>,
-            edges_streamed: u64,
-            updates_generated: u64,
-        }
-
-        // ---- Scatter ----
-        let t = Instant::now();
-        let queues = WorkQueues::new(0..k, threads, self.config.work_stealing);
-        let scatter_outs: Vec<ScatterOut<P::Update>> = {
-            let states = &self.states;
-            let edges = &self.edges;
-            let queues = &queues;
-            self.run_workers(move |tid| {
-                let mut out = ScatterOut {
-                    updates: Vec::new(),
-                    edges_streamed: 0,
-                    updates_generated: 0,
-                };
-                while let Some(p) = queues.pop(tid) {
-                    for e in edges.chunk(p) {
-                        out.edges_streamed += 1;
-                        let src_state = &states[e.src as usize];
-                        if !program.needs_scatter(src_state) {
-                            continue;
-                        }
-                        if let Some(u) = program.scatter(src_state, e) {
-                            out.updates.push(TargetedUpdate::new(e.dst, u));
-                            out.updates_generated += 1;
-                        }
-                    }
-                }
-                out
-            })
-        };
-        stats.scatter_ns = t.elapsed().as_nanos() as u64;
-
-        let mut update_slices = Vec::with_capacity(scatter_outs.len());
-        for o in scatter_outs {
-            stats.edges_streamed += o.edges_streamed;
-            stats.updates_generated += o.updates_generated;
-            update_slices.push(o.updates);
-        }
-
-        // ---- Shuffle ----
-        let t = Instant::now();
-        let partitioner = self.partitioner;
-        let bufs = parallel_multistage_shuffle(update_slices, self.plan, move |u| {
-            partitioner.partition_of(u.target)
-        });
-        stats.shuffle_ns = t.elapsed().as_nanos() as u64;
-
-        // ---- Gather ----
-        let t = Instant::now();
-        let queues = WorkQueues::new(0..k, threads, self.config.work_stealing);
-        struct GatherOut {
-            updates_applied: u64,
-            vertices_changed: u64,
-        }
-        let gather_outs: Vec<GatherOut> = {
-            let states_ptr = StatesPtr(self.states.as_mut_ptr());
-            let bufs = &bufs;
-            let queues = &queues;
-            let partitioner = &self.partitioner;
-            let states_ptr = &states_ptr;
-            self.run_workers(move |tid| {
-                let mut out = GatherOut {
-                    updates_applied: 0,
-                    vertices_changed: 0,
-                };
-                while let Some(p) = queues.pop(tid) {
-                    let range = partitioner.range(p);
-                    // SAFETY: work queues hand each partition index to
-                    // exactly one worker and partition ranges are
-                    // disjoint, so this `&mut` slice aliases nothing.
-                    let part_states = unsafe { states_ptr.partition_slice_mut(range.clone()) };
-                    for buf in bufs {
-                        if p >= buf.num_chunks() {
-                            continue;
-                        }
-                        for u in buf.chunk(p) {
-                            let local = u.target as usize - range.start;
-                            out.updates_applied += 1;
-                            if program.gather(&mut part_states[local], &u.payload) {
-                                out.vertices_changed += 1;
-                            }
-                        }
-                    }
-                }
-                out
-            })
-        };
-        stats.gather_ns = t.elapsed().as_nanos() as u64;
-        for o in gather_outs {
-            stats.updates_applied += o.updates_applied;
-            stats.vertices_changed += o.vertices_changed;
-        }
-
-        self.fill_derived_stats(&mut stats, self.plan.stages.max(1) as u64);
-        let alloc = alloc_before.delta(&alloc_stats::snapshot());
-        stats.alloc_count = alloc.count;
-        stats.alloc_bytes = alloc.bytes;
-        stats
-    }
-
-    /// Data-movement accounting shared by both pipelines:
-    /// `update_copy_passes` is the number of whole-stream copy passes
-    /// the shuffle performed over the updates (`stages` for the
-    /// reference pipeline; `stages - 1` for the fused one, whose first
-    /// stage rides along with the scatter writes).
-    fn fill_derived_stats(&self, stats: &mut IterationStats, update_copy_passes: u64) {
+    /// Data-movement accounting. The shuffle makes `stages - 1`
+    /// whole-stream copy passes over the updates: the first stage
+    /// rides along with the scatter writes.
+    fn fill_derived_stats(&self, stats: &mut IterationStats) {
+        let update_copy_passes = u64::from(self.plan.stages.saturating_sub(1));
         let esz = size_of::<Edge>() as u64;
         let usz = size_of::<TargetedUpdate<P::Update>>() as u64;
         let upd_bytes = stats.updates_generated * usz;
@@ -711,9 +565,7 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
         stats.shuffle_capacity = report.total_capacity as u64;
         stats.shuffle_high_water = report.high_water as u64;
 
-        // The fused first stage rides along with scatter's writes, so
-        // the shuffle performs only `stages - 1` whole-stream copies.
-        self.fill_derived_stats(&mut stats, u64::from(self.plan.stages.saturating_sub(1)));
+        self.fill_derived_stats(&mut stats);
         let alloc = alloc_before.delta(&alloc_stats::snapshot());
         stats.alloc_count = alloc.count;
         stats.alloc_bytes = alloc.bytes;
@@ -860,19 +712,22 @@ mod tests {
 
     #[test]
     fn pooled_and_reference_pipelines_agree() {
-        // The differential invariant behind the pooled redesign: both
-        // pipelines must produce identical vertex states superstep by
-        // superstep (on a sum program, order differences would show).
+        // The pooled pipeline must match the sequential §2 oracle
+        // superstep by superstep: every counter, and bitwise states
+        // (on a sum program, a dropped or doubled update would show).
         let g = generators::preferential_attachment(400, 4, 9).to_undirected();
         for threads in [1usize, 3] {
-            let cfg = engine_cfg(threads, 16);
-            let mut pooled = InMemoryEngine::from_graph(&g, &DegreeCount, cfg.clone());
-            let mut reference = InMemoryEngine::from_graph(&g, &DegreeCount, cfg);
+            let mut pooled = InMemoryEngine::from_graph(&g, &DegreeCount, engine_cfg(threads, 16));
+            let mut oracle =
+                xstream_core::OracleEngine::new(g.num_vertices(), g.edges().to_vec(), &DegreeCount);
             for step in 0..3 {
                 let a = pooled.scatter_gather(&DegreeCount);
-                let b = reference.scatter_gather_reference(&DegreeCount);
+                let b = oracle.scatter_gather(&DegreeCount);
+                assert_eq!(a.edges_streamed, b.edges_streamed, "step {step}");
+                assert_eq!(a.updates_generated, b.updates_generated, "step {step}");
                 assert_eq!(a.updates_applied, b.updates_applied, "step {step}");
-                assert_eq!(pooled.states(), reference.states(), "step {step}");
+                assert_eq!(a.vertices_changed, b.vertices_changed, "step {step}");
+                assert_eq!(pooled.states(), oracle.states(), "step {step}");
             }
         }
     }

@@ -20,13 +20,17 @@
 //!   prefetch concurrently while the consumer still sees queued
 //!   streams strictly in [`begin`](ReadAhead::begin) order. Consumed
 //!   buffers recycle into per-device pools — steady-state streaming
-//!   spawns no threads and performs no allocation,
-//! * [`ChunkReader`] — the one-shot variant (fresh thread + fresh
-//!   buffers per stream), kept for setup paths and the comparison
-//!   engines. Both emulate the paper's asynchronous direct I/O with
-//!   dedicated per-disk threads and prefetch distance 1. (True
-//!   `O_DIRECT` page cache bypass is not portable to containers and is
-//!   documented as a substitution in DESIGN.md.)
+//!   spawns no threads and performs no allocation. It emulates the
+//!   paper's asynchronous direct I/O with dedicated per-disk threads
+//!   and prefetch distance 1. (True `O_DIRECT` page cache bypass is
+//!   not portable to containers and is documented as a substitution in
+//!   DESIGN.md.)
+//!
+//! Every read goes through one of four methods, all checksum-verified
+//! and fault-injectable: [`StreamStore::read_all`] /
+//! [`StreamStore::read_all_into`] (whole stream),
+//! [`StreamStore::read_source`] + [`ReadAhead`] (sequential chunks)
+//! and [`StreamStore::read_range_into`] (positioned).
 //!
 //! # Stream integrity (PR 8)
 //!
@@ -52,10 +56,9 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -642,37 +645,10 @@ impl StreamStore {
         Ok(())
     }
 
-    /// Opens a prefetching sequential reader over stream `name`.
-    pub fn reader(&self, name: &str) -> Result<ChunkReader> {
-        self.reader_with_chunk(name, self.io_unit)
-    }
-
-    /// Opens a prefetching reader whose chunks are a multiple of
-    /// `record_size` bytes, so no record straddles a chunk boundary
-    /// (the analogue of the paper's §3.3 alignment page: I/O units are
-    /// kept aligned regardless of where a chunk starts).
-    pub fn reader_aligned(&self, name: &str, record_size: usize) -> Result<ChunkReader> {
-        let record_size = record_size.max(1);
-        let chunk = (self.io_unit / record_size).max(1) * record_size;
-        self.reader_with_chunk(name, chunk)
-    }
-
-    /// Opens a prefetching reader with an explicit chunk size.
-    pub fn reader_with_chunk(&self, name: &str, chunk_size: usize) -> Result<ChunkReader> {
-        let device = (self.device_fn)(name);
-        let id = self.with_handle(name, |h| Ok(h.id))?;
-        ChunkReader::spawn(
-            self.path_of(name),
-            id,
-            device,
-            Arc::clone(&self.accounting),
-            chunk_size.max(1),
-        )
-    }
-
     /// Resolves stream `name` into a [`ReadSource`] for a persistent
     /// [`ReadAhead`] reader, with chunks a multiple of `record_size`
-    /// bytes (the §3.3 alignment of [`Self::reader_aligned`]).
+    /// bytes so no record straddles a chunk boundary (the analogue of
+    /// the paper's §3.3 alignment page).
     ///
     /// The source borrows the store's cached file handle (`Arc`), so
     /// once a stream's handle exists this is allocation-free — the
@@ -698,38 +674,13 @@ impl StreamStore {
         })
     }
 
-    /// Reads `len` bytes at `offset` from stream `name`.
-    ///
-    /// This is *positioned* (random) access — X-Stream itself never
-    /// needs it, but the GraphChi-like comparison engine's sliding
-    /// windows do; the accounting records it like any other read, and
-    /// the disk-model replay charges the implied seeks.
-    pub fn read_range(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
-        use std::io::{Seek, SeekFrom};
-        let device = (self.device_fn)(name);
-        let id = self.with_handle(name, |h| Ok(h.id))?;
-        let mut file = File::open(self.path_of(name))?;
-        file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        let mut filled = 0usize;
-        while filled < len {
-            let n = file.read(&mut buf[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        buf.truncate(filled);
-        self.accounting
-            .record_read(device, id, offset, filled as u64);
-        Ok(buf)
-    }
-
     /// Reads up to `len` bytes at `offset` from stream `name`,
-    /// *appending* them to `out` — the pooled, fault-aware variant of
-    /// [`Self::read_range`] used by the sparse frontier scatter to
-    /// assemble active vertices' edge runs into a recycled chunk
-    /// buffer. Goes through the cached file handle (positioned read,
+    /// *appending* them to `out` — positioned (random) access, used by
+    /// the sparse frontier scatter to assemble active vertices' edge
+    /// runs into a recycled chunk buffer, and by the GraphChi-like
+    /// comparison engine's sliding windows. The accounting records it
+    /// like any other read, and the disk-model replay charges the
+    /// implied seeks. Goes through the cached file handle (positioned read,
     /// no seek, no reopen), so once the handle exists and `out` has
     /// capacity the call allocates nothing. Returns the bytes read
     /// (short only at end-of-stream).
@@ -832,7 +783,8 @@ impl StreamStore {
     }
 
     /// Overwrites `bytes` at `offset` within stream `name` (positioned
-    /// write; see [`Self::read_range`] for why this exists).
+    /// write for the GraphChi-like comparison engine's sliding windows;
+    /// X-Stream itself only appends).
     pub fn write_at(&self, name: &str, offset: u64, bytes: &[u8]) -> Result<()> {
         use std::io::{Seek, SeekFrom, Write as _};
         if bytes.is_empty() {
@@ -1022,86 +974,6 @@ impl StreamStore {
     }
 }
 
-/// Sequential chunked reader with a dedicated prefetch thread.
-///
-/// The I/O thread keeps exactly one chunk in flight ahead of the
-/// consumer (prefetch distance 1, which the paper found sufficient to
-/// keep disks 100% busy, §3.3).
-pub struct ChunkReader {
-    rx: Option<Receiver<std::io::Result<Vec<u8>>>>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ChunkReader {
-    fn spawn(
-        path: PathBuf,
-        file_id: u32,
-        device: DeviceId,
-        accounting: Arc<IoAccounting>,
-        chunk_size: usize,
-    ) -> Result<Self> {
-        let mut file = File::open(&path)?;
-        // Capacity 1: one buffer prefetched while one is being consumed.
-        let (tx, rx) = sync_channel::<std::io::Result<Vec<u8>>>(1);
-        let thread = std::thread::Builder::new()
-            .name("xstream-io-read".into())
-            .spawn(move || {
-                let mut offset = 0u64;
-                loop {
-                    let mut buf = vec![0u8; chunk_size];
-                    let mut filled = 0usize;
-                    while filled < chunk_size {
-                        match file.read(&mut buf[filled..]) {
-                            Ok(0) => break,
-                            Ok(n) => filled += n,
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
-                        }
-                    }
-                    if filled == 0 {
-                        return;
-                    }
-                    buf.truncate(filled);
-                    accounting.record_read(device, file_id, offset, filled as u64);
-                    offset += filled as u64;
-                    if tx.send(Ok(buf)).is_err() {
-                        // Consumer dropped the reader.
-                        return;
-                    }
-                }
-            })
-            .map_err(Error::Io)?;
-        Ok(Self {
-            rx: Some(rx),
-            thread: Some(thread),
-        })
-    }
-
-    /// Returns the next chunk, or `None` at end of stream.
-    pub fn next_chunk(&mut self) -> Result<Option<Vec<u8>>> {
-        let Some(rx) = self.rx.as_ref() else {
-            return Ok(None);
-        };
-        match rx.recv() {
-            Ok(Ok(buf)) => Ok(Some(buf)),
-            Ok(Err(e)) => Err(Error::Io(e)),
-            Err(_) => Ok(None), // Reader thread finished.
-        }
-    }
-}
-
-impl Drop for ChunkReader {
-    fn drop(&mut self) {
-        // Unblock the I/O thread by closing the channel, then reap it.
-        drop(self.rx.take());
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// One stream queued for a [`ReadAhead`] reader: a shared file handle
 /// plus the accounting identity of the stream. Built by
 /// [`StreamStore::read_source`].
@@ -1233,9 +1105,8 @@ struct ReadLane {
 /// sufficient to keep disks 100% busy; Fig. 15: independent devices
 /// serviced by independent threads).
 ///
-/// Unlike [`ChunkReader`] — which spawns a thread and allocates fresh
-/// chunk buffers for every stream — one `ReadAhead` serves any number
-/// of streams over its lifetime: [`begin`](Self::begin) queues a
+/// One `ReadAhead` serves any number of streams over its lifetime —
+/// no thread spawn and no fresh chunk buffer per stream: [`begin`](Self::begin) queues a
 /// [`ReadSource`] on the thread of the device the stream lives on, the
 /// thread streams it chunk by chunk into buffers drawn from its
 /// recycle pool, and [`next_chunk`](Self::next_chunk) returns each
@@ -1589,11 +1460,12 @@ mod tests {
         let store = temp_store("chunks");
         let payload: Vec<u8> = (0..20_000u32).flat_map(|i| i.to_le_bytes()).collect();
         store.append("big", &payload).unwrap();
-        let mut reader = store.reader("big").unwrap();
+        let mut reader = ReadAhead::new(1);
+        reader.begin(store.read_source("big", 1).unwrap()).unwrap();
         let mut out = Vec::new();
         while let Some(chunk) = reader.next_chunk().unwrap() {
             assert!(chunk.len() <= 4096);
-            out.extend_from_slice(&chunk);
+            out.extend_from_slice(chunk);
         }
         assert_eq!(out, payload);
         drop(reader);
@@ -1636,7 +1508,8 @@ mod tests {
     fn dropping_reader_midway_is_clean() {
         let store = temp_store("dropmid");
         store.append("s", &vec![7u8; 100_000]).unwrap();
-        let mut reader = store.reader("s").unwrap();
+        let mut reader = ReadAhead::new(1);
+        reader.begin(store.read_source("s", 1).unwrap()).unwrap();
         let _ = reader.next_chunk().unwrap();
         drop(reader); // Must not hang or panic.
         store.destroy().unwrap();
@@ -1646,14 +1519,18 @@ mod tests {
     fn positioned_reads_and_writes() {
         let store = temp_store("positioned");
         store.append("s", b"0123456789").unwrap();
-        assert_eq!(store.read_range("s", 3, 4).unwrap(), b"3456");
+        let mut out = Vec::new();
+        assert_eq!(store.read_range_into("s", 3, 4, &mut out).unwrap(), 4);
+        assert_eq!(out, b"3456");
         store.write_at("s", 2, b"XY").unwrap();
         assert_eq!(store.read_all("s").unwrap(), b"01XY456789");
         // Extending write updates the tracked length.
         store.write_at("s", 9, b"ZZZ").unwrap();
         assert_eq!(store.len("s"), 12);
         // Short read past EOF truncates.
-        assert_eq!(store.read_range("s", 10, 100).unwrap(), b"ZZ");
+        out.clear();
+        assert_eq!(store.read_range_into("s", 10, 100, &mut out).unwrap(), 2);
+        assert_eq!(out, b"ZZ");
         store.destroy().unwrap();
     }
 
@@ -1707,7 +1584,14 @@ mod tests {
     fn empty_and_missing_streams() {
         let store = temp_store("empty");
         assert_eq!(store.len("nope"), 0);
-        let mut r = store.reader("nope").unwrap();
+        let mut r = ReadAhead::new(1);
+        r.begin(store.read_source("nope", 1).unwrap()).unwrap();
+        assert!(r.next_chunk().unwrap().is_none());
+        let mut out = Vec::new();
+        assert_eq!(store.read_range_into("nope", 0, 16, &mut out).unwrap(), 0);
+        assert!(out.is_empty());
+        store.append("empty", b"").unwrap();
+        r.begin(store.read_source("empty", 1).unwrap()).unwrap();
         assert!(r.next_chunk().unwrap().is_none());
         store.destroy().unwrap();
     }
@@ -1986,7 +1870,7 @@ mod tests {
 
     /// Flips one byte of an on-disk stream file, bypassing the store.
     fn rot_byte(root: &Path, name: &str, at: u64) {
-        use std::io::{Seek, SeekFrom};
+        use std::io::{Read, Seek, SeekFrom};
         let mut f = OpenOptions::new()
             .read(true)
             .write(true)

@@ -70,7 +70,7 @@ pub use channel::BoundedQueue;
 pub use checksum::{crc32, crc32c, Crc32, Crc32c};
 pub use diskmodel::DiskModel;
 pub use faults::{FaultKind, FaultOp, FaultOutcome, FaultPlan, FaultSpec};
-pub use filestream::{ChunkReader, ReadAhead, StreamStore, SumSidecar};
+pub use filestream::{ReadAhead, StreamStore, SumSidecar};
 pub use iostats::{DeviceId, IoAccounting, IoSnapshot};
 pub use manifest::{Manifest, StreamEntry, StreamRole, MANIFEST_NAME};
 pub use pool::{PerWorkerPtr, WorkerPool};

@@ -10,7 +10,7 @@ use xstream_core::record::RecordIter;
 use xstream_core::{Edge, Result};
 use xstream_graph::fileio::EdgeFileReader;
 use xstream_graph::EdgeList;
-use xstream_storage::StreamStore;
+use xstream_storage::{ReadAhead, StreamStore};
 
 /// A graph presented as a restartable sequential stream of edges.
 pub trait EdgeSource {
@@ -96,6 +96,11 @@ impl<S: EdgeSource> EdgeSource for Mirrored<S> {
 
 /// An edge source reading a named stream inside a [`StreamStore`]
 /// (used by the W-Stream driver for its intermediate streams).
+///
+/// Each pass streams through a one-stream [`ReadAhead`] (prefetch
+/// distance 1, bounded memory), so the store's checksum verification
+/// and fault injection apply: a corrupted pass stream surfaces as
+/// [`xstream_core::Error::Corrupt`].
 pub struct StoreSource<'a> {
     store: &'a StreamStore,
     name: String,
@@ -119,9 +124,10 @@ impl EdgeSource for StoreSource<'_> {
     }
 
     fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) -> Result<()> {
-        let mut reader = self.store.reader_aligned(&self.name, Edge::SIZE)?;
+        let mut reader = ReadAhead::new(1);
+        reader.begin(self.store.read_source(&self.name, Edge::SIZE)?)?;
         while let Some(chunk) = reader.next_chunk()? {
-            for e in RecordIter::<Edge>::new(&chunk) {
+            for e in RecordIter::<Edge>::new(chunk) {
                 f(e);
             }
         }

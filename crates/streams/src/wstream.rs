@@ -277,6 +277,35 @@ mod tests {
     }
 
     #[test]
+    fn store_backing_detects_a_flipped_pass_stream() {
+        // Silent corruption of an intermediate pass stream must abort
+        // the computation, not yield wrong labels.
+        use std::sync::Arc;
+        use xstream_core::Error;
+        use xstream_storage::{FaultKind, FaultOp, FaultPlan, FaultSpec};
+
+        let g = generators::erdos_renyi(200, 900, 31).to_undirected();
+        let dir = std::env::temp_dir().join("xstream_wstream_bitflip");
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = Arc::new(FaultPlan::new(vec![FaultSpec {
+            stream_prefix: "wstream.pass.".to_string(),
+            op: FaultOp::Read,
+            nth: 0,
+            kind: FaultKind::BitFlip,
+        }]));
+        plan.arm();
+        let store = StreamStore::new(&dir, 4096)
+            .unwrap()
+            .with_faults(Arc::clone(&plan));
+        match connected_components(&g, 16, Backing::Store(&store)) {
+            Err(Error::Corrupt { stream, .. }) => assert!(stream.starts_with("wstream.pass.")),
+            other => panic!("expected Corrupt, got {:?}", other.map(|r| r.passes)),
+        }
+        assert_eq!(plan.fired_count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn single_pass_when_everything_fits() {
         let g = generators::erdos_renyi(100, 400, 37).to_undirected();
         let r = connected_components(&g, 1 << 16, Backing::Memory).unwrap();

@@ -8,7 +8,7 @@
 //! measured region by design — the claim is that the *whole* superstep
 //! (dispatch included) stays off the allocator once the pool is warm.
 
-use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, VertexId};
+use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, OracleEngine, VertexId};
 use xstream::graph::generators;
 use xstream::memory::InMemoryEngine;
 
@@ -99,11 +99,12 @@ fn zero_heap_allocation_from_iteration_two_onward() {
         }
     }
 
-    // The reference pipeline must, by contrast, keep allocating — it
-    // is the ablation baseline the pooled pipeline is measured against.
-    let reference_allocs = engine.scatter_gather_reference(&MinLabel).alloc_count;
+    // Negative control: the sequential oracle allocates a fresh update
+    // list every superstep, and the counters must see it.
+    let mut oracle = OracleEngine::new(g.num_vertices(), g.edges().to_vec(), &MinLabel);
+    let oracle_allocs = oracle.scatter_gather(&MinLabel).alloc_count;
     assert!(
-        reference_allocs > 0,
-        "reference pipeline unexpectedly allocation-free"
+        oracle_allocs > 0,
+        "oracle superstep unexpectedly allocation-free"
     );
 }

@@ -1,11 +1,11 @@
 //! Differential tests for the pooled zero-allocation pipeline: the
-//! fused scatter + in-place shuffle + merge-free gather must produce
-//! vertex states identical to the allocate-per-iteration reference
-//! pipeline, superstep by superstep, across thread and partition
+//! fused scatter + in-place shuffle + merge-free gather must match the
+//! sequential §2 [`OracleEngine`] superstep by superstep — counters and
+//! bitwise vertex states — across thread, partition and shuffle-plan
 //! configurations.
 
-use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, VertexId};
-use xstream::graph::generators;
+use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, OracleEngine, VertexId};
+use xstream::graph::{generators, EdgeList};
 use xstream::memory::InMemoryEngine;
 
 /// Min-label propagation (WCC building block): gather is idempotent
@@ -64,30 +64,56 @@ fn cfg(threads: usize, partitions: usize) -> EngineConfig {
         .with_partitions(partitions)
 }
 
+fn oracle<P: EdgeProgram>(g: &EdgeList, program: &P) -> OracleEngine<P> {
+    OracleEngine::new(g.num_vertices(), g.edges().to_vec(), program)
+}
+
+/// Runs `steps` supersteps on both engines, asserting after each that
+/// the per-step counters agree and the vertex states are identical.
+/// `exact_changes` demands equal `vertices_changed`; programs whose
+/// change count depends on update order (min-label) compare it only
+/// as zero vs nonzero.
+fn assert_lockstep<P: EdgeProgram>(
+    pooled: &mut InMemoryEngine<P>,
+    oracle: &mut OracleEngine<P>,
+    program: &P,
+    steps: usize,
+    exact_changes: bool,
+    ctx: &str,
+) where
+    P::State: PartialEq + std::fmt::Debug,
+{
+    for step in 0..steps {
+        let a = pooled.scatter_gather(program);
+        let b = oracle.scatter_gather(program);
+        assert_eq!(a.edges_streamed, b.edges_streamed, "{ctx} step={step}");
+        assert_eq!(
+            a.updates_generated, b.updates_generated,
+            "{ctx} step={step}"
+        );
+        assert_eq!(a.updates_applied, b.updates_applied, "{ctx} step={step}");
+        if exact_changes {
+            assert_eq!(a.vertices_changed, b.vertices_changed, "{ctx} step={step}");
+        } else {
+            assert_eq!(
+                a.vertices_changed == 0,
+                b.vertices_changed == 0,
+                "{ctx} step={step}"
+            );
+        }
+        assert_eq!(pooled.states(), oracle.states(), "{ctx} step={step}");
+    }
+}
+
 #[test]
 fn pooled_pipeline_matches_reference_across_supersteps() {
     let g = generators::erdos_renyi(800, 8000, 42).to_undirected();
     for threads in [1usize, 2, 4] {
         for partitions in [1usize, 8, 64] {
             let mut pooled = InMemoryEngine::from_graph(&g, &MinLabel, cfg(threads, partitions));
-            let mut reference = InMemoryEngine::from_graph(&g, &MinLabel, cfg(threads, partitions));
-            for step in 0..4 {
-                let a = pooled.scatter_gather(&MinLabel);
-                let b = reference.scatter_gather_reference(&MinLabel);
-                assert_eq!(
-                    a.updates_generated, b.updates_generated,
-                    "threads={threads} partitions={partitions} step={step}"
-                );
-                assert_eq!(
-                    a.updates_applied, b.updates_applied,
-                    "threads={threads} partitions={partitions} step={step}"
-                );
-                assert_eq!(
-                    pooled.states(),
-                    reference.states(),
-                    "threads={threads} partitions={partitions} step={step}"
-                );
-            }
+            let mut oracle = oracle(&g, &MinLabel);
+            let ctx = format!("threads={threads} partitions={partitions}");
+            assert_lockstep(&mut pooled, &mut oracle, &MinLabel, 4, false, &ctx);
         }
     }
 }
@@ -98,47 +124,19 @@ fn pooled_pipeline_applies_every_update_exactly_once() {
     // doubled update in any iteration poisons every later state.
     let g = generators::preferential_attachment(600, 6, 3).to_undirected();
     let mut pooled = InMemoryEngine::from_graph(&g, &DegreeSum, cfg(3, 32));
-    let mut reference = InMemoryEngine::from_graph(&g, &DegreeSum, cfg(3, 32));
-    for step in 0..3 {
-        pooled.scatter_gather(&DegreeSum);
-        reference.scatter_gather_reference(&DegreeSum);
-        assert_eq!(pooled.states(), reference.states(), "step {step}");
-    }
+    let mut oracle = oracle(&g, &DegreeSum);
+    assert_lockstep(&mut pooled, &mut oracle, &DegreeSum, 3, true, "degree-sum");
 }
 
 #[test]
 fn pooled_pipeline_matches_reference_with_multi_stage_plans() {
     // Tiny fanout forces several in-place stages after the fused one.
     let g = generators::erdos_renyi(500, 5000, 7).to_undirected();
-    let config = cfg(2, 64).with_shuffle_fanout(2);
-    let mut pooled = InMemoryEngine::from_graph(&g, &MinLabel, config.clone());
+    let mut pooled = InMemoryEngine::from_graph(&g, &MinLabel, cfg(2, 64).with_shuffle_fanout(2));
     assert!(
         pooled.plan().stages >= 3,
         "fanout 2 over 64 partitions must be multi-stage"
     );
-    let mut reference = InMemoryEngine::from_graph(&g, &MinLabel, config);
-    for step in 0..4 {
-        pooled.scatter_gather(&MinLabel);
-        reference.scatter_gather_reference(&MinLabel);
-        assert_eq!(pooled.states(), reference.states(), "step {step}");
-    }
-}
-
-#[test]
-fn mixed_pipelines_on_one_engine_converge_identically() {
-    // Alternating pooled and reference supersteps on the *same* engine
-    // must behave like either pipeline alone: the pooled scratch holds
-    // no state that leaks between iterations.
-    let g = generators::erdos_renyi(300, 2400, 5).to_undirected();
-    let mut mixed = InMemoryEngine::from_graph(&g, &MinLabel, cfg(2, 16));
-    let mut pure = InMemoryEngine::from_graph(&g, &MinLabel, cfg(2, 16));
-    for step in 0..6 {
-        if step % 2 == 0 {
-            mixed.scatter_gather(&MinLabel);
-        } else {
-            mixed.scatter_gather_reference(&MinLabel);
-        }
-        pure.scatter_gather(&MinLabel);
-        assert_eq!(mixed.states(), pure.states(), "step {step}");
-    }
+    let mut oracle = oracle(&g, &MinLabel);
+    assert_lockstep(&mut pooled, &mut oracle, &MinLabel, 4, false, "multi-stage");
 }

@@ -10,7 +10,7 @@
 //! spills, writes, gather, truncate) stays off the allocator once the
 //! pools are warm.
 
-use xstream::core::{Edge, EdgeProgram, VertexId};
+use xstream::core::{Edge, EdgeProgram, Engine, OracleEngine, VertexId};
 use xstream::core::{EngineConfig, PinMode};
 use xstream::disk::DiskEngine;
 use xstream::graph::generators;
@@ -130,13 +130,13 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
             "threads={threads} pin={pin:?}: capacity gauges empty at steady state"
         );
 
-        // The reference (PR 1) pipeline must, by contrast, keep
-        // allocating — it is the ablation baseline the pooled pipeline
-        // is measured against.
-        let reference = engine.try_scatter_gather_reference(&MinLabel).unwrap();
+        // Negative control: the sequential oracle allocates a fresh
+        // update list every superstep, and the counters must see it.
+        let mut oracle = OracleEngine::new(g.num_vertices(), g.edges().to_vec(), &MinLabel);
+        let oracle_step = oracle.scatter_gather(&MinLabel);
         assert!(
-            reference.alloc_count > 0,
-            "threads={threads} pin={pin:?}: reference pipeline unexpectedly \
+            oracle_step.alloc_count > 0,
+            "threads={threads} pin={pin:?}: oracle superstep unexpectedly \
              allocation-free"
         );
     }

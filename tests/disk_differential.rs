@@ -1,6 +1,6 @@
 //! Forced-spill differential tests: the pooled out-of-core pipeline
-//! must match the in-memory engine (and its own PR 1 reference
-//! pipeline) on real algorithms, not just min-label propagation.
+//! must match the in-memory engine (and the sequential §2
+//! `OracleEngine`) on real algorithms, not just min-label propagation.
 //!
 //! The configurations force the update-file path (`in_memory_updates:
 //! false`) with a spill threshold small enough that every superstep
@@ -9,7 +9,7 @@
 //! under PageRank's floating-point payloads and WCC's activity gating.
 
 use xstream::algorithms::{pagerank, wcc};
-use xstream::core::EngineConfig;
+use xstream::core::{EngineConfig, OracleEngine};
 use xstream::disk::DiskEngine;
 use xstream::graph::{generators, EdgeList};
 use xstream::storage::StreamStore;
@@ -67,20 +67,18 @@ fn pagerank_forced_spill_matches_in_memory() {
 
 #[test]
 fn pagerank_forced_spill_matches_reference_pipeline() {
-    // Same engine type, both pipelines: superstep-by-superstep the
-    // pooled path must apply exactly the updates the PR 1 reference
-    // path applies (floating-point sums may differ only by ordering).
+    // Superstep by superstep, the pooled path must stream, generate
+    // and apply exactly the updates the sequential §2 oracle does
+    // (floating-point sums may differ only by ordering).
     let g = pagerank_graph();
     let degrees = g.out_degrees();
     let p = pagerank::Pagerank;
 
     let mut pooled =
         DiskEngine::from_graph(temp_store("prref_pooled"), &g, &p, spill_cfg(2)).expect("engine");
-    let mut reference =
-        DiskEngine::from_graph(temp_store("prref_ref"), &g, &p, spill_cfg(2)).expect("engine");
+    let mut reference = OracleEngine::new(g.num_vertices(), g.edges().to_vec(), &p);
 
-    // Mirror pagerank::run on both engines, superstep by superstep,
-    // driving the reference engine through its PR 1 pipeline.
+    // Mirror pagerank::run on both engines, superstep by superstep.
     use xstream::core::Engine;
     let n = g.num_vertices();
     let uniform = 1.0 / n as f32;
@@ -94,20 +92,23 @@ fn pagerank_forced_spill_matches_reference_pipeline() {
     };
     pooled.vertex_map(&mut |v, s| init(s, v));
     reference.vertex_map(&mut |v, s| init(s, v));
+    let mut spilled = 0;
     for step in 0..5 {
         let a = pooled.try_scatter_gather(&p).expect("pooled superstep");
-        let b = reference
-            .try_scatter_gather_reference(&p)
-            .expect("reference superstep");
+        let b = reference.scatter_gather(&p);
+        spilled += a.bytes_written;
+        assert_eq!(a.edges_streamed, b.edges_streamed, "step {step}");
         assert_eq!(a.updates_generated, b.updates_generated, "step {step}");
         assert_eq!(a.updates_applied, b.updates_applied, "step {step}");
-        for e in [&mut pooled, &mut reference] {
-            e.vertex_map(&mut |_v, s| {
-                s.rank = base + pagerank::DAMPING * s.acc;
-                s.acc = 0.0;
-            });
-        }
+        assert_eq!(a.vertices_changed, b.vertices_changed, "step {step}");
+        let finish = &mut |_v: u32, s: &mut pagerank::PrState| {
+            s.rank = base + pagerank::DAMPING * s.acc;
+            s.acc = 0.0;
+        };
+        pooled.vertex_map(finish);
+        reference.vertex_map(finish);
     }
+    assert!(spilled > 0, "no update spills occurred");
     let pooled_ranks: Vec<f32> = pooled.states().iter().map(|s| s.rank).collect();
     let reference_ranks: Vec<f32> = reference.states().iter().map(|s| s.rank).collect();
     for (v, (a, b)) in pooled_ranks.iter().zip(&reference_ranks).enumerate() {

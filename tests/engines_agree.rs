@@ -2,9 +2,13 @@
 //! out-of-core engine must produce identical results for every
 //! algorithm, across partition counts and the §3.2 optimization
 //! paths — the central refactoring invariant of the two-engine design.
+//! The algorithms without a two-engine test of their own are checked
+//! against the sequential §2 `OracleEngine`.
 
-use xstream::algorithms::{bfs, mis, pagerank, spmv, sssp, wcc};
-use xstream::core::EngineConfig;
+use xstream::algorithms::{
+    als, bfs, bp, conductance, hyperanf, mcst, mis, pagerank, pagerank_delta, scc, spmv, sssp, wcc,
+};
+use xstream::core::{EngineConfig, OracleEngine};
 use xstream::disk::DiskEngine;
 use xstream::graph::{generators, EdgeList};
 use xstream::memory::InMemoryEngine;
@@ -171,4 +175,164 @@ fn work_stealing_ablation_agrees() {
             .with_work_stealing(false),
     );
     assert_eq!(with_ws, without_ws);
+}
+
+/// Forced-spill disk configuration: updates always go through the
+/// update files, with an I/O unit small enough to spill repeatedly.
+fn spill_cfg() -> EngineConfig {
+    EngineConfig {
+        in_memory_updates: false,
+        ..disk_cfg().with_io_unit(1 << 13)
+    }
+}
+
+/// Runs `$run` — an expression over the engine bound to `$e` and a
+/// fresh program bound to `$p` — on the oracle, on the in-memory
+/// engine at K=1 and K=8, and on the disk engine with forced spill.
+/// Evaluates to the oracle's result plus every other engine's result
+/// tagged with its configuration.
+macro_rules! on_every_engine {
+    ($tag:expr, $graph:expr, $p:ident = $program:expr, |$e:ident| $run:expr) => {{
+        let graph: &EdgeList = $graph;
+        let want = {
+            let $p = $program;
+            let mut $e = OracleEngine::new(graph.num_vertices(), graph.edges().to_vec(), &$p);
+            $run
+        };
+        let mut got = Vec::new();
+        for k in [1usize, 8] {
+            let $p = $program;
+            let mut $e = InMemoryEngine::from_graph(graph, &$p, mem_cfg(k));
+            got.push((format!("{} mem K={k}", $tag), $run));
+        }
+        let $p = $program;
+        let store = temp_store(&format!("oracle_{}", $tag));
+        let accounting = std::sync::Arc::clone(store.accounting());
+        let mut $e = DiskEngine::from_graph(store, graph, &$p, spill_cfg()).expect("engine");
+        let built = accounting.snapshot().bytes_written();
+        got.push((format!("{} disk spill", $tag), $run));
+        let spilled = accounting.snapshot().bytes_written() - built;
+        assert!(spilled > 0, "{}: the disk engine never spilled updates", $tag);
+        (want, got)
+    }};
+}
+
+fn assert_close(tag: &str, want: &[f32], got: &[f32], tolerance: f32) {
+    assert_eq!(want.len(), got.len(), "{tag}");
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        assert!((w - g).abs() < tolerance, "{tag} [{i}]: {w} vs {g}");
+    }
+}
+
+/// Deterministic positive edge weights (distinct enough that the
+/// minimum spanning forest is unique).
+fn weighted(mut g: EdgeList) -> EdgeList {
+    for (i, e) in g.edges_mut().iter_mut().enumerate() {
+        e.weight = 0.01 + ((i * 2654435761) % 1000) as f32 / 1000.0;
+    }
+    g
+}
+
+#[test]
+fn remaining_algorithms_agree_with_the_oracle() {
+    // Integer results must match exactly; floating-point results to
+    // the tolerance the algorithm's own tests use, since the engines
+    // apply updates in a different order than the oracle.
+    let directed = generators::erdos_renyi(300, 1200, 21);
+
+    let (want, got) = on_every_engine!(
+        "scc",
+        &directed.to_bidirectional(),
+        p = scc::Scc::new(),
+        |e| scc::run(&mut e, &p).0
+    );
+    for (tag, ids) in got {
+        assert_eq!(ids, want, "{tag}");
+    }
+
+    let (want, got) = on_every_engine!(
+        "mcst",
+        &weighted(directed.clone()).to_undirected(),
+        p = mcst::Mcst,
+        |e| {
+            let mst = mcst::run(&mut e, &p).0;
+            let mut edges: Vec<(u32, u32)> = mst.edges.iter().map(|e| (e.src, e.dst)).collect();
+            edges.sort_unstable();
+            (edges, mst.components, mst.total_weight)
+        }
+    );
+    for (tag, (edges, components, weight)) in got {
+        assert_eq!((&edges, components), (&want.0, want.1), "{tag}");
+        assert!(
+            (weight - want.2).abs() < 1e-3,
+            "{tag}: {weight} vs {}",
+            want.2
+        );
+    }
+
+    let (want, got) = on_every_engine!(
+        "conductance",
+        &directed.to_undirected(),
+        p = conductance::Conductance,
+        |e| {
+            let r = conductance::run(&mut e, &p, &|v| v & 1).0;
+            (r.cut, r.vol0, r.vol1)
+        }
+    );
+    for (tag, r) in got {
+        assert_eq!(r, want, "{tag}");
+    }
+
+    let (want, got) = on_every_engine!("bp", &directed.to_undirected(), p = bp::Bp, |e| bp::run(
+        &mut e,
+        &p,
+        &[(0, 0), (1, 1)],
+        5
+    )
+    .0
+    .concat());
+    for (tag, beliefs) in got {
+        assert_close(&tag, &want, &beliefs, 1e-4);
+    }
+
+    let (want, got) = on_every_engine!(
+        "als",
+        &generators::bipartite(60, 20, 600, 3).to_undirected(),
+        p = als::Als::new(),
+        |e| {
+            let r = als::run(&mut e, &p, 60, 3).0;
+            (r.factors.concat(), r.rmse)
+        }
+    );
+    for (tag, (factors, rmse)) in got {
+        assert_eq!(rmse.len(), want.1.len(), "{tag}");
+        for (w, g) in want.1.iter().zip(&rmse) {
+            assert!((w - g).abs() < 1e-4, "{tag} rmse: {w} vs {g}");
+        }
+        assert_close(&format!("{tag} factors"), &want.0, &factors, 1e-3);
+    }
+
+    let (want, got) = on_every_engine!(
+        "hyperanf",
+        &directed.to_undirected(),
+        p = hyperanf::HyperAnf,
+        |e| {
+            let nf = hyperanf::run(&mut e, &p, 100).0;
+            (nf.series, nf.steps)
+        }
+    );
+    for (tag, nf) in got {
+        assert_eq!(nf, want, "{tag}");
+    }
+
+    let degrees = directed.out_degrees();
+    let (want, got) = on_every_engine!(
+        "pagerank_delta",
+        &directed,
+        p = pagerank_delta::PagerankDelta::new(0.0),
+        |e| pagerank_delta::run(&mut e, &p, &degrees, 30).0
+    );
+    for (tag, ranks) in got {
+        assert_close(&tag, &want, &ranks, 1e-5);
+    }
 }
