@@ -1,6 +1,6 @@
 //! Prints the design-decision ablation report (work stealing, §3.2
-//! optimizations, scatter-buffer size); pass `smoke`/`quick`/`full`
-//! as the first argument to pick the scale.
+//! optimizations); pass `smoke`/`quick`/`full` as the first argument
+//! to pick the scale.
 
 fn main() {
     let effort = xstream_bench::Effort::from_env();

@@ -2,9 +2,7 @@
 //! the paper's own figures:
 //!
 //! * work stealing on/off under partition skew (§4.1),
-//! * the two §3.2 out-of-core optimizations on/off,
-//! * the per-thread private scatter buffer size (§4.1, 8 KB in the
-//!   paper).
+//! * the two §3.2 out-of-core optimizations on/off.
 
 use std::time::Duration;
 
@@ -87,28 +85,6 @@ pub fn disk_optimizations(effort: Effort) -> Vec<(String, u64, Duration)> {
     out
 }
 
-/// Scatter-buffer size sweep: each worker appends updates to a private
-/// buffer flushed into the shared chunk array under an atomic
-/// reservation; tiny buffers contend, huge ones waste cache (§4.1).
-pub fn scatter_buffer(effort: Effort) -> Vec<(usize, Duration)> {
-    let g = rmat_scale(effort.rmat_scale().saturating_sub(1).max(12));
-    let threads = effort.thread_sweep().last().copied().unwrap_or(2);
-    [256usize, 1 << 10, 8 << 10, 64 << 10, 512 << 10]
-        .into_iter()
-        .map(|size| {
-            let cfg = EngineConfig {
-                scatter_buffer: size,
-                ..EngineConfig::default().with_threads(threads)
-            };
-            let t = median_of_three(|| {
-                let (_, stats) = pagerank::pagerank_in_memory(&g, 5, cfg.clone());
-                stats.elapsed()
-            });
-            (size, t)
-        })
-        .collect()
-}
-
 /// Renders all ablations as one report.
 pub fn report(effort: Effort) -> String {
     let mut out = String::new();
@@ -131,14 +107,6 @@ pub fn report(effort: Effort) -> String {
             format!("{:.1} MB", written as f64 / 1e6),
             fmt_duration(d),
         ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-
-    let mut t = Table::new("Ablation: private scatter buffer size (PageRank x5)")
-        .header(&["buffer", "runtime"]);
-    for (size, d) in scatter_buffer(effort) {
-        t.row(&[format!("{size}"), fmt_duration(d)]);
     }
     out.push_str(&t.render());
     out
@@ -170,6 +138,5 @@ mod tests {
     #[test]
     fn all_ablations_run_at_smoke() {
         assert_eq!(work_stealing(Effort::Smoke).len(), 2);
-        assert_eq!(scatter_buffer(Effort::Smoke).len(), 5);
     }
 }

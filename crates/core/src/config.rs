@@ -210,9 +210,6 @@ pub struct EngineConfig {
     /// one stream buffer, gather directly from memory instead of
     /// writing update files.
     pub in_memory_updates: bool,
-    /// Size of the per-thread private scatter buffer flushed into the
-    /// shared output chunk array (§4.1; the paper uses 8 KB).
-    pub scatter_buffer: usize,
     /// Transient-fault retry budget for out-of-core supersteps (see
     /// [`RetryPolicy`]).
     pub retry: RetryPolicy,
@@ -269,7 +266,6 @@ impl Default for EngineConfig {
             work_stealing: true,
             keep_vertices_in_memory: true,
             in_memory_updates: true,
-            scatter_buffer: 8 << 10,
             retry: RetryPolicy::default(),
             checkpoint_every: 0,
             frontier_skip: true,
@@ -412,6 +408,32 @@ impl EngineConfig {
     #[inline]
     pub fn wants_sparse_scatter(&self, active_edges: usize, total_edges: usize) -> bool {
         self.frontier_skip && active_edges.saturating_mul(self.frontier_threshold) < total_edges
+    }
+
+    /// The hybrid switch for one partition, shared by both engines:
+    /// sums the out-degrees of `frontier`'s active vertices in `range`
+    /// and applies [`Self::wants_sparse_scatter`] against the
+    /// partition's `total_edges`. `offset(lv)` reads the partition's
+    /// run-offset index (see [`crate::partition::run_offsets`]) at
+    /// local vertex `lv`. Stops summing as soon as the partition is
+    /// proven dense: the predicate is monotone in the active edge count.
+    pub fn sparse_scatter_pays(
+        &self,
+        frontier: &crate::frontier::Frontier,
+        range: core::ops::Range<usize>,
+        total_edges: usize,
+        offset: impl Fn(usize) -> u32,
+    ) -> bool {
+        let base = range.start;
+        let mut active_edges = 0usize;
+        let mut sparse = self.wants_sparse_scatter(0, total_edges);
+        frontier.for_each_active_in(range, |v| {
+            let lv = v as usize - base;
+            active_edges += (offset(lv + 1) - offset(lv)) as usize;
+            sparse = self.wants_sparse_scatter(active_edges, total_edges);
+            sparse
+        });
+        sparse
     }
 
     /// Computes the automatic in-memory partition count for a graph

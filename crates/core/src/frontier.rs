@@ -97,6 +97,18 @@ impl Frontier {
         }
     }
 
+    /// Marks every vertex of partition `p` whose state satisfies
+    /// `active`, where `states[i]` is the state of vertex `base + i`:
+    /// the state scan that rebuilds a frontier after initialization or
+    /// a `vertex_map`.
+    pub fn mark_active<S>(&self, p: usize, base: usize, states: &[S], active: impl Fn(&S) -> bool) {
+        for (i, s) in states.iter().enumerate() {
+            if active(s) {
+                self.mark((base + i) as VertexId, p);
+            }
+        }
+    }
+
     /// Whether vertex `v` is marked active.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
@@ -224,6 +236,18 @@ impl FrontierPair {
     pub fn ensure(&mut self, partitioner: &Partitioner) {
         self.current.ensure(partitioner);
         self.next.ensure(partitioner);
+    }
+
+    /// Sizes and clears both generations, then marks the in-range
+    /// vertices of `sources` active in `current`: the frontier of a
+    /// traversal seeded at `sources`.
+    pub fn seed(&mut self, partitioner: &Partitioner, sources: &[VertexId]) {
+        self.ensure(partitioner);
+        for &v in sources {
+            if (v as usize) < partitioner.num_vertices() {
+                self.current.mark(v, partitioner.partition_of(v));
+            }
+        }
     }
 
     /// Promotes `next` to `current` and clears the new `next`.

@@ -114,6 +114,66 @@ pub trait EdgeProgram: Sync {
     }
 }
 
+/// The per-edge scatter core both engines run (§4.3: the out-of-core
+/// engine applies the in-memory engine's primitives to loaded chunks).
+///
+/// Streams `edges` through [`EdgeProgram::needs_scatter`] and
+/// [`EdgeProgram::scatter`], handing every produced update to `emit`.
+/// `states[i]` is the state of vertex `base + i`; every edge's source
+/// must lie in that window. Returns the number of updates emitted.
+#[inline]
+pub fn scatter_edges<P: EdgeProgram>(
+    program: &P,
+    states: &[P::State],
+    base: usize,
+    edges: impl IntoIterator<Item = Edge>,
+    mut emit: impl FnMut(TargetedUpdate<P::Update>),
+) -> u64 {
+    let mut generated = 0;
+    for e in edges {
+        let src_state = &states[e.src as usize - base];
+        if !program.needs_scatter(src_state) {
+            continue;
+        }
+        if let Some(u) = program.scatter(src_state, &e) {
+            emit(TargetedUpdate::new(e.dst, u));
+            generated += 1;
+        }
+    }
+    generated
+}
+
+/// The per-update gather core both engines run.
+///
+/// Applies `updates` — all addressed to partition `p` — to `states`,
+/// where `states[i]` is the state of vertex `base + i`. Every vertex
+/// whose state changed is marked in `next_frontier`, if given: the
+/// [`FrontierMode::Tracked`](crate::frontier::FrontierMode::Tracked)
+/// contract makes it exactly a vertex that must scatter next
+/// superstep. Returns `(applied, changed)`: updates applied and gather
+/// calls that reported a change.
+#[inline]
+pub fn gather_updates<P: EdgeProgram>(
+    program: &P,
+    states: &mut [P::State],
+    base: usize,
+    p: usize,
+    updates: impl IntoIterator<Item = TargetedUpdate<P::Update>>,
+    next_frontier: Option<&crate::frontier::Frontier>,
+) -> (u64, u64) {
+    let (mut applied, mut changed) = (0, 0);
+    for u in updates {
+        applied += 1;
+        if program.gather(&mut states[u.target as usize - base], &u.payload) {
+            changed += 1;
+            if let Some(nf) = next_frontier {
+                nf.mark(u.target, p);
+            }
+        }
+    }
+    (applied, changed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

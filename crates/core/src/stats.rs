@@ -109,6 +109,15 @@ impl IterationStats {
         }
     }
 
+    /// The Fig. 21 memory-reference proxy both engines report in
+    /// [`Self::mem_refs`]: edge read + source-state read per streamed
+    /// edge, one write per generated update, and update read + state
+    /// read-modify-write per applied update.
+    #[inline]
+    pub fn estimated_mem_refs(&self) -> u64 {
+        self.edges_streamed * 2 + self.updates_generated + self.updates_applied * 2
+    }
+
     /// Total wall time of the iteration.
     #[inline]
     pub fn total_ns(&self) -> u64 {

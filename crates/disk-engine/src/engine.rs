@@ -81,15 +81,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::vertices::VertexStorage;
-use xstream_core::program::TargetedUpdate;
-use xstream_core::record::{records_as_bytes, RecordIter};
+use xstream_core::partition::run_offsets;
+use xstream_core::program::{gather_updates, scatter_edges, TargetedUpdate};
+use xstream_core::record::{read_record, records_as_bytes, RecordIter};
 use xstream_core::{
-    alloc_stats, Edge, EdgeProgram, Engine, EngineConfig, Error, FrontierMode, FrontierPair,
-    IterationStats, Partitioner, Record, Result, VertexId,
+    alloc_stats, Edge, EdgeProgram, Engine, EngineConfig, Error, Frontier, FrontierMode,
+    FrontierPair, IterationStats, Partitioner, Record, Result, VertexId,
 };
 use xstream_graph::fileio::EdgeFileReader;
 use xstream_graph::{EdgeList, MirrorMode};
-use xstream_storage::pool::{PerWorkerPtr, WorkerPool};
+use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
 use xstream_storage::shuffle::MultiStagePlan;
 use xstream_storage::topology::Topology;
 use xstream_storage::{
@@ -271,12 +272,6 @@ const MODE_DENSE: u8 = 0;
 const MODE_SKIP: u8 = 1;
 const MODE_SPARSE: u8 = 2;
 
-/// Reads the `i`-th native-endian `u32` of a raw index stream.
-#[inline]
-fn index_at(buf: &[u8], i: usize) -> u32 {
-    u32::from_ne_bytes(buf[i * 4..i * 4 + 4].try_into().expect("u32 record"))
-}
-
 /// Per-worker gather counters, cache-line aligned so concurrent
 /// workers never false-share a line on their hottest loop.
 #[derive(Debug, Default, Clone, Copy)]
@@ -287,37 +282,6 @@ struct GatherCounters {
     /// Time this worker spent loading update files (`read_all_into`);
     /// the lane-wise maximum is the gather's critical-path I/O time.
     io_ns: u64,
-}
-
-/// Raw pointer wrapper granting pool workers access to disjoint
-/// partition sub-slices of the in-memory vertex-state array (the same
-/// pattern as the in-memory engine's gather).
-struct StatesPtr<S>(*mut S);
-
-// SAFETY: the pointer is only dereferenced through
-// `partition_slice_mut`, whose callers guarantee each partition index
-// is claimed by exactly one worker (static stride over partitions), so
-// the produced `&mut` sub-slices are disjoint. `S: Send` is required
-// because those `&mut` sub-slices hand the states themselves to other
-// threads.
-unsafe impl<S: Send> Send for StatesPtr<S> {}
-// SAFETY: as above — sharing the wrapper across threads hands out
-// disjoint `&mut [S]`, which is a transfer of `S`, hence `S: Send`.
-unsafe impl<S: Send> Sync for StatesPtr<S> {}
-
-impl<S> StatesPtr<S> {
-    /// Produces the mutable state slice of one partition.
-    ///
-    /// # Safety
-    ///
-    /// `range` must lie inside the allocation and no other live
-    /// reference (shared or unique) may overlap it.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn partition_slice_mut(&self, range: core::ops::Range<usize>) -> &mut [S] {
-        // SAFETY: forwarded to the caller per the method contract.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(range.start), range.len()) }
-    }
 }
 
 /// The out-of-core streaming engine.
@@ -686,16 +650,9 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 edges.sort_unstable_by_key(|e| e.src);
                 store.truncate(&edge_names[p])?;
                 store.append(&edge_names[p], records_as_bytes(&edges))?;
-                let range = partitioner.range(p);
                 offsets.clear();
-                offsets.push(0);
-                let mut i = 0u32;
-                for v in range {
-                    while (i as usize) < edges.len() && edges[i as usize].src as usize <= v {
-                        i += 1;
-                    }
-                    offsets.push(i);
-                }
+                run_offsets(edges.iter().copied(), partitioner.range(p), &mut offsets)
+                    .map_err(|e| Error::InvalidInput(format!("{}: {e}", edge_names[p])))?;
                 store.append(&index_names[p], records_as_bytes(&offsets))?;
                 sparse_indexed[p] = true;
             }
@@ -1194,356 +1151,22 @@ impl<P: EdgeProgram> DiskEngine<P> {
         self.clean = false;
         self.gather_dirty = false;
         let alloc_before = alloc_stats::snapshot();
+        let io_before = self.store.accounting().snapshot();
         let mut stats = IterationStats::default();
-        let kp = self.partitioner.num_partitions();
-        let snap0 = self.store.accounting().snapshot();
         // Time the superstep thread spends *blocked* on stream I/O:
         // waiting for a read chunk, for writer backpressure, or for a
         // spill/drain barrier. Compute fully overlapped with I/O does
         // not count (§3.3's measure of overlap quality).
         let mut blocked_ns = 0u64;
 
-        // ---- Frontier rebuild + per-partition mode decision ----
-        let use_frontier = self.tracked && self.config.frontier_skip;
-        if use_frontier {
-            if !self.frontier_valid {
-                // Rebuild from a `needs_scatter` state scan (`ensure`
-                // sizes the bitmaps on first use and clears them; both
-                // are pure memsets once sized).
-                self.frontier.ensure(&self.partitioner);
-                for p in self.partitioner.iter() {
-                    let base = self.partitioner.range(p).start;
-                    let states = self
-                        .vertices
-                        .load_scatter(&self.store, &self.partitioner, p)?;
-                    for (i, s) in states.iter().enumerate() {
-                        if program.needs_scatter(s) {
-                            self.frontier.current.mark((base + i) as VertexId, p);
-                        }
-                    }
-                }
-                self.frontier_valid = true;
-            }
-            // A failed attempt's partial gather may have left marks.
-            self.frontier.next.clear();
-            stats.frontier_density = self.frontier.current.density();
-            // Decide every partition's mode up front so the strict
-            // in-order read-ahead schedule below queues *only* the
-            // partitions that stream densely — skipped and sparse
-            // partitions cost the prefetch threads zero I/O.
-            for p in 0..kp {
-                self.modes[p] = MODE_DENSE;
-                if self.frontier.current.active_in(p) == 0 {
-                    self.modes[p] = MODE_SKIP;
-                    continue;
-                }
-                if !self.sparse_indexed[p] {
-                    continue;
-                }
-                // Sum the active vertices' run lengths from the index,
-                // bailing out as soon as the running total proves the
-                // partition dense (the threshold predicate is monotone
-                // in the active edge count).
-                if let Err(e) = self
-                    .store
-                    .read_all_into(&self.index_names[p], &mut self.index_buf)
-                {
-                    if !matches!(e, Error::Corrupt { .. }) {
-                        return Err(e);
-                    }
-                    // Graceful degradation: a rotted index must not
-                    // kill the run. The edge stream is separately
-                    // checksummed and intact, so this partition
-                    // scatters densely from now on and the manifest
-                    // flags the index for `scrub --repair`.
-                    eprintln!("warning: {e}; partition {p} degrades to dense scatter");
-                    self.sparse_indexed[p] = false;
-                    self.flag_index_rebuild(p);
-                    continue;
-                }
-                let range = self.partitioner.range(p);
-                let total = index_at(&self.index_buf, range.len()) as usize;
-                if total == 0 {
-                    self.modes[p] = MODE_SKIP;
-                    continue;
-                }
-                let base = range.start;
-                let index_buf = &self.index_buf;
-                let config = &self.config;
-                let mut active_edges = 0usize;
-                let mut sparse = config.wants_sparse_scatter(0, total);
-                self.frontier.current.for_each_active_in(range, |v| {
-                    let lv = v as usize - base;
-                    active_edges +=
-                        (index_at(index_buf, lv + 1) - index_at(index_buf, lv)) as usize;
-                    sparse = config.wants_sparse_scatter(active_edges, total);
-                    sparse
-                });
-                if sparse {
-                    self.modes[p] = MODE_SPARSE;
-                }
-            }
-        } else {
-            stats.frontier_density = 1.0;
-            self.modes.iter_mut().for_each(|m| *m = MODE_DENSE);
-        }
+        let use_frontier = self.plan_modes(program, &mut stats)?;
 
-        // ---- Merged scatter + fused shuffle (Fig. 6) ----
         let t_scatter = Instant::now();
-        // Rearm both output pools; each slice is rearmed on the worker
-        // that owns it, so any bucket growth is first-touched locally.
-        // (`drain` is reusable here: the previous superstep's flush —
-        // or `recover` — covered every borrowed run.)
-        self.scratch
-            .begin_first_touch(self.plan, self.pool.as_ref());
-        self.drain.begin(self.plan);
-        self.resident_updates = false;
-        self.spilled_updates = false;
-        {
-            let store = &self.store;
-            let partitioner = &self.partitioner;
-            let vertices = &mut self.vertices;
-            let reader = &mut self.reader;
-            let writer = &self.writer;
-            let scratch = &mut self.scratch;
-            let drain = &mut self.drain;
-            let spill_mark = &mut self.spill_mark;
-            let pool = self.pool.as_ref();
-            let plan = self.plan;
-            let edge_names = &self.edge_names;
-            let update_names = &self.update_names;
-            let index_names = &self.index_names;
-            let modes = &self.modes;
-            let frontier = &self.frontier.current;
-            let index_buf = &mut self.index_buf;
-            let run_ranges = &mut self.run_ranges;
-            let run_buf = &mut self.run_buf;
-            let spill_threshold = self.spill_threshold;
-            // Sparse ranged reads are merged and flushed in I/O-unit
-            // portions, rounded to whole edge records so no flush ever
-            // splits an edge.
-            let io_cap = (self.config.io_unit / Edge::SIZE).max(1) * Edge::SIZE;
-
-            // Queue the first densely-streamed partition; each dense
-            // partition then queues the next dense one before
-            // consuming its own chunks (§3.3 read-ahead across
-            // partitions, restricted to the ones that actually
-            // stream).
-            let mut dense_iter = (0..kp).filter(|&p| modes[p] == MODE_DENSE);
-            let mut queued = dense_iter.next();
-            if let Some(first) = queued {
-                reader.begin(store.read_source(&edge_names[first], Edge::SIZE)?)?;
-            }
-            for s in partitioner.iter() {
-                match modes[s] {
-                    MODE_SKIP => {
-                        // No active sources: this partition costs zero
-                        // I/O this superstep.
-                        stats.partitions_skipped += 1;
-                        continue;
-                    }
-                    MODE_SPARSE => {
-                        stats.partitions_sparse += 1;
-                        let states = vertices.load_scatter(store, partitioner, s)?;
-                        let range = partitioner.range(s);
-                        let base = range.start;
-                        // Re-load the run-offset index (the decision
-                        // pass's pooled buffer has been reused since)
-                        // and merge the active vertices' edge runs
-                        // into ranged reads, split at `io_cap` so the
-                        // assembly buffer stays bounded.
-                        store.read_all_into(&index_names[s], index_buf)?;
-                        run_ranges.clear();
-                        frontier.for_each_active_in(range, |v| {
-                            let lv = v as usize - base;
-                            let mut lo = index_at(index_buf, lv) as u64 * Edge::SIZE as u64;
-                            let hi = index_at(index_buf, lv + 1) as u64 * Edge::SIZE as u64;
-                            while lo < hi {
-                                if let Some((o, l)) = run_ranges.last_mut() {
-                                    if *o + *l as u64 == lo && (*l as usize) < io_cap {
-                                        let take = (hi - lo).min((io_cap - *l as usize) as u64);
-                                        *l += take as u32;
-                                        lo += take;
-                                        continue;
-                                    }
-                                }
-                                let take = (hi - lo).min(io_cap as u64);
-                                run_ranges.push((lo, take as u32));
-                                lo += take;
-                            }
-                            true
-                        });
-                        for &(off, len) in run_ranges.iter() {
-                            let t_io = Instant::now();
-                            store.read_range_into(&edge_names[s], off, len as usize, run_buf)?;
-                            blocked_ns += t_io.elapsed().as_nanos() as u64;
-                            if run_buf.len() < io_cap {
-                                continue;
-                            }
-                            stats.edges_streamed += (run_buf.len() / Edge::SIZE) as u64;
-                            scatter_chunk_pooled(
-                                pool,
-                                scratch,
-                                program,
-                                states,
-                                base,
-                                run_buf.as_slice(),
-                                partitioner,
-                            );
-                            run_buf.clear();
-                            if spill_if_full(
-                                writer,
-                                update_names,
-                                scratch,
-                                drain,
-                                spill_mark,
-                                plan,
-                                kp,
-                                spill_threshold,
-                                &mut stats,
-                                &mut blocked_ns,
-                            )? {
-                                self.spilled_updates = true;
-                            }
-                        }
-                        if !run_buf.is_empty() {
-                            stats.edges_streamed += (run_buf.len() / Edge::SIZE) as u64;
-                            scatter_chunk_pooled(
-                                pool,
-                                scratch,
-                                program,
-                                states,
-                                base,
-                                run_buf.as_slice(),
-                                partitioner,
-                            );
-                            run_buf.clear();
-                            if spill_if_full(
-                                writer,
-                                update_names,
-                                scratch,
-                                drain,
-                                spill_mark,
-                                plan,
-                                kp,
-                                spill_threshold,
-                                &mut stats,
-                                &mut blocked_ns,
-                            )? {
-                                self.spilled_updates = true;
-                            }
-                        }
-                    }
-                    _ => {
-                        debug_assert_eq!(queued, Some(s), "dense queue out of order");
-                        queued = dense_iter.next();
-                        if let Some(n) = queued {
-                            // §3.3 read-ahead across partitions: the
-                            // reader thread rolls into the next live
-                            // edge file while this partition still
-                            // computes.
-                            reader.begin(store.read_source(&edge_names[n], Edge::SIZE)?)?;
-                        }
-                        let states = vertices.load_scatter(store, partitioner, s)?;
-                        let base = partitioner.range(s).start;
-                        loop {
-                            let t_io = Instant::now();
-                            let chunk = reader.next_chunk()?;
-                            blocked_ns += t_io.elapsed().as_nanos() as u64;
-                            let Some(bytes) = chunk else {
-                                break;
-                            };
-                            stats.edges_streamed += (bytes.len() / Edge::SIZE) as u64;
-                            // §4.3 layering: the loaded chunk is
-                            // processed with the in-memory engine's
-                            // parallel primitives — a parallel fused
-                            // scatter over sub-slices of the chunk,
-                            // one pooled scratch slice per worker.
-                            scatter_chunk_pooled(
-                                pool,
-                                scratch,
-                                program,
-                                states,
-                                base,
-                                bytes,
-                                partitioner,
-                            );
-                            if spill_if_full(
-                                writer,
-                                update_names,
-                                scratch,
-                                drain,
-                                spill_mark,
-                                plan,
-                                kp,
-                                spill_threshold,
-                                &mut stats,
-                                &mut blocked_ns,
-                            )? {
-                                self.spilled_updates = true;
-                            }
-                        }
-                    }
-                }
-            }
-            let tail = scratch.total_len();
-            stats.updates_generated += tail as u64;
-            if tail > 0 {
-                if self.spilled_updates || self.config.in_memory_updates {
-                    // Updates since the last spill stay resident: the
-                    // buffer exists either way, so gather reads it in
-                    // place — §3.2 optimization 2, generalized to the
-                    // tail of a spilling superstep.
-                    for i in 0..scratch.num_slices() {
-                        scratch
-                            .slice_mut(i)
-                            .finish(|u| partitioner.partition_of(u.target));
-                    }
-                    self.resident_updates = true;
-                } else {
-                    // Forced-spill configuration with everything still
-                    // buffered: the whole output goes to disk.
-                    spill_borrowed(writer, update_names, scratch, kp, &mut blocked_ns)?;
-                    self.spilled_updates = true;
-                }
-            }
-            // The gather phase must observe every update: drain the
-            // writer before leaving the scatter phase. (This also
-            // releases every borrowed bucket run.)
-            let t_io = Instant::now();
-            writer.flush()?;
-            *spill_mark = writer.submitted();
-            blocked_ns += t_io.elapsed().as_nanos() as u64;
-        }
+        self.scatter(program, &mut stats, &mut blocked_ns)?;
         stats.scatter_ns = t_scatter.elapsed().as_nanos() as u64;
 
-        // ---- Gather ----
         let t_gather = Instant::now();
-        let lanes = self.config.effective_gather_threads().min(kp.max(1));
-        let mut parallel =
-            lanes > 1 && kp > 1 && self.pool.is_some() && self.vertices.in_memory_mut().is_some();
-        if parallel && self.spilled_updates {
-            // Memory gate: each gather lane holds one whole partition
-            // update file at a time, and the two scatter output pools
-            // (~one stream buffer each) sit idle during gather — their
-            // envelope is the budget the lane buffers may claim. A
-            // partition skew that would bust it (update files are
-            // unbounded in a genuinely out-of-core run) falls back to
-            // the serial chunk-streaming gather, which is bounded by
-            // construction.
-            let max_file = self
-                .update_names
-                .iter()
-                .map(|n| self.store.len(n))
-                .max()
-                .unwrap_or(0);
-            parallel = (max_file as usize).saturating_mul(lanes) <= 2 * self.stream_buffer_bytes;
-        }
-        if parallel {
-            self.gather_parallel(program, &mut stats, lanes, &mut blocked_ns, use_frontier)?;
-        } else {
-            self.gather_serial(program, &mut stats, &mut blocked_ns, use_frontier)?;
-        }
+        self.gather(program, &mut stats, &mut blocked_ns, use_frontier)?;
         stats.gather_ns = t_gather.elapsed().as_nanos() as u64;
         if use_frontier {
             // Promote the set gather just marked: it is exactly the
@@ -1565,21 +1188,313 @@ impl<P: EdgeProgram> DiskEngine<P> {
         stats.shuffle_capacity = (rep_a.total_capacity + rep_b.total_capacity) as u64;
         stats.shuffle_high_water = (rep_a.high_water + rep_b.high_water) as u64;
 
-        let snap1 = self.store.accounting().snapshot();
-        stats.bytes_read = snap1.bytes_read() - snap0.bytes_read();
-        stats.bytes_written = snap1.bytes_written() - snap0.bytes_written();
-        stats.chunks_verified = snap1.chunks_verified.saturating_sub(snap0.chunks_verified);
-        stats.corruptions_detected = snap1
+        let io = self.store.accounting().snapshot();
+        stats.bytes_read = io.bytes_read() - io_before.bytes_read();
+        stats.bytes_written = io.bytes_written() - io_before.bytes_written();
+        stats.chunks_verified = io.chunks_verified.saturating_sub(io_before.chunks_verified);
+        stats.corruptions_detected = io
             .corruptions_detected
-            .saturating_sub(snap0.corruptions_detected);
+            .saturating_sub(io_before.corruptions_detected);
         stats.streaming_ns = blocked_ns;
-        stats.mem_refs =
-            stats.edges_streamed * 2 + stats.updates_generated + stats.updates_applied * 2;
+        stats.mem_refs = stats.estimated_mem_refs();
         let alloc = alloc_before.delta(&alloc_stats::snapshot());
         stats.alloc_count = alloc.count;
         stats.alloc_bytes = alloc.bytes;
         self.clean = true;
         Ok(stats)
+    }
+
+    /// Mode planning: rebuilds a stale frontier and decides every
+    /// partition's scatter mode up front, so the strict in-order
+    /// read-ahead schedule of [`Self::scatter`] queues *only* the
+    /// partitions that stream densely — skipped and sparse partitions
+    /// cost the prefetch threads zero I/O. Returns whether the
+    /// frontier is in use this superstep.
+    fn plan_modes(&mut self, program: &P, stats: &mut IterationStats) -> Result<bool> {
+        if !(self.tracked && self.config.frontier_skip) {
+            stats.frontier_density = 1.0;
+            self.modes.fill(MODE_DENSE);
+            return Ok(false);
+        }
+        if !self.frontier_valid {
+            // Rebuild from a `needs_scatter` state scan (`ensure` sizes
+            // the bitmaps on first use and clears them; both are pure
+            // memsets once sized).
+            self.frontier.ensure(&self.partitioner);
+            for p in self.partitioner.iter() {
+                let base = self.partitioner.range(p).start;
+                let states = self
+                    .vertices
+                    .load_scatter(&self.store, &self.partitioner, p)?;
+                self.frontier
+                    .current
+                    .mark_active(p, base, states, |s| program.needs_scatter(s));
+            }
+            self.frontier_valid = true;
+        }
+        // A failed attempt's partial gather may have left marks.
+        self.frontier.next.clear();
+        stats.frontier_density = self.frontier.current.density();
+        for p in self.partitioner.iter() {
+            self.modes[p] = self.partition_mode(p)?;
+        }
+        Ok(true)
+    }
+
+    /// The scatter mode of partition `p` under the current frontier:
+    /// skip it with no active sources (or no edges), go sparse when its
+    /// run-offset index says the active vertices' runs are few enough,
+    /// stream it densely otherwise.
+    fn partition_mode(&mut self, p: usize) -> Result<u8> {
+        if self.frontier.current.active_in(p) == 0 {
+            return Ok(MODE_SKIP);
+        }
+        if !self.sparse_indexed[p] {
+            return Ok(MODE_DENSE);
+        }
+        if let Err(e) = self
+            .store
+            .read_all_into(&self.index_names[p], &mut self.index_buf)
+        {
+            if !matches!(e, Error::Corrupt { .. }) {
+                return Err(e);
+            }
+            // Graceful degradation: a rotted index must not kill the
+            // run. The edge stream is separately checksummed and
+            // intact, so this partition scatters densely from now on
+            // and the manifest flags the index for `scrub --repair`.
+            eprintln!("warning: {e}; partition {p} degrades to dense scatter");
+            self.sparse_indexed[p] = false;
+            self.flag_index_rebuild(p);
+            return Ok(MODE_DENSE);
+        }
+        let range = self.partitioner.range(p);
+        let index = self.index_buf.as_slice();
+        let offset = |lv: usize| read_record::<u32>(&index[lv * 4..]);
+        let total = offset(range.len()) as usize;
+        Ok(if total == 0 {
+            MODE_SKIP
+        } else if self
+            .config
+            .sparse_scatter_pays(&self.frontier.current, range, total, offset)
+        {
+            MODE_SPARSE
+        } else {
+            MODE_DENSE
+        })
+    }
+
+    /// Scatter phase: the merged scatter + fused shuffle of Fig. 6.
+    /// Dense partitions stream their edge files through the read-ahead
+    /// threads; sparse partitions assemble their active vertices' edge
+    /// runs from pooled ranged reads. Both feed every loaded chunk to
+    /// one scatter-then-spill step.
+    fn scatter(
+        &mut self,
+        program: &P,
+        stats: &mut IterationStats,
+        blocked_ns: &mut u64,
+    ) -> Result<()> {
+        let kp = self.partitioner.num_partitions();
+        // Rearm both output pools; each slice is rearmed on the worker
+        // that owns it, so any bucket growth is first-touched locally.
+        // (`drain` is reusable here: the previous superstep's flush —
+        // or `recover` — covered every borrowed run.)
+        self.scratch
+            .begin_first_touch(self.plan, self.pool.as_ref());
+        self.drain.begin(self.plan);
+        self.resident_updates = false;
+        let store = &self.store;
+        let partitioner = &self.partitioner;
+        let vertices = &mut self.vertices;
+        let reader = &mut self.reader;
+        let writer = &self.writer;
+        let scratch = &mut self.scratch;
+        let drain = &mut self.drain;
+        let spill_mark = &mut self.spill_mark;
+        let pool = self.pool.as_ref();
+        let plan = self.plan;
+        let edge_names = &self.edge_names;
+        let update_names = &self.update_names;
+        let frontier = &self.frontier.current;
+        let index_buf = &mut self.index_buf;
+        let run_ranges = &mut self.run_ranges;
+        let run_buf = &mut self.run_buf;
+        let spill_threshold = self.spill_threshold;
+        // Sparse ranged reads are merged and flushed in I/O-unit
+        // portions, rounded to whole edge records so no flush ever
+        // splits an edge.
+        let io_cap = (self.config.io_unit / Edge::SIZE).max(1) * Edge::SIZE;
+        let mut spilled = false;
+
+        // The scatter-then-spill step. Scatters one loaded chunk into
+        // the filling pool; once that pool reaches the stream-buffer
+        // budget, waits out the previous spill's borrowed runs, swaps
+        // the ping-pong pools, rearms the fresh one and hands the full
+        // one's bucket runs to the per-device writer threads by
+        // reference — scatter continues into the fresh pool while the
+        // writer drains the other (§3.3's double-buffered output,
+        // minus the copy).
+        let mut scatter_step = |bytes: &[u8],
+                                states: &[P::State],
+                                base: usize,
+                                stats: &mut IterationStats,
+                                blocked_ns: &mut u64|
+         -> Result<()> {
+            stats.edges_streamed += (bytes.len() / Edge::SIZE) as u64;
+            scatter_chunk_pooled(pool, scratch, program, states, base, bytes, partitioner);
+            if scratch.total_len() < spill_threshold {
+                return Ok(());
+            }
+            stats.updates_generated += scratch.total_len() as u64;
+            let t_io = Instant::now();
+            writer.wait_until(*spill_mark);
+            *blocked_ns += t_io.elapsed().as_nanos() as u64;
+            std::mem::swap(scratch, drain);
+            scratch.begin(plan);
+            spill_borrowed(writer, update_names, drain, kp, blocked_ns)?;
+            *spill_mark = writer.submitted();
+            spilled = true;
+            Ok(())
+        };
+
+        // Queue the first densely-streamed partition; each dense
+        // partition then queues the next dense one before consuming its
+        // own chunks (§3.3 read-ahead across partitions, restricted to
+        // the ones that actually stream).
+        let modes = &self.modes;
+        let mut dense_iter = (0..kp).filter(|&p| modes[p] == MODE_DENSE);
+        let mut queued = dense_iter.next();
+        if let Some(first) = queued {
+            reader.begin(store.read_source(&edge_names[first], Edge::SIZE)?)?;
+        }
+        for s in partitioner.iter() {
+            let range = partitioner.range(s);
+            let base = range.start;
+            match modes[s] {
+                MODE_SKIP => {
+                    // No active sources: this partition costs zero I/O
+                    // this superstep.
+                    stats.partitions_skipped += 1;
+                }
+                MODE_SPARSE => {
+                    stats.partitions_sparse += 1;
+                    let states = vertices.load_scatter(store, partitioner, s)?;
+                    // Re-load the run-offset index (the planning pass's
+                    // pooled buffer has been reused since) and merge the
+                    // active vertices' edge runs into ranged reads.
+                    store.read_all_into(&self.index_names[s], index_buf)?;
+                    let index = index_buf.as_slice();
+                    // Byte offset of local vertex `lv`'s run in the edge file.
+                    let run_at = |lv: usize| {
+                        u64::from(read_record::<u32>(&index[lv * 4..])) * Edge::SIZE as u64
+                    };
+                    run_ranges.clear();
+                    frontier.for_each_active_in(range, |v| {
+                        let lv = v as usize - base;
+                        push_run(run_ranges, run_at(lv)..run_at(lv + 1), io_cap);
+                        true
+                    });
+                    for (i, &(off, len)) in run_ranges.iter().enumerate() {
+                        let t_io = Instant::now();
+                        store.read_range_into(&edge_names[s], off, len as usize, run_buf)?;
+                        *blocked_ns += t_io.elapsed().as_nanos() as u64;
+                        if run_buf.len() >= io_cap || i + 1 == run_ranges.len() {
+                            scatter_step(run_buf, states, base, stats, blocked_ns)?;
+                            run_buf.clear();
+                        }
+                    }
+                }
+                _ => {
+                    debug_assert_eq!(queued, Some(s), "dense queue out of order");
+                    queued = dense_iter.next();
+                    if let Some(n) = queued {
+                        // §3.3 read-ahead across partitions: the reader
+                        // thread rolls into the next live edge file
+                        // while this partition still computes.
+                        reader.begin(store.read_source(&edge_names[n], Edge::SIZE)?)?;
+                    }
+                    let states = vertices.load_scatter(store, partitioner, s)?;
+                    loop {
+                        let t_io = Instant::now();
+                        let chunk = reader.next_chunk()?;
+                        *blocked_ns += t_io.elapsed().as_nanos() as u64;
+                        let Some(bytes) = chunk else {
+                            break;
+                        };
+                        scatter_step(bytes, states, base, stats, blocked_ns)?;
+                    }
+                }
+            }
+        }
+        let tail = scratch.total_len();
+        stats.updates_generated += tail as u64;
+        if tail > 0 {
+            if spilled || self.config.in_memory_updates {
+                // Updates since the last spill stay resident: the
+                // buffer exists either way, so gather reads it in place
+                // — §3.2 optimization 2, generalized to the tail of a
+                // spilling superstep.
+                for i in 0..scratch.num_slices() {
+                    scratch
+                        .slice_mut(i)
+                        .finish(|u| partitioner.partition_of(u.target));
+                }
+                self.resident_updates = true;
+            } else {
+                // Forced-spill configuration with everything still
+                // buffered: the whole output goes to disk.
+                spill_borrowed(writer, update_names, scratch, kp, blocked_ns)?;
+                spilled = true;
+            }
+        }
+        self.spilled_updates = spilled;
+        // The gather phase must observe every update: drain the writer
+        // before leaving the scatter phase. (This also releases every
+        // borrowed bucket run.)
+        let t_io = Instant::now();
+        writer.flush()?;
+        *spill_mark = writer.submitted();
+        *blocked_ns += t_io.elapsed().as_nanos() as u64;
+        Ok(())
+    }
+
+    /// Gather phase: in parallel on the pool workers when the vertex
+    /// array is in memory and the update files pass the memory gate,
+    /// serially otherwise.
+    fn gather(
+        &mut self,
+        program: &P,
+        stats: &mut IterationStats,
+        blocked_ns: &mut u64,
+        mark_next: bool,
+    ) -> Result<()> {
+        let kp = self.partitioner.num_partitions();
+        let lanes = self.config.effective_gather_threads().min(kp.max(1));
+        let mut parallel =
+            lanes > 1 && kp > 1 && self.pool.is_some() && self.vertices.in_memory_mut().is_some();
+        if parallel && self.spilled_updates {
+            // Memory gate: each gather lane holds one whole partition
+            // update file at a time, and the two scatter output pools
+            // (~one stream buffer each) sit idle during gather — their
+            // envelope is the budget the lane buffers may claim. A
+            // partition skew that would bust it (update files are
+            // unbounded in a genuinely out-of-core run) falls back to
+            // the serial chunk-streaming gather, which is bounded by
+            // construction.
+            let max_file = self
+                .update_names
+                .iter()
+                .map(|n| self.store.len(n))
+                .max()
+                .unwrap_or(0);
+            parallel = (max_file as usize).saturating_mul(lanes) <= 2 * self.stream_buffer_bytes;
+        }
+        if parallel {
+            self.gather_parallel(program, stats, lanes, blocked_ns, mark_next)
+        } else {
+            self.gather_serial(program, stats, blocked_ns, mark_next)
+        }
     }
 
     /// Serial gather: one partition at a time on the superstep thread
@@ -1622,13 +1537,15 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 reader.begin(store.read_source(&update_names[p + 1], usz)?)?;
             }
             let base = partitioner.range(p).start;
-            let mut applied = 0u64;
-            let mut changed_vertices = 0u64;
+            let (mut applied, mut changed) = (0u64, 0u64);
             {
                 let reader = &mut *reader;
                 let blocked = &mut *blocked_ns;
                 vertices.update_partition(store, partitioner, p, |states| {
-                    let mut changed = false;
+                    let mut apply = |(a, c): (u64, u64)| {
+                        applied += a;
+                        changed += c;
+                    };
                     if from_files {
                         loop {
                             let t_io = Instant::now();
@@ -1637,37 +1554,28 @@ impl<P: EdgeProgram> DiskEngine<P> {
                             let Some(bytes) = chunk else {
                                 break;
                             };
-                            let it = RecordIter::<TargetedUpdate<P::Update>>::new(bytes);
-                            applied += it.remaining() as u64;
-                            for u in it {
-                                let local = u.target as usize - base;
-                                if program.gather(&mut states[local], &u.payload) {
-                                    changed_vertices += 1;
-                                    changed = true;
-                                    if let Some(nf) = next_frontier {
-                                        nf.mark(u.target, p);
-                                    }
-                                }
-                            }
+                            let updates = RecordIter::new(bytes);
+                            apply(gather_updates(
+                                program,
+                                states,
+                                base,
+                                p,
+                                updates,
+                                next_frontier,
+                            ));
                         }
                     }
                     if resident {
-                        for i in 0..scratch.num_slices() {
-                            let run = scratch.slice(i).chunk(p);
-                            applied += run.len() as u64;
-                            for u in run {
-                                let local = u.target as usize - base;
-                                if program.gather(&mut states[local], &u.payload) {
-                                    changed_vertices += 1;
-                                    changed = true;
-                                    if let Some(nf) = next_frontier {
-                                        nf.mark(u.target, p);
-                                    }
-                                }
-                            }
-                        }
+                        apply(gather_resident(
+                            program,
+                            states,
+                            base,
+                            p,
+                            scratch,
+                            next_frontier,
+                        ));
                     }
-                    Ok(changed)
+                    Ok(changed > 0)
                 })?;
             }
             if from_files {
@@ -1677,7 +1585,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 store.truncate(&update_names[p])?;
             }
             stats.updates_applied += applied;
-            stats.vertices_changed += changed_vertices;
+            stats.vertices_changed += changed;
         }
         Ok(())
     }
@@ -1746,6 +1654,10 @@ impl<P: EdgeProgram> DiskEngine<P> {
                     // SAFETY: partition ranges are disjoint and each
                     // partition is claimed by exactly one worker.
                     let part_states = unsafe { states_ptr.partition_slice_mut(range) };
+                    let mut apply = |(a, c): (u64, u64)| {
+                        ctr.applied += a;
+                        ctr.changed += c;
+                    };
                     if from_files {
                         let t_io = Instant::now();
                         let loaded = store.read_all_into(&update_names[p], buf);
@@ -1756,32 +1668,25 @@ impl<P: EdgeProgram> DiskEngine<P> {
                             }
                             return;
                         }
-                        let it = RecordIter::<TargetedUpdate<P::Update>>::new(buf);
-                        ctr.applied += it.remaining() as u64;
-                        for u in it {
-                            let local = u.target as usize - base;
-                            if program.gather(&mut part_states[local], &u.payload) {
-                                ctr.changed += 1;
-                                if let Some(nf) = next_frontier {
-                                    nf.mark(u.target, p);
-                                }
-                            }
-                        }
+                        let updates = RecordIter::new(buf);
+                        apply(gather_updates(
+                            program,
+                            part_states,
+                            base,
+                            p,
+                            updates,
+                            next_frontier,
+                        ));
                     }
                     if resident {
-                        for i in 0..scratch.num_slices() {
-                            let run = scratch.slice(i).chunk(p);
-                            ctr.applied += run.len() as u64;
-                            for u in run {
-                                let local = u.target as usize - base;
-                                if program.gather(&mut part_states[local], &u.payload) {
-                                    ctr.changed += 1;
-                                    if let Some(nf) = next_frontier {
-                                        nf.mark(u.target, p);
-                                    }
-                                }
-                            }
-                        }
+                        apply(gather_resident(
+                            program,
+                            part_states,
+                            base,
+                            p,
+                            scratch,
+                            next_frontier,
+                        ));
                     }
                     p += lanes;
                 }
@@ -1815,14 +1720,36 @@ impl<P: EdgeProgram> DiskEngine<P> {
     }
 }
 
+/// Applies partition `p`'s resident updates — its bucket in every
+/// scratch slice — to `states`, whose element `i` is vertex `base + i`
+/// (see [`gather_updates`]). Returns `(applied, changed)`.
+fn gather_resident<P: EdgeProgram>(
+    program: &P,
+    states: &mut [P::State],
+    base: usize,
+    p: usize,
+    scratch: &ShufflePool<TargetedUpdate<P::Update>>,
+    next_frontier: Option<&Frontier>,
+) -> (u64, u64) {
+    let (mut applied, mut changed) = (0, 0);
+    for i in 0..scratch.num_slices() {
+        let run = scratch.slice(i).chunk(p).iter().copied();
+        let (a, c) = gather_updates(program, states, base, p, run, next_frontier);
+        applied += a;
+        changed += c;
+    }
+    (applied, changed)
+}
+
 /// Threshold below which a loaded chunk is scattered inline instead of
 /// dispatched to the pool (the handshake is cheap but not free).
 const PARALLEL_SCATTER_MIN: usize = 4096;
 
 /// Scatters one decoded edge chunk across the pooled workers, each
 /// appending into the per-partition buckets of its own persistent
-/// scratch slice (the §4.3 layering of in-memory parallelism over
-/// loaded disk chunks, fused with the single-stage shuffle).
+/// scratch slice (the §4.3 layering of the in-memory engine's
+/// [`scatter_edges`] over loaded disk chunks, fused with the
+/// single-stage shuffle).
 fn scatter_chunk_pooled<P: EdgeProgram>(
     pool: Option<&WorkerPool>,
     scratch: &mut ShufflePool<TargetedUpdate<P::Update>>,
@@ -1844,18 +1771,9 @@ fn scatter_chunk_pooled<P: EdgeProgram>(
         // disjoint across workers.
         let slice: &mut ShuffleScratch<_> = unsafe { scratch_ptr.get_mut(tid) };
         let sub = &bytes[range.start * Edge::SIZE..range.end * Edge::SIZE];
-        for e in RecordIter::<Edge>::new(sub) {
-            let src_state = &states[(e.src as usize) - base];
-            if !program.needs_scatter(src_state) {
-                continue;
-            }
-            if let Some(u) = program.scatter(src_state, &e) {
-                slice.push(
-                    TargetedUpdate::new(e.dst, u),
-                    partitioner.partition_of(e.dst),
-                );
-            }
-        }
+        scatter_edges(program, states, base, RecordIter::new(sub), |u| {
+            slice.push(u, partitioner.partition_of(u.target))
+        });
     };
     match pool {
         Some(pool) if n_edges >= PARALLEL_SCATTER_MIN => {
@@ -1871,39 +1789,26 @@ fn scatter_chunk_pooled<P: EdgeProgram>(
     }
 }
 
-/// Shared spill step of the fused scatter+shuffle, used by both the
-/// dense chunk loop and the sparse run assembly: once the filling pool
-/// reaches the stream-buffer budget, waits out the previous spill's
-/// borrowed runs, swaps the ping-pong pools, rearms the fresh one and
-/// hands the full one's bucket runs to the per-device writer threads
-/// by reference — scatter continues into the fresh pool while the
-/// writer drains the other (§3.3's double-buffered output, minus the
-/// copy). Returns whether it spilled.
-#[allow(clippy::too_many_arguments)]
-fn spill_if_full<U: Record>(
-    writer: &AsyncWriter,
-    update_names: &[Arc<str>],
-    scratch: &mut ShufflePool<TargetedUpdate<U>>,
-    drain: &mut ShufflePool<TargetedUpdate<U>>,
-    spill_mark: &mut WriteMark,
-    plan: MultiStagePlan,
-    kp: usize,
-    spill_threshold: usize,
-    stats: &mut IterationStats,
-    blocked_ns: &mut u64,
-) -> Result<bool> {
-    if scratch.total_len() < spill_threshold {
-        return Ok(false);
+/// Appends the byte range `run` of an edge file to the sparse scatter's
+/// ranged reads `reads` as `(offset, length)` pairs, extending the last
+/// read when `run` continues it. No read grows beyond `io_cap` bytes,
+/// so the assembly buffer stays bounded; with `io_cap` and the run
+/// bounds whole multiples of [`Edge::SIZE`], no read splits an edge.
+fn push_run(reads: &mut Vec<(u64, u32)>, run: std::ops::Range<u64>, io_cap: usize) {
+    let (mut lo, hi) = (run.start, run.end);
+    while lo < hi {
+        if let Some((o, l)) = reads.last_mut() {
+            if *o + *l as u64 == lo && (*l as usize) < io_cap {
+                let take = (hi - lo).min((io_cap - *l as usize) as u64);
+                *l += take as u32;
+                lo += take;
+                continue;
+            }
+        }
+        let take = (hi - lo).min(io_cap as u64);
+        reads.push((lo, take as u32));
+        lo += take;
     }
-    stats.updates_generated += scratch.total_len() as u64;
-    let t_io = Instant::now();
-    writer.wait_until(*spill_mark);
-    *blocked_ns += t_io.elapsed().as_nanos() as u64;
-    std::mem::swap(scratch, drain);
-    scratch.begin(plan);
-    spill_borrowed(writer, update_names, drain, kp, blocked_ns)?;
-    *spill_mark = writer.submitted();
-    Ok(true)
 }
 
 /// Bucket runs below this size are coalesced into one pooled buffer
@@ -2076,24 +1981,13 @@ impl<P: EdgeProgram> Engine<P> for DiskEngine<P> {
     }
 
     fn seed_frontier(&mut self, sources: &[VertexId]) {
-        if self.skip_supersteps > 0 {
-            // Checkpoint replay: the restored frontier must survive
-            // (see `vertex_map`), and the sources hint describes the
-            // *initial* state, not the restored one.
-            return;
+        // During checkpoint replay the restored frontier must survive
+        // (see `vertex_map`): the sources hint describes the *initial*
+        // state, not the restored one.
+        if self.skip_supersteps == 0 && self.tracked && self.config.frontier_skip {
+            self.frontier.seed(&self.partitioner, sources);
+            self.frontier_valid = true;
         }
-        if !(self.tracked && self.config.frontier_skip) {
-            return;
-        }
-        self.frontier.ensure(&self.partitioner);
-        for &v in sources {
-            if (v as usize) < self.partitioner.num_vertices() {
-                self.frontier
-                    .current
-                    .mark(v, self.partitioner.partition_of(v));
-            }
-        }
-        self.frontier_valid = true;
     }
 }
 
@@ -2257,6 +2151,36 @@ mod tests {
         let r = DiskEngine::from_edge_file(store, &path, &MinLabel, small_config());
         assert!(matches!(r, Err(Error::InvalidInput(_))));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn push_run_merges_adjacent_runs_and_splits_at_the_io_cap() {
+        let e = Edge::SIZE as u64;
+        let io_cap = 4 * Edge::SIZE;
+        // Two adjacent runs, a gap, a run of 10 edges, a run continuing
+        // it, and an empty run.
+        let runs = [
+            0..2 * e,
+            2 * e..3 * e,
+            5 * e..15 * e,
+            15 * e..16 * e,
+            20 * e..20 * e,
+        ];
+        let mut reads = Vec::new();
+        for run in runs.clone() {
+            push_run(&mut reads, run, io_cap);
+        }
+        let want: Vec<(u64, u32)> = [(0, 3), (5, 4), (9, 4), (13, 3)]
+            .iter()
+            .map(|&(o, l)| (o * e, (l * e) as u32))
+            .collect();
+        assert_eq!(reads, want);
+        for &(off, len) in &reads {
+            assert!(len > 0 && len as usize <= io_cap);
+            assert_eq!((off % e, len as u64 % e), (0, 0), "a read splits an edge");
+        }
+        let read: u64 = reads.iter().map(|&(_, l)| l as u64).sum();
+        assert_eq!(read, runs.iter().map(|r| r.end - r.start).sum::<u64>());
     }
 
     #[test]

@@ -40,6 +40,7 @@ use std::io::Read as _;
 use std::path::Path;
 
 use crate::checkpoint::frame_is_valid;
+use xstream_core::partition::run_offsets;
 use xstream_core::record::{records_as_bytes, RecordIter};
 use xstream_core::{Edge, Error, Partitioner, Record, Result};
 use xstream_storage::{
@@ -201,9 +202,8 @@ fn write_sidecar(root: &Path, name: &str, sidecar: &SumSidecar) -> Result<u32> {
 }
 
 /// Rebuilds the sparse-scatter index of partition `p` from its (already
-/// verified) edge stream, exactly as the engine's build pass does:
-/// edge files of indexed partitions are grouped by source, so the
-/// offsets are a single monotone walk. Returns the new index bytes.
+/// verified) edge stream with the engine's own index builder,
+/// [`run_offsets`]. Returns the new index bytes.
 fn rebuild_index(edges_bytes: &[u8], partitioner: &Partitioner, p: usize) -> Result<Vec<u8>> {
     if !edges_bytes.len().is_multiple_of(Edge::SIZE) {
         return Err(Error::Config(format!(
@@ -211,39 +211,13 @@ fn rebuild_index(edges_bytes: &[u8], partitioner: &Partitioner, p: usize) -> Res
             edges_bytes.len()
         )));
     }
-    let count = edges_bytes.len() / Edge::SIZE;
-    if count > u32::MAX as usize {
-        return Err(Error::Config(format!(
-            "edges.{p} has {count} records, beyond the u32 index format"
-        )));
-    }
-    let range = partitioner.range(p);
-    let mut offsets: Vec<u32> = Vec::with_capacity(range.len() + 2);
-    offsets.push(0);
-    let mut iter = RecordIter::<Edge>::new(edges_bytes).peekable();
-    let mut i = 0u32;
-    let mut prev_src: Option<u32> = None;
-    for v in range {
-        while let Some(e) = iter.peek() {
-            if e.src as usize > v {
-                break;
-            }
-            if prev_src.is_some_and(|ps| e.src < ps) {
-                return Err(Error::Config(format!(
-                    "edges.{p} is not grouped by source; cannot derive an index from it"
-                )));
-            }
-            prev_src = Some(e.src);
-            i += 1;
-            iter.next();
-        }
-        offsets.push(i);
-    }
-    if (i as usize) != count {
-        return Err(Error::Config(format!(
-            "edges.{p} contains sources outside partition {p}'s vertex range"
-        )));
-    }
+    let mut offsets = Vec::new();
+    run_offsets(
+        RecordIter::<Edge>::new(edges_bytes),
+        partitioner.range(p),
+        &mut offsets,
+    )
+    .map_err(|e| Error::Config(format!("edges.{p}: {e}; cannot derive an index from it")))?;
     Ok(records_as_bytes(&offsets).to_vec())
 }
 

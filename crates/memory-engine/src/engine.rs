@@ -37,46 +37,17 @@ use std::mem::size_of;
 use std::time::Instant;
 
 use crate::queue::WorkQueues;
-use xstream_core::program::TargetedUpdate;
+use xstream_core::partition::run_offsets;
+use xstream_core::program::{gather_updates, scatter_edges, TargetedUpdate};
 use xstream_core::{
     alloc_stats, Edge, EdgeProgram, Engine, EngineConfig, FrontierMode, FrontierPair,
     IterationStats, Partitioner, VertexId,
 };
 use xstream_graph::EdgeList;
-use xstream_storage::pool::{PerWorkerPtr, WorkerPool};
+use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
 use xstream_storage::shuffle::{parallel_multistage_shuffle, MultiStagePlan};
 use xstream_storage::topology::Topology;
 use xstream_storage::{ShufflePool, ShuffleScratch, StreamBuffer};
-
-/// Raw pointer wrapper granting scoped threads access to disjoint
-/// partition sub-slices of the vertex-state array.
-struct StatesPtr<S>(*mut S);
-
-// SAFETY: the pointer is only dereferenced through
-// `partition_slice_mut`, whose callers guarantee each partition index
-// is claimed by exactly one thread (the work queues pop every index
-// once), so the produced `&mut` sub-slices are disjoint. `S: Send` is
-// required because those `&mut` sub-slices hand the states themselves
-// to other threads.
-unsafe impl<S: Send> Send for StatesPtr<S> {}
-// SAFETY: as above — sharing the wrapper across threads hands out
-// disjoint `&mut [S]`, which is a transfer of `S`, hence `S: Send`.
-unsafe impl<S: Send> Sync for StatesPtr<S> {}
-
-impl<S> StatesPtr<S> {
-    /// Produces the mutable state slice of one partition.
-    ///
-    /// # Safety
-    ///
-    /// `range` must lie inside the allocation and no other live
-    /// reference (shared or unique) may overlap it.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn partition_slice_mut(&self, range: core::ops::Range<usize>) -> &mut [S] {
-        // SAFETY: forwarded to the caller per the method contract.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(range.start), range.len()) }
-    }
-}
 
 /// Per-worker phase counters, folded into [`IterationStats`] after
 /// each superstep (kept separate from the shuffle scratch so gather
@@ -126,10 +97,11 @@ pub struct InMemoryEngine<P: EdgeProgram> {
     /// `vertex_map` invalidates it; the next superstep rebuilds it from
     /// a `needs_scatter` scan.
     frontier_valid: bool,
-    /// For tracked programs, `run_starts[v]` is the position (in the
-    /// src-sorted edge buffer) of vertex `v`'s out-edge run;
-    /// `run_starts[v + 1]` its end. Empty for dense programs.
-    run_starts: Vec<u32>,
+    /// For tracked programs, every partition's run-offset index
+    /// ([`run_offsets`]) back to back: partition `p`'s `range.len() + 1`
+    /// offsets into its src-sorted edge chunk start at
+    /// `range.start + p`. Empty for dense programs.
+    run_index: Vec<u32>,
 }
 
 impl<P: EdgeProgram> InMemoryEngine<P> {
@@ -161,29 +133,27 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         // programs additionally need each partition's chunk grouped by
         // source vertex so the sparse scatter can address one vertex's
         // out-edge run; a global src sort produces both layouts at once
-        // (partition ids are monotone in the vertex id), and the run
-        // index is one counting pass over the sorted list.
+        // (partition ids are monotone in the vertex id).
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
-        let (edges, run_starts) = if tracked {
+        let (edges, run_index) = if tracked {
             let mut data = edges;
-            assert!(
-                u32::try_from(data.len()).is_ok(),
-                "sparse edge index addresses edges with u32 offsets"
-            );
             data.sort_unstable_by_key(|e| e.src);
-            let mut run_starts = vec![0u32; num_vertices + 1];
-            for e in &data {
-                run_starts[e.src as usize + 1] += 1;
-            }
-            for v in 0..num_vertices {
-                run_starts[v + 1] += run_starts[v];
-            }
-            let mut offsets = Vec::with_capacity(partitioner.num_partitions() + 1);
-            for p in partitioner.iter() {
-                offsets.push(run_starts[partitioner.range(p).start] as usize);
-            }
+            let mut offsets: Vec<usize> = partitioner
+                .iter()
+                .map(|p| data.partition_point(|e| (e.src as usize) < partitioner.range(p).start))
+                .collect();
             offsets.push(data.len());
-            (StreamBuffer::from_grouped(data, offsets), run_starts)
+            let edges = StreamBuffer::from_grouped(data, offsets);
+            let mut run_index = Vec::with_capacity(num_vertices + partitioner.num_partitions());
+            for p in partitioner.iter() {
+                run_offsets(
+                    edges.chunk(p).iter().copied(),
+                    partitioner.range(p),
+                    &mut run_index,
+                )
+                .unwrap_or_else(|e| panic!("partition {p} edge index: {e}"));
+            }
+            (edges, run_index)
         } else {
             let slices = split_slices(edges, threads);
             let bufs = parallel_multistage_shuffle(slices, plan, |e: &Edge| {
@@ -227,7 +197,7 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
             tracked,
             frontier: FrontierPair::new(),
             frontier_valid: false,
-            run_starts,
+            run_index,
         }
     }
 
@@ -279,11 +249,7 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
             + upd_bytes * update_copy_passes
             + stats.updates_applied * usz;
         stats.bytes_written = upd_bytes + upd_bytes * update_copy_passes;
-        // Memory-reference proxy (Fig. 21): edge read + source-state
-        // read per edge; update write; update read + state read-modify-
-        // write per applied update.
-        stats.mem_refs =
-            stats.edges_streamed * 2 + stats.updates_generated + stats.updates_applied * 2;
+        stats.mem_refs = stats.estimated_mem_refs();
         // Sequential-stream traffic time: edge streaming (scatter) plus
         // the update copy passes (shuffle).
         stats.streaming_ns = stats.scatter_ns + stats.shuffle_ns;
@@ -373,13 +339,13 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
         let use_frontier = self.tracked && self.config.frontier_skip;
         if use_frontier && !self.frontier_valid {
             self.frontier.ensure(&self.partitioner);
-            for (v, s) in self.states.iter().enumerate() {
-                if program.needs_scatter(s) {
-                    let v = v as VertexId;
-                    self.frontier
-                        .current
-                        .mark(v, self.partitioner.partition_of(v));
-                }
+            for p in self.partitioner.iter() {
+                let range = self.partitioner.range(p);
+                self.frontier
+                    .current
+                    .mark_active(p, range.start, &self.states[range], |s| {
+                        program.needs_scatter(s)
+                    });
             }
             self.frontier_valid = true;
         }
@@ -398,7 +364,7 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
             let partitioner = self.partitioner;
             let config = &self.config;
             let frontier = use_frontier.then_some(&self.frontier.current);
-            let run_starts = &self.run_starts;
+            let run_index = &self.run_index;
             let scratch = PerWorkerPtr(self.scratch.slices_ptr());
             let counters = PerWorkerPtr(self.counters.as_mut_ptr());
             let job = |tid: usize| {
@@ -407,24 +373,16 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
                 // these `&mut` borrows are disjoint across workers.
                 let slice: &mut ShuffleScratch<_> = unsafe { scratch.get_mut(tid) };
                 let ctr = unsafe { counters.get_mut(tid) };
-                // Scatter one edge; only reads the source state (states
-                // are shared immutably in this phase) and pushes the
-                // update routed on the first radix digit of the
-                // destination partition — the fused first shuffle
-                // stage.
-                let mut scatter_edge = |e: &Edge, ctr: &mut WorkerCounters| {
-                    ctr.edges_streamed += 1;
-                    let src_state = &states[e.src as usize];
-                    if !program.needs_scatter(src_state) {
-                        return;
-                    }
-                    if let Some(u) = program.scatter(src_state, e) {
-                        slice.push(
-                            TargetedUpdate::new(e.dst, u),
-                            partitioner.partition_of(e.dst),
-                        );
-                        ctr.updates_generated += 1;
-                    }
+                // Scatter a run of edges; states are shared immutably
+                // in this phase, and each update is routed on the first
+                // radix digit of its destination partition — the fused
+                // first shuffle stage.
+                let mut scatter_run = |run: &[Edge], ctr: &mut WorkerCounters| {
+                    ctr.edges_streamed += run.len() as u64;
+                    ctr.updates_generated +=
+                        scatter_edges(program, states, 0, run.iter().copied(), |u| {
+                            slice.push(u, partitioner.partition_of(u.target))
+                        });
                 };
                 while let Some(p) = queues.pop(tid) {
                     let chunk = edges.chunk(p);
@@ -435,37 +393,26 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
                             ctr.partitions_skipped += 1;
                             continue;
                         }
-                        // Hybrid switch: sum the active vertices' run
-                        // lengths (early-exiting once the total already
-                        // fails the sparse test, which it can never
-                        // pass again).
                         let range = partitioner.range(p);
-                        let total = chunk.len();
-                        let mut active_edges = 0usize;
-                        fr.for_each_active_in(range.clone(), |v| {
-                            active_edges +=
-                                (run_starts[v as usize + 1] - run_starts[v as usize]) as usize;
-                            config.wants_sparse_scatter(active_edges, total)
-                        });
-                        if config.wants_sparse_scatter(active_edges, total) {
+                        let offsets = &run_index[range.start + p..=range.end + p];
+                        if config
+                            .sparse_scatter_pays(fr, range.clone(), chunk.len(), |lv| offsets[lv])
+                        {
                             // Sparse: stream only the active vertices'
                             // runs of the src-sorted chunk.
                             ctr.partitions_sparse += 1;
-                            let base = run_starts[range.start];
-                            fr.for_each_active_in(range, |v| {
-                                let lo = (run_starts[v as usize] - base) as usize;
-                                let hi = (run_starts[v as usize + 1] - base) as usize;
-                                for e in &chunk[lo..hi] {
-                                    scatter_edge(e, ctr);
-                                }
+                            fr.for_each_active_in(range.clone(), |v| {
+                                let lv = v as usize - range.start;
+                                scatter_run(
+                                    &chunk[offsets[lv] as usize..offsets[lv + 1] as usize],
+                                    ctr,
+                                );
                                 true
                             });
                             continue;
                         }
                     }
-                    for e in chunk {
-                        scatter_edge(e, ctr);
-                    }
+                    scatter_run(chunk, ctr);
                 }
             };
             Self::dispatch(self.pool.as_ref(), &job);
@@ -505,28 +452,17 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
                 let ctr = unsafe { counters.get_mut(tid) };
                 while let Some(p) = queues.pop(tid) {
                     let range = partitioner.range(p);
+                    let base = range.start;
                     // SAFETY: work queues hand each partition index to
                     // exactly one worker and partition ranges are
                     // disjoint, so this `&mut` slice aliases nothing.
-                    let part_states = unsafe { states_ptr.partition_slice_mut(range.clone()) };
+                    let part_states = unsafe { states_ptr.partition_slice_mut(range) };
                     for s in 0..num_slices {
-                        for u in scratch.slice(s).chunk(p) {
-                            debug_assert!(
-                                (u.target as usize) >= range.start
-                                    && (u.target as usize) < range.end
-                            );
-                            let local = u.target as usize - range.start;
-                            ctr.updates_applied += 1;
-                            if program.gather(&mut part_states[local], &u.payload) {
-                                ctr.vertices_changed += 1;
-                                // Frontier contract: a changed vertex is
-                                // exactly one that must scatter next
-                                // superstep.
-                                if let Some(nf) = next_frontier {
-                                    nf.mark(u.target, p);
-                                }
-                            }
-                        }
+                        let run = scratch.slice(s).chunk(p).iter().copied();
+                        let (applied, changed) =
+                            gather_updates(program, part_states, base, p, run, next_frontier);
+                        ctr.updates_applied += applied;
+                        ctr.vertices_changed += changed;
                     }
                 }
             };
@@ -599,18 +535,10 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
     }
 
     fn seed_frontier(&mut self, sources: &[VertexId]) {
-        if !(self.tracked && self.config.frontier_skip) {
-            return;
+        if self.tracked && self.config.frontier_skip {
+            self.frontier.seed(&self.partitioner, sources);
+            self.frontier_valid = true;
         }
-        self.frontier.ensure(&self.partitioner);
-        for &v in sources {
-            if (v as usize) < self.states.len() {
-                self.frontier
-                    .current
-                    .mark(v, self.partitioner.partition_of(v));
-            }
-        }
-        self.frontier_valid = true;
     }
 }
 

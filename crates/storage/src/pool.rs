@@ -273,6 +273,38 @@ impl<T> PerWorkerPtr<T> {
     }
 }
 
+/// Raw pointer wrapper granting pool workers access to disjoint
+/// partition sub-slices of a vertex-state array: both engines' parallel
+/// gathers hand each streaming partition to exactly one worker, which
+/// then applies updates to that partition's states with no locks.
+pub struct StatesPtr<S>(pub *mut S);
+
+// SAFETY: the pointer is only dereferenced through
+// `partition_slice_mut`, whose callers guarantee each partition index
+// is claimed by exactly one worker (work queues pop every index once;
+// a static stride assigns it once), so the produced `&mut` sub-slices
+// are disjoint. `S: Send` is required because those `&mut` sub-slices
+// hand the states themselves to other threads.
+unsafe impl<S: Send> Send for StatesPtr<S> {}
+// SAFETY: as above — sharing the wrapper across threads hands out
+// disjoint `&mut [S]`, which is a transfer of `S`, hence `S: Send`.
+unsafe impl<S: Send> Sync for StatesPtr<S> {}
+
+impl<S> StatesPtr<S> {
+    /// Produces the mutable state slice of one partition.
+    ///
+    /// # Safety
+    ///
+    /// `range` must lie inside the allocation and no other live
+    /// reference (shared or unique) may overlap it.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn partition_slice_mut(&self, range: core::ops::Range<usize>) -> &mut [S] {
+        // SAFETY: forwarded to the caller per the method contract.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(range.start), range.len()) }
+    }
+}
+
 fn worker_loop(shared: &Shared, tid: usize) {
     let mut seen_generation = 0u64;
     loop {

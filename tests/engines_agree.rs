@@ -1,9 +1,9 @@
-//! Cross-crate integration tests: the in-memory engine and the
-//! out-of-core engine must produce identical results for every
-//! algorithm, across partition counts and the §3.2 optimization
-//! paths — the central refactoring invariant of the two-engine design.
-//! The algorithms without a two-engine test of their own are checked
-//! against the sequential §2 `OracleEngine`.
+//! Cross-crate integration tests: every algorithm on the in-memory
+//! engine and on the out-of-core engine — across partition counts, the
+//! §3.2 optimization paths and the sparse-scatter path — must agree
+//! with the sequential §2 `OracleEngine`. The engines share their
+//! per-record scatter/gather kernels, so only the independent oracle
+//! can catch a bug in them.
 
 use xstream::algorithms::{
     als, bfs, bp, conductance, hyperanf, mcst, mis, pagerank, pagerank_delta, scc, spmv, sssp, wcc,
@@ -37,64 +37,127 @@ fn test_graph(seed: u64) -> EdgeList {
     generators::erdos_renyi(500, 4000, seed).to_undirected()
 }
 
+/// Forced-spill disk configuration: updates always go through the
+/// update files, with an I/O unit small enough to spill repeatedly.
+fn spill_cfg() -> EngineConfig {
+    EngineConfig {
+        in_memory_updates: false,
+        ..disk_cfg().with_io_unit(1 << 13)
+    }
+}
+
+/// Forced-sparse disk configuration: every indexed partition with an
+/// active source scatters through its run-offset index and ranged
+/// reads (frontier-tracked programs only; others stream densely).
+fn sparse_cfg() -> EngineConfig {
+    disk_cfg().with_io_unit(8 << 10).with_frontier_threshold(0)
+}
+
+/// Runs `$run` — an expression over the engine bound to `$e` and a
+/// fresh program bound to `$p` — on the oracle, on the in-memory
+/// engine at K=1 and K=8, on the disk engine with forced spill and on
+/// the disk engine with forced sparse scatter. Evaluates to the
+/// oracle's result plus every other engine's result tagged with its
+/// configuration.
+macro_rules! on_every_engine {
+    ($tag:expr, $graph:expr, $p:ident = $program:expr, |$e:ident| $run:expr) => {{
+        let graph: &EdgeList = $graph;
+        let want = {
+            let $p = $program;
+            let mut $e = OracleEngine::new(graph.num_vertices(), graph.edges().to_vec(), &$p);
+            $run
+        };
+        let mut got = Vec::new();
+        for k in [1usize, 8] {
+            let $p = $program;
+            let mut $e = InMemoryEngine::from_graph(graph, &$p, mem_cfg(k));
+            got.push((format!("{} mem K={k}", $tag), $run));
+        }
+        let $p = $program;
+        let store = temp_store(&format!("oracle_{}", $tag));
+        let accounting = std::sync::Arc::clone(store.accounting());
+        let mut $e = DiskEngine::from_graph(store, graph, &$p, spill_cfg()).expect("engine");
+        let built = accounting.snapshot().bytes_written();
+        got.push((format!("{} disk spill", $tag), $run));
+        let spilled = accounting.snapshot().bytes_written() - built;
+        assert!(spilled > 0, "{}: the disk engine never spilled updates", $tag);
+        drop($e);
+        let $p = $program;
+        let store = temp_store(&format!("sparse_{}", $tag));
+        let mut $e = DiskEngine::from_graph(store, graph, &$p, sparse_cfg()).expect("engine");
+        got.push((format!("{} disk sparse", $tag), $run));
+        (want, got)
+    }};
+}
+
+fn assert_close(tag: &str, want: &[f32], got: &[f32], tolerance: f32) {
+    assert_eq!(want.len(), got.len(), "{tag}");
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        assert!((w - g).abs() < tolerance, "{tag} [{i}]: {w} vs {g}");
+    }
+}
+
+/// Deterministic positive edge weights (distinct enough that the
+/// minimum spanning forest is unique).
+fn weighted(mut g: EdgeList) -> EdgeList {
+    for (i, e) in g.edges_mut().iter_mut().enumerate() {
+        e.weight = 0.01 + ((i * 2654435761) % 1000) as f32 / 1000.0;
+    }
+    g
+}
+
 #[test]
 fn wcc_agrees_across_engines_and_partitions() {
     let g = test_graph(1);
-    let reference = {
-        let (labels, _) = wcc::wcc_in_memory(&g, mem_cfg(1));
-        labels
-    };
-    for parts in [2usize, 8, 64] {
-        let (labels, _) = wcc::wcc_in_memory(&g, mem_cfg(parts));
-        assert_eq!(labels, reference, "in-memory K={parts}");
+    let (want, got) = on_every_engine!("wcc", &g, p = wcc::Wcc::new(), |e| wcc::run(&mut e, &p).0);
+    for (tag, labels) in got {
+        assert_eq!(labels, want, "{tag}");
     }
-    let p = wcc::Wcc::new();
-    let mut disk = DiskEngine::from_graph(temp_store("wcc"), &g, &p, disk_cfg()).expect("engine");
-    let (labels, _) = wcc::run(&mut disk, &p);
-    assert_eq!(labels, reference, "disk engine");
+    for parts in [2usize, 64] {
+        let (labels, _) = wcc::wcc_in_memory(&g, mem_cfg(parts));
+        assert_eq!(labels, want, "in-memory K={parts}");
+    }
 }
 
 #[test]
 fn bfs_agrees_across_engines() {
-    let g = test_graph(2);
-    let (mem_levels, _) = bfs::bfs_in_memory(&g, 0, mem_cfg(8));
-    let p = bfs::Bfs::new();
-    let mut disk = DiskEngine::from_graph(temp_store("bfs"), &g, &p, disk_cfg()).expect("engine");
-    let (disk_levels, _) = bfs::run(&mut disk, &p, 0);
-    assert_eq!(mem_levels, disk_levels);
+    let (want, got) = on_every_engine!("bfs", &test_graph(2), p = bfs::Bfs::new(), |e| bfs::run(
+        &mut e, &p, 0
+    )
+    .0);
+    for (tag, levels) in got {
+        assert_eq!(levels, want, "{tag}");
+    }
 }
 
 #[test]
 fn sssp_agrees_across_engines() {
-    let mut rng_graph = generators::erdos_renyi(300, 2500, 3).to_undirected();
-    // Deterministic positive weights.
-    for (i, e) in rng_graph.edges_mut().iter_mut().enumerate() {
-        e.weight = 0.01 + ((i * 2654435761) % 1000) as f32 / 1000.0;
-    }
-    let (mem_dist, _) = sssp::sssp_in_memory(&rng_graph, 0, mem_cfg(8));
-    let p = sssp::Sssp::new();
-    let mut disk =
-        DiskEngine::from_graph(temp_store("sssp"), &rng_graph, &p, disk_cfg()).expect("engine");
-    let (disk_dist, _) = sssp::run(&mut disk, &p, 0);
-    assert_eq!(mem_dist.len(), disk_dist.len());
-    for (v, (m, d)) in mem_dist.iter().zip(&disk_dist).enumerate() {
-        assert!(
-            (m - d).abs() < 1e-5 || (m.is_infinite() && d.is_infinite()),
-            "vertex {v}: {m} vs {d}"
-        );
+    let g = weighted(generators::erdos_renyi(300, 2500, 3).to_undirected());
+    let (want, got) = on_every_engine!("sssp", &g, p = sssp::Sssp::new(), |e| sssp::run(
+        &mut e, &p, 0
+    )
+    .0);
+    for (tag, dist) in got {
+        assert_eq!(want.len(), dist.len(), "{tag}");
+        for (v, (w, d)) in want.iter().zip(&dist).enumerate() {
+            assert!(
+                (w - d).abs() < 1e-5 || (w.is_infinite() && d.is_infinite()),
+                "{tag} vertex {v}: {w} vs {d}"
+            );
+        }
     }
 }
 
 #[test]
 fn pagerank_agrees_across_engines() {
     let g = generators::preferential_attachment(400, 8, 4);
-    let (mem_ranks, _) = pagerank::pagerank_in_memory(&g, 5, mem_cfg(8));
-    let p = pagerank::Pagerank;
     let degrees = g.out_degrees();
-    let mut disk = DiskEngine::from_graph(temp_store("pr"), &g, &p, disk_cfg()).expect("engine");
-    let (disk_ranks, _) = pagerank::run(&mut disk, &p, &degrees, 5);
-    for (v, (m, d)) in mem_ranks.iter().zip(&disk_ranks).enumerate() {
-        assert!((m - d).abs() < 1e-6, "vertex {v}: {m} vs {d}");
+    let (want, got) = on_every_engine!("pr", &g, p = pagerank::Pagerank, |e| pagerank::run(
+        &mut e, &p, &degrees, 5
+    )
+    .0);
+    for (tag, ranks) in got {
+        assert_close(&tag, &want, &ranks, 1e-6);
     }
 }
 
@@ -109,24 +172,22 @@ fn spmv_agrees_with_direct_multiplication() {
         expect[e.dst as usize] += e.weight * x[e.src as usize];
     }
 
-    let p = spmv::Spmv;
-    let mut mem = InMemoryEngine::from_graph(&g, &p, mem_cfg(4));
-    let (mem_y, _) = spmv::run(&mut mem, &p, &x);
-    let mut disk = DiskEngine::from_graph(temp_store("spmv"), &g, &p, disk_cfg()).expect("engine");
-    let (disk_y, _) = spmv::run(&mut disk, &p, &x);
-    for v in 0..200 {
-        assert!((mem_y[v] - expect[v]).abs() < 1e-3, "mem vertex {v}");
-        assert!((disk_y[v] - expect[v]).abs() < 1e-3, "disk vertex {v}");
+    let (want, got) = on_every_engine!("spmv", &g, p = spmv::Spmv, |e| spmv::run(&mut e, &p, &x).0);
+    assert_close("oracle", &expect, &want, 1e-3);
+    for (tag, y) in got {
+        assert_close(&tag, &expect, &y, 1e-3);
     }
 }
 
 #[test]
 fn mis_valid_on_disk_engine() {
     let g = test_graph(6);
-    let p = mis::Mis::new();
-    let mut disk = DiskEngine::from_graph(temp_store("mis"), &g, &p, disk_cfg()).expect("engine");
-    let (statuses, _) = mis::run(&mut disk, &p);
-    mis::verify_mis(&g, &statuses).expect("valid MIS from disk engine");
+    let (want, got) = on_every_engine!("mis", &g, p = mis::Mis::new(), |e| mis::run(&mut e, &p).0);
+    mis::verify_mis(&g, &want).expect("valid MIS from the oracle");
+    for (tag, statuses) in got {
+        assert_eq!(statuses, want, "{tag}");
+        mis::verify_mis(&g, &statuses).unwrap_or_else(|e| panic!("{tag}: {e}"));
+    }
 }
 
 #[test]
@@ -134,10 +195,13 @@ fn disk_optimization_paths_agree() {
     // §3.2: (a) vertices kept in memory vs written per partition;
     // (b) updates gathered from memory vs spilled to update files.
     let g = test_graph(7);
-    let reference = {
-        let (labels, _) = wcc::wcc_in_memory(&g, mem_cfg(4));
-        labels
+    let want = {
+        let p = wcc::Wcc::new();
+        let mut oracle = OracleEngine::new(g.num_vertices(), g.edges().to_vec(), &p);
+        wcc::run(&mut oracle, &p).0
     };
+    let (labels, _) = wcc::wcc_in_memory(&g, mem_cfg(4));
+    assert_eq!(labels, want, "in-memory engine");
     for (keep_vertices, in_memory_updates) in
         [(true, true), (true, false), (false, true), (false, false)]
     {
@@ -151,7 +215,7 @@ fn disk_optimization_paths_agree() {
         let mut disk = DiskEngine::from_graph(temp_store(&tag), &g, &p, cfg).expect("engine");
         let (labels, _) = wcc::run(&mut disk, &p);
         assert_eq!(
-            labels, reference,
+            labels, want,
             "keep_vertices={keep_vertices} in_memory_updates={in_memory_updates}"
         );
     }
@@ -175,62 +239,6 @@ fn work_stealing_ablation_agrees() {
             .with_work_stealing(false),
     );
     assert_eq!(with_ws, without_ws);
-}
-
-/// Forced-spill disk configuration: updates always go through the
-/// update files, with an I/O unit small enough to spill repeatedly.
-fn spill_cfg() -> EngineConfig {
-    EngineConfig {
-        in_memory_updates: false,
-        ..disk_cfg().with_io_unit(1 << 13)
-    }
-}
-
-/// Runs `$run` — an expression over the engine bound to `$e` and a
-/// fresh program bound to `$p` — on the oracle, on the in-memory
-/// engine at K=1 and K=8, and on the disk engine with forced spill.
-/// Evaluates to the oracle's result plus every other engine's result
-/// tagged with its configuration.
-macro_rules! on_every_engine {
-    ($tag:expr, $graph:expr, $p:ident = $program:expr, |$e:ident| $run:expr) => {{
-        let graph: &EdgeList = $graph;
-        let want = {
-            let $p = $program;
-            let mut $e = OracleEngine::new(graph.num_vertices(), graph.edges().to_vec(), &$p);
-            $run
-        };
-        let mut got = Vec::new();
-        for k in [1usize, 8] {
-            let $p = $program;
-            let mut $e = InMemoryEngine::from_graph(graph, &$p, mem_cfg(k));
-            got.push((format!("{} mem K={k}", $tag), $run));
-        }
-        let $p = $program;
-        let store = temp_store(&format!("oracle_{}", $tag));
-        let accounting = std::sync::Arc::clone(store.accounting());
-        let mut $e = DiskEngine::from_graph(store, graph, &$p, spill_cfg()).expect("engine");
-        let built = accounting.snapshot().bytes_written();
-        got.push((format!("{} disk spill", $tag), $run));
-        let spilled = accounting.snapshot().bytes_written() - built;
-        assert!(spilled > 0, "{}: the disk engine never spilled updates", $tag);
-        (want, got)
-    }};
-}
-
-fn assert_close(tag: &str, want: &[f32], got: &[f32], tolerance: f32) {
-    assert_eq!(want.len(), got.len(), "{tag}");
-    for (i, (w, g)) in want.iter().zip(got).enumerate() {
-        assert!((w - g).abs() < tolerance, "{tag} [{i}]: {w} vs {g}");
-    }
-}
-
-/// Deterministic positive edge weights (distinct enough that the
-/// minimum spanning forest is unique).
-fn weighted(mut g: EdgeList) -> EdgeList {
-    for (i, e) in g.edges_mut().iter_mut().enumerate() {
-        e.weight = 0.01 + ((i * 2654435761) % 1000) as f32 / 1000.0;
-    }
-    g
 }
 
 #[test]
