@@ -4,7 +4,9 @@
 //! the edge list, and by RMAT scale 25 a single-threaded X-Stream
 //! finishes WCC, PageRank, BFS *and* SpMV each before either quicksort
 //! or counting sort finishes ordering the edges. The harness repeats
-//! the race at effort scale.
+//! the race at effort scale, and also times X-Stream's own
+//! pre-processing: the in-memory engine's BFS build, whose counting
+//! placement groups the edges by source without a comparison sort.
 
 use std::time::{Duration, Instant};
 
@@ -13,6 +15,7 @@ use xstream_algorithms::{bfs, pagerank, spmv, wcc};
 use xstream_core::EngineConfig;
 use xstream_graph::datasets::rmat_scale;
 use xstream_graph::sort::{counting_sort_by_source, quicksort_by_source};
+use xstream_memory::InMemoryEngine;
 
 /// One scale's measurements.
 #[derive(Debug, Clone, Copy)]
@@ -23,6 +26,9 @@ pub struct Point {
     pub quicksort: Duration,
     /// Counting-sort wall time.
     pub counting_sort: Duration,
+    /// Wall time of `InMemoryEngine::from_graph` for BFS on the same
+    /// graph: the engine's own pre-processing.
+    pub bfs_build: Duration,
     /// X-Stream full-run times: WCC, PageRank, BFS, SpMV.
     pub xstream: [Duration; 4],
 }
@@ -46,6 +52,11 @@ pub fn run(effort: Effort) -> Vec<Point> {
             counting_sort_by_source(&mut cs);
             let counting_sort = t0.elapsed();
 
+            let t0 = Instant::now();
+            let engine = InMemoryEngine::from_graph(&g, &bfs::Bfs::new(), cfg());
+            let bfs_build = t0.elapsed();
+            drop(engine);
+
             let (_, s_wcc) = wcc::wcc_in_memory(&g, cfg());
             let (_, s_pr) = pagerank::pagerank_in_memory(&g, 5, cfg());
             let (_, s_bfs) = bfs::bfs_in_memory(&g, g.max_out_degree_vertex(), cfg());
@@ -54,6 +65,7 @@ pub fn run(effort: Effort) -> Vec<Point> {
                 scale,
                 quicksort,
                 counting_sort,
+                bfs_build,
                 xstream: [
                     s_wcc.elapsed(),
                     s_pr.elapsed(),
@@ -71,6 +83,7 @@ pub fn report(effort: Effort) -> String {
         "scale",
         "quicksort",
         "counting sort",
+        "BFS build",
         "WCC",
         "Pagerank",
         "BFS",
@@ -81,6 +94,7 @@ pub fn report(effort: Effort) -> String {
             p.scale.to_string(),
             fmt_duration(p.quicksort),
             fmt_duration(p.counting_sort),
+            fmt_duration(p.bfs_build),
             fmt_duration(p.xstream[0]),
             fmt_duration(p.xstream[1]),
             fmt_duration(p.xstream[2]),
@@ -101,6 +115,7 @@ mod tests {
         for p in &pts {
             assert!(p.quicksort.as_nanos() > 0);
             assert!(p.counting_sort.as_nanos() > 0);
+            assert!(p.bfs_build.as_nanos() > 0);
         }
     }
 

@@ -345,19 +345,4 @@ mod tests {
         assert!(pair.current.contains(7));
         assert_eq!(pair.next.total_active(), 0);
     }
-
-    #[test]
-    fn ensure_is_allocation_free_once_sized() {
-        let part = Partitioner::new(4096, 8);
-        let mut pair = FrontierPair::new();
-        pair.ensure(&part);
-        let clean = crate::alloc_stats::any_allocation_free_window(5, || {
-            pair.ensure(&part);
-            for v in (0..4096u32).step_by(97) {
-                pair.next.mark(v, part.partition_of(v));
-            }
-            pair.advance();
-        });
-        assert!(clean, "frontier re-arm allocated in every window");
-    }
 }

@@ -81,7 +81,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::vertices::VertexStorage;
-use xstream_core::partition::run_offsets;
 use xstream_core::program::{gather_updates, scatter_edges, TargetedUpdate};
 use xstream_core::record::{read_record, records_as_bytes, RecordIter};
 use xstream_core::{
@@ -91,11 +90,11 @@ use xstream_core::{
 use xstream_graph::fileio::EdgeFileReader;
 use xstream_graph::{EdgeList, MirrorMode};
 use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
-use xstream_storage::shuffle::MultiStagePlan;
+use xstream_storage::shuffle::{CountingPlacement, MultiStagePlan};
 use xstream_storage::topology::Topology;
 use xstream_storage::{
-    AsyncWriter, Manifest, ReadAhead, ShuffleArena, ShufflePool, ShuffleScratch, StreamEntry,
-    StreamRole, StreamStore, WriteMark, MANIFEST_NAME,
+    AsyncWriter, Manifest, ReadAhead, ShufflePool, ShuffleScratch, StreamEntry, StreamRole,
+    StreamStore, WriteMark, MANIFEST_NAME,
 };
 
 /// Path-based ingest descriptor: *what* edge file to stream and *how*
@@ -462,7 +461,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
     /// Builds an engine by streaming the edge file named by `ingest`,
     /// applying its [`MirrorMode`] to each loaded chunk before
     /// partition routing. The graph is never materialized: ingest
-    /// holds one (pooled) chunk buffer, the shuffle arena, the
+    /// holds one (pooled) chunk buffer, the reused shuffle placement, the
     /// writer's recycled spill buffers and the vertex state — memory
     /// bounded by O(io_unit × threads) + vertex state, independent of
     /// the edge count.
@@ -573,7 +572,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
         }
         let mut num_edges = 0usize;
         {
-            let mut arena: ShuffleArena<Edge> = ShuffleArena::new();
+            let mut placement: CountingPlacement<Edge> = CountingPlacement::default();
             let mut chunk: Vec<Edge> = Vec::new();
             while next_chunk(&mut chunk)? {
                 // On-the-fly expansion (undirected/bidirectional
@@ -588,8 +587,13 @@ impl<P: EdgeProgram> DiskEngine<P> {
                     obs(&chunk);
                 }
                 num_edges += chunk.len();
-                arena.shuffle(&chunk, kp, |e| partitioner.partition_of(e.src));
-                for (p, run) in arena.iter_chunks() {
+                let (runs, offsets) =
+                    placement.place_slice(&chunk, kp, |e| partitioner.partition_of(e.src));
+                for p in 0..kp {
+                    let run = &runs[offsets[p]..offsets[p + 1]];
+                    if run.is_empty() {
+                        continue;
+                    }
                     let mut buf = writer.acquire();
                     buf.extend_from_slice(records_as_bytes(run));
                     writer.submit(Arc::clone(&edge_names[p]), buf)?;
@@ -607,17 +611,19 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let spill_threshold = (buffer_bytes / usz).max(1024);
 
         // Frontier-tracked programs get sparse-scatter indexes: group
-        // each partition's edge file by source vertex (one in-memory
-        // sort per partition — a second, bounded streaming pass) and
-        // write the per-vertex run offsets next to it. Partitions
-        // whose edge file exceeds the stream-buffer budget keep their
-        // ingest order and always scatter densely; a frontier can
-        // still *skip* them when they have no active sources.
+        // each partition's edge file by source vertex with a counting
+        // placement keyed by source (a second, bounded streaming pass:
+        // count on one chunked read, place on another) and write the
+        // per-vertex run offsets next to it. Within a run, edges keep
+        // their ingest order. Partitions whose edge file exceeds the
+        // stream-buffer budget keep their ingest order and always
+        // scatter densely; a frontier can still *skip* them when they
+        // have no active sources.
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
         let mut sparse_indexed = vec![false; kp];
         if tracked {
-            // One decoded-edge buffer reserved once for the largest
-            // eligible partition, filled through a small chunk buffer —
+            // One placement buffer reserved once for the largest
+            // eligible partition, fed through a small chunk buffer —
             // never the raw bytes and the decoded edges side by side,
             // so the pass stays well under one partition-file of
             // cumulative allocation (the out-of-core ingest bound).
@@ -629,31 +635,64 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 .max()
                 .unwrap_or(0)
                 / Edge::SIZE;
-            let mut edges: Vec<Edge> = Vec::with_capacity(max_records);
+            let mut placement = CountingPlacement::<Edge>::with_capacity(max_records);
             let chunk_cap = (config.io_unit / Edge::SIZE).max(1) * Edge::SIZE;
             let mut chunk: Vec<u8> = Vec::with_capacity(chunk_cap);
-            let mut offsets: Vec<u32> = Vec::new();
+            let mut index: Vec<u32> = Vec::new();
             for p in 0..kp {
                 let blen = store.len(&edge_names[p]) as usize;
                 if !eligible(blen) {
                     continue;
                 }
-                edges.clear();
-                let mut off = 0u64;
-                while (off as usize) < blen {
-                    chunk.clear();
-                    let want = chunk_cap.min(blen - off as usize);
-                    let n = store.read_range_into(&edge_names[p], off, want, &mut chunk)?;
-                    edges.extend(RecordIter::<Edge>::new(&chunk[..n]));
-                    off += n as u64;
+                let range = partitioner.range(p);
+                let mut stray = None;
+                let mut key = |e: &Edge| {
+                    let lv = (e.src as usize).wrapping_sub(range.start);
+                    if lv < range.len() {
+                        lv
+                    } else {
+                        stray.get_or_insert(e.src);
+                        0
+                    }
+                };
+                placement.begin(range.len());
+                for placing in [false, true] {
+                    let mut off = 0usize;
+                    while off < blen {
+                        chunk.clear();
+                        let want = chunk_cap.min(blen - off);
+                        let n =
+                            store.read_range_into(&edge_names[p], off as u64, want, &mut chunk)?;
+                        if n == 0 {
+                            return Err(Error::InvalidInput(format!(
+                                "{}: ended at byte {off} of {blen}",
+                                edge_names[p]
+                            )));
+                        }
+                        let records = RecordIter::<Edge>::new(&chunk[..n]);
+                        if placing {
+                            placement.place(records, &mut key);
+                        } else {
+                            placement.count(records, &mut key);
+                        }
+                        off += n;
+                    }
                 }
-                edges.sort_unstable_by_key(|e| e.src);
-                store.truncate(&edge_names[p])?;
-                store.append(&edge_names[p], records_as_bytes(&edges))?;
-                offsets.clear();
-                run_offsets(edges.iter().copied(), partitioner.range(p), &mut offsets)
+                if let Some(src) = stray {
+                    return Err(Error::InvalidInput(format!(
+                        "{}: edge source {src} outside the partition's vertices {range:?}",
+                        edge_names[p]
+                    )));
+                }
+                let (edges, offsets) = placement
+                    .finish()
                     .map_err(|e| Error::InvalidInput(format!("{}: {e}", edge_names[p])))?;
-                store.append(&index_names[p], records_as_bytes(&offsets))?;
+                store.truncate(&edge_names[p])?;
+                store.append(&edge_names[p], records_as_bytes(edges))?;
+                // Offsets fit u32: `eligible` caps the partition's edges.
+                index.clear();
+                index.extend(offsets.iter().map(|&o| o as u32));
+                store.append(&index_names[p], records_as_bytes(&index))?;
                 sparse_indexed[p] = true;
             }
         }

@@ -9,7 +9,7 @@
 //! ([`counting_sort_by_source`]) are measured, single-threaded.
 
 use crate::edgelist::EdgeList;
-use xstream_core::Edge;
+use xstream_storage::shuffle::shuffle;
 
 /// Sorts edges by source vertex with an in-place comparison sort.
 ///
@@ -20,24 +20,13 @@ pub fn quicksort_by_source(g: &mut EdgeList) {
 }
 
 /// Sorts edges by source vertex with an out-of-place counting sort over
-/// the known vertex-id key space, the paper's faster sorting baseline.
+/// the known vertex-id key space, the paper's faster sorting baseline:
+/// the same stable counting placement both engines build with, keyed
+/// by source over all vertices.
 pub fn counting_sort_by_source(g: &mut EdgeList) {
     let n = g.num_vertices();
-    let edges = g.edges_mut();
-    let mut counts = vec![0usize; n + 1];
-    for e in edges.iter() {
-        counts[e.src as usize + 1] += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let mut out: Vec<Edge> = vec![Edge::new(0, 0); edges.len()];
-    for e in edges.iter() {
-        let slot = counts[e.src as usize];
-        counts[e.src as usize] += 1;
-        out[slot] = *e;
-    }
-    edges.copy_from_slice(&out);
+    let sorted = shuffle(g.edges(), n, |e| e.src as usize);
+    g.edges_mut().copy_from_slice(sorted.as_slice());
 }
 
 /// Checks that `g` is sorted by source (test helper).

@@ -37,7 +37,6 @@ use std::mem::size_of;
 use std::time::Instant;
 
 use crate::queue::WorkQueues;
-use xstream_core::partition::run_offsets;
 use xstream_core::program::{gather_updates, scatter_edges, TargetedUpdate};
 use xstream_core::{
     alloc_stats, Edge, EdgeProgram, Engine, EngineConfig, FrontierMode, FrontierPair,
@@ -45,7 +44,7 @@ use xstream_core::{
 };
 use xstream_graph::EdgeList;
 use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
-use xstream_storage::shuffle::{parallel_multistage_shuffle, MultiStagePlan};
+use xstream_storage::shuffle::{shuffle, MultiStagePlan};
 use xstream_storage::topology::Topology;
 use xstream_storage::{ShufflePool, ShuffleScratch, StreamBuffer};
 
@@ -97,23 +96,24 @@ pub struct InMemoryEngine<P: EdgeProgram> {
     /// `vertex_map` invalidates it; the next superstep rebuilds it from
     /// a `needs_scatter` scan.
     frontier_valid: bool,
-    /// For tracked programs, every partition's run-offset index
-    /// ([`run_offsets`]) back to back: partition `p`'s `range.len() + 1`
-    /// offsets into its src-sorted edge chunk start at
-    /// `range.start + p`. Empty for dense programs.
+    /// For tracked programs, every partition's run-offset index back
+    /// to back: partition `p`'s `range.len() + 1` offsets into its
+    /// source-grouped edge chunk start at `range.start + p`. Empty for
+    /// dense programs.
     run_index: Vec<u32>,
 }
 
 impl<P: EdgeProgram> InMemoryEngine<P> {
-    /// Builds an engine over `edges` (an unordered edge list over
-    /// vertices `0..num_vertices`), initializing vertex state with
-    /// `program.init`.
+    /// Builds an engine over `graph` (an unordered edge list),
+    /// initializing vertex state with `program.init`.
     ///
     /// Setup performs the one-time streaming partitioning of the edge
-    /// list — a shuffle, *not* a sort (the paper's key pre-processing
-    /// advantage, Fig. 18) — and warms the iteration-persistent worker
-    /// pool and shuffle scratch.
-    pub fn new(num_vertices: usize, edges: Vec<Edge>, program: &P, config: EngineConfig) -> Self {
+    /// list — a counting placement straight from the borrowed list
+    /// into the engine's one edge buffer, *not* a sort (the paper's key
+    /// pre-processing advantage, Fig. 18) — and warms the
+    /// iteration-persistent worker pool and shuffle scratch.
+    pub fn from_graph(graph: &EdgeList, program: &P, config: EngineConfig) -> Self {
+        let num_vertices = graph.num_vertices();
         let footprint =
             size_of::<P::State>() + size_of::<Edge>() + size_of::<TargetedUpdate<P::Update>>();
         let k = config.in_memory_partitions(num_vertices, footprint);
@@ -124,45 +124,40 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
                 .max(2)
         });
         let plan = MultiStagePlan::new(partitioner.num_partitions(), fanout);
-        let num_edges = edges.len();
+        let num_edges = graph.num_edges();
         let threads = config.threads.max(1);
 
-        // Partition the edges by source. Dense programs only need
-        // grouping *by partition*: slice across threads, shuffle each
-        // slice in parallel, merge the per-slice chunks. Tracked
-        // programs additionally need each partition's chunk grouped by
-        // source vertex so the sparse scatter can address one vertex's
-        // out-edge run; a global src sort produces both layouts at once
-        // (partition ids are monotone in the vertex id).
+        // Group the edges by source partition. Dense programs need
+        // nothing finer: one placement keyed by partition. Tracked
+        // programs also need each partition's chunk grouped by source
+        // vertex so the sparse scatter can address one vertex's
+        // out-edge run: one placement keyed by source gives both, since
+        // partition ids are monotone in the vertex id — a partition's
+        // chunk starts at its first vertex's run.
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
         let (edges, run_index) = if tracked {
-            let mut data = edges;
-            data.sort_unstable_by_key(|e| e.src);
+            let (data, vertex_runs) =
+                shuffle(graph.edges(), num_vertices, |e| e.src as usize).into_parts();
             let mut offsets: Vec<usize> = partitioner
                 .iter()
-                .map(|p| data.partition_point(|e| (e.src as usize) < partitioner.range(p).start))
+                .map(|p| vertex_runs[partitioner.range(p).start])
                 .collect();
             offsets.push(data.len());
-            let edges = StreamBuffer::from_grouped(data, offsets);
             let mut run_index = Vec::with_capacity(num_vertices + partitioner.num_partitions());
             for p in partitioner.iter() {
-                run_offsets(
-                    edges.chunk(p).iter().copied(),
-                    partitioner.range(p),
-                    &mut run_index,
-                )
-                .unwrap_or_else(|e| panic!("partition {p} edge index: {e}"));
+                let range = partitioner.range(p);
+                let base = vertex_runs[range.start];
+                run_index.extend(vertex_runs[range.start..=range.end].iter().map(|&o| {
+                    u32::try_from(o - base)
+                        .unwrap_or_else(|_| panic!("partition {p} holds over u32::MAX edges"))
+                }));
             }
-            (edges, run_index)
+            (StreamBuffer::from_grouped(data, offsets), run_index)
         } else {
-            let slices = split_slices(edges, threads);
-            let bufs = parallel_multistage_shuffle(slices, plan, |e: &Edge| {
+            let edges = shuffle(graph.edges(), partitioner.num_partitions(), |e| {
                 partitioner.partition_of(e.src)
             });
-            (
-                merge_slices(&bufs, partitioner.num_partitions()),
-                Vec::new(),
-            )
+            (edges, Vec::new())
         };
 
         let states = (0..num_vertices as VertexId)
@@ -199,16 +194,6 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
             frontier_valid: false,
             run_index,
         }
-    }
-
-    /// Builds an engine directly from an [`EdgeList`].
-    pub fn from_graph(graph: &EdgeList, program: &P, config: EngineConfig) -> Self {
-        Self::new(
-            graph.num_vertices(),
-            graph.edges().to_vec(),
-            program,
-            config,
-        )
     }
 
     /// The partitioner in use (exposed for experiments).
@@ -254,55 +239,6 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         // the update copy passes (shuffle).
         stats.streaming_ns = stats.scatter_ns + stats.shuffle_ns;
     }
-}
-
-fn split_slices<T>(mut items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
-    let threads = threads.max(1);
-    let per = items.len().div_ceil(threads).max(1);
-    let mut out = Vec::with_capacity(threads);
-    while items.len() > per {
-        let rest = items.split_off(per);
-        out.push(std::mem::replace(&mut items, rest));
-    }
-    out.push(items);
-    while out.len() < threads {
-        out.push(Vec::new());
-    }
-    out
-}
-
-/// Concatenates per-slice stream buffers into one buffer per
-/// partition, in slice order. Used only by the one-time edge-list
-/// setup: the per-iteration update path reads each slice's chunks in
-/// place instead of paying this copy.
-fn merge_slices<T: xstream_core::Record>(
-    bufs: &[StreamBuffer<T>],
-    num_partitions: usize,
-) -> StreamBuffer<T> {
-    let mut offsets = Vec::with_capacity(num_partitions + 1);
-    offsets.push(0usize);
-    for p in 0..num_partitions {
-        let total: usize = bufs
-            .iter()
-            .map(|b| {
-                if p < b.num_chunks() {
-                    b.chunk(p).len()
-                } else {
-                    0
-                }
-            })
-            .sum();
-        offsets.push(offsets.last().unwrap() + total);
-    }
-    let mut data = Vec::with_capacity(*offsets.last().unwrap());
-    for p in 0..num_partitions {
-        for b in bufs {
-            if p < b.num_chunks() {
-                data.extend_from_slice(b.chunk(p));
-            }
-        }
-    }
-    StreamBuffer::from_grouped(data, offsets)
 }
 
 impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
@@ -399,7 +335,7 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
                             .sparse_scatter_pays(fr, range.clone(), chunk.len(), |lv| offsets[lv])
                         {
                             // Sparse: stream only the active vertices'
-                            // runs of the src-sorted chunk.
+                            // runs of the source-grouped chunk.
                             ctr.partitions_sparse += 1;
                             fr.for_each_active_in(range.clone(), |v| {
                                 let lv = v as usize - range.start;

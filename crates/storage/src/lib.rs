@@ -74,6 +74,6 @@ pub use filestream::{ReadAhead, StreamStore, SumSidecar};
 pub use iostats::{DeviceId, IoAccounting, IoSnapshot};
 pub use manifest::{Manifest, StreamEntry, StreamRole, MANIFEST_NAME};
 pub use pool::{PerWorkerPtr, WorkerPool};
-pub use scratch::{CapacityPolicy, CapacityReport, ShuffleArena, ShufflePool, ShuffleScratch};
+pub use scratch::{CapacityPolicy, CapacityReport, ShufflePool, ShuffleScratch};
 pub use topology::{PinPlan, Topology};
 pub use writer::{AsyncWriter, WriteMark};

@@ -62,8 +62,9 @@ fn prefault_spare<T>(v: &mut Vec<T>) {
 ///
 /// This is the placement kernel shared by every multi-stage shuffle
 /// pass (`fan` must be a power of two — the digit is a shift+mask of
-/// `key`; the arbitrary-`k` single-stage `shuffle`/`ShuffleArena`
-/// paths keep their own modulo-free full-key loop). Each record of
+/// `key`; the arbitrary-`k` single-stage
+/// [`CountingPlacement`](crate::shuffle::CountingPlacement) keeps its
+/// own modulo-free full-key loop). Each record of
 /// `group` is written to a distinct slot of `spare` inside the
 /// group's sub-range; the caller performs the final `set_len` once
 /// all groups of a pass are placed.
@@ -827,87 +828,6 @@ fn for_each_slice_on_owner<T: Record>(
     }
 }
 
-/// Pooled single-stage shuffle arena: the out-of-core engine's spill
-/// path shuffles its pending update buffer many times per superstep,
-/// and reuses one arena instead of allocating a fresh
-/// [`StreamBuffer`](crate::StreamBuffer) per spill.
-#[derive(Debug, Default)]
-pub struct ShuffleArena<T> {
-    out: Vec<T>,
-    offsets: Vec<usize>,
-    counts: Vec<usize>,
-}
-
-impl<T: Record> ShuffleArena<T> {
-    /// An empty arena; buffers grow on first use and persist.
-    pub fn new() -> Self {
-        Self {
-            out: Vec::new(),
-            offsets: Vec::new(),
-            counts: Vec::new(),
-        }
-    }
-
-    /// Routes `input` into `num_chunks` chunks keyed by `key` (stable,
-    /// like [`shuffle`](crate::shuffle::shuffle)) reusing the arena's
-    /// buffers; allocation occurs only when the input outgrows every
-    /// previous call.
-    pub fn shuffle(&mut self, input: &[T], num_chunks: usize, mut key: impl FnMut(&T) -> usize) {
-        let k = num_chunks.max(1);
-        if self.counts.len() < k + 1 {
-            self.counts.resize(k + 1, 0);
-        }
-        let counts = &mut self.counts[..k + 1];
-        counts.fill(0);
-        for r in input {
-            let p = key(r);
-            debug_assert!(p < k, "key {p} out of {k} chunks");
-            counts[p + 1] += 1;
-        }
-        for i in 0..k {
-            counts[i + 1] += counts[i];
-        }
-        self.offsets.clear();
-        self.offsets.extend_from_slice(counts);
-        self.out.clear();
-        self.out.reserve(input.len());
-        let spare = self.out.spare_capacity_mut();
-        let cursor = counts;
-        for r in input {
-            let p = key(r);
-            let slot = cursor[p];
-            cursor[p] += 1;
-            spare[slot].write(*r);
-        }
-        // SAFETY: the counting pass gives each input record a distinct
-        // slot covering `0..input.len()` exactly, so every element
-        // below the new length was initialized above.
-        unsafe {
-            self.out.set_len(input.len());
-        }
-    }
-
-    /// Number of chunks produced by the last [`shuffle`](Self::shuffle).
-    #[inline]
-    pub fn num_chunks(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The chunk of partition `p` from the last
-    /// [`shuffle`](Self::shuffle).
-    #[inline]
-    pub fn chunk(&self, p: usize) -> &[T] {
-        &self.out[self.offsets[p]..self.offsets[p + 1]]
-    }
-
-    /// Iterates `(partition, chunk)` pairs over non-empty chunks.
-    pub fn iter_chunks(&self) -> impl Iterator<Item = (usize, &[T])> {
-        (0..self.num_chunks())
-            .map(move |p| (p, self.chunk(p)))
-            .filter(|(_, c)| !c.is_empty())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1134,24 +1054,5 @@ mod tests {
         // superstep's rearm — no cross-superstep double count.
         s.begin(plan);
         assert_eq!(s.take_high_water(), 0);
-    }
-
-    #[test]
-    fn arena_matches_shuffle_and_reuses() {
-        let input: Vec<u32> = (0..4_000u32).map(|i| i.wrapping_mul(48_271)).collect();
-        let k = 16usize;
-        let reference = shuffle(&input, k, |r| (*r % 16) as usize);
-        let mut arena = ShuffleArena::new();
-        arena.shuffle(&input, k, |r| (*r % 16) as usize);
-        for p in 0..k {
-            assert_eq!(reference.chunk(p), arena.chunk(p), "chunk {p}");
-        }
-        let clean_window = xstream_core::alloc_stats::any_allocation_free_window(50, || {
-            arena.shuffle(&input, k, |r| (*r % 16) as usize);
-        });
-        assert!(clean_window, "arena reuse allocated in every window");
-        for p in 0..k {
-            assert_eq!(reference.chunk(p), arena.chunk(p), "chunk {p} after reuse");
-        }
     }
 }

@@ -1,14 +1,21 @@
-//! The in-memory shuffle (paper §3.1) and the parallel multi-stage
-//! shuffler (§4.2).
+//! The in-memory shuffle (paper §3.1) and the multi-stage shuffler
+//! (§4.2).
 //!
 //! A shuffle routes every record of an input stream to the chunk of the
 //! streaming partition that owns it — one counting pass to fill the
-//! index array, then one copy pass. With many partitions (the in-memory
-//! engine can need thousands) a single pass loses cache locality and
-//! prefetcher coverage, so the multi-stage shuffler groups partitions
-//! into a tree of fanout `F` and shuffles one tree level at a time,
-//! touching at most `F` output chunks per pass: `ceil(log_F K)` passes
-//! total.
+//! index array, then one copy pass. [`CountingPlacement`] is that
+//! two-phase routine, and both engines build their edge layouts with
+//! it: keyed by partition it groups an edge list into streaming
+//! partitions; keyed by source vertex it groups a partition's edges
+//! into per-vertex runs, and its offsets are the sparse-scatter
+//! run-offset index. Neither build needs a comparison sort (Fig. 18).
+//!
+//! With many partitions (the in-memory engine can need thousands) a
+//! single pass over the per-iteration update stream loses cache
+//! locality and prefetcher coverage, so the multi-stage shuffler groups
+//! partitions into a tree of fanout `F` and shuffles one tree level at
+//! a time, touching at most `F` output chunks per pass: `ceil(log_F K)`
+//! passes total.
 //!
 //! The multi-stage machinery itself lives in
 //! [`crate::scratch::ShuffleScratch`] and operates *in
@@ -18,8 +25,7 @@
 //! counting + copy pass for it), and the remaining stages ping-pong
 //! between two iteration-persistent stage buffers. The
 //! [`multistage_shuffle`] function here is the owned-`Vec` convenience
-//! wrapper over that core, kept for setup-time partitioning, ablations
-//! and tests.
+//! wrapper over that core, kept for ablations and tests.
 //!
 //! Parallelism follows Fig. 7: each thread owns a disjoint *slice* of
 //! the stream buffer with its own index array and shuffles it
@@ -27,10 +33,10 @@
 
 use crate::buffer::StreamBuffer;
 use crate::scratch::ShuffleScratch;
-use xstream_core::Record;
+use xstream_core::{Error, Record, Result};
 
 /// Single-stage shuffle: routes `input` into `num_chunks` chunks keyed
-/// by `key`, with one counting pass and one copy pass.
+/// by `key` — a one-shot [`CountingPlacement`].
 ///
 /// Records with equal keys keep their relative order (stable).
 ///
@@ -47,35 +53,195 @@ use xstream_core::Record;
 pub fn shuffle<T: Record>(
     input: &[T],
     num_chunks: usize,
-    mut key: impl FnMut(&T) -> usize,
+    key: impl FnMut(&T) -> usize,
 ) -> StreamBuffer<T> {
-    let k = num_chunks.max(1);
-    let mut counts = vec![0usize; k + 1];
-    for r in input {
-        let p = key(r);
-        debug_assert!(p < k, "key {p} out of {k} chunks");
-        counts[p + 1] += 1;
-    }
-    for i in 0..k {
-        counts[i + 1] += counts[i];
-    }
-    let offsets = counts.clone();
-    let mut cursor = counts;
-    let mut data: Vec<T> = Vec::with_capacity(input.len());
-    let spare = data.spare_capacity_mut();
-    for r in input {
-        let p = key(r);
-        let slot = cursor[p];
-        cursor[p] += 1;
-        spare[slot].write(*r);
-    }
-    // SAFETY: the counting pass gives each input record a distinct slot
-    // and the slots cover `0..input.len()` exactly, so every element
-    // below the new length was initialized by the loop above.
-    unsafe {
-        data.set_len(input.len());
-    }
+    let mut placement = CountingPlacement::with_capacity(input.len());
+    placement.place_slice(input, num_chunks.max(1), key);
+    let (data, offsets) = placement.into_parts();
     StreamBuffer::from_grouped(data, offsets)
+}
+
+/// Where a [`CountingPlacement`] is between [`begin`] and [`finish`].
+///
+/// [`begin`]: CountingPlacement::begin
+/// [`finish`]: CountingPlacement::finish
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Counting,
+    Placing,
+    Placed,
+}
+
+/// A stable two-phase counting placement: count every record's key,
+/// prefix-sum the counts into per-key run offsets, then place every
+/// record at its run's next free slot. No comparison sort, and records
+/// with equal keys keep their input order.
+///
+/// Both phases accept the input in chunks, so a caller that cannot
+/// hold its input twice (the out-of-core engine re-reads a partition
+/// file) streams it once to [`count`](Self::count) and once more to
+/// [`place`](Self::place). The output buffer is owned here — placement
+/// writes into its uninitialized capacity — and keeps its capacity
+/// across [`begin`](Self::begin)s, so one placement can be reused.
+///
+/// After [`finish`](Self::finish), `offsets[key]..offsets[key + 1]` is
+/// key's run in the placed records: with keys = partitions these are
+/// the stream buffer's chunk bounds (§3.1); with keys = the source
+/// vertices of a partition, its sparse-scatter run-offset index.
+#[derive(Debug)]
+pub struct CountingPlacement<T> {
+    /// While counting, `offsets[key + 1]` is key's count; from the
+    /// first `place` on, key's first slot. `offsets[num_keys]` is the
+    /// total record count.
+    offsets: Vec<usize>,
+    /// Next free slot of each key's run while placing.
+    cursor: Vec<usize>,
+    /// Placed records: length 0 until `finish` has checked that every
+    /// slot below the total was written exactly once.
+    out: Vec<T>,
+    phase: Phase,
+}
+
+impl<T: Record> Default for CountingPlacement<T> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<T: Record> CountingPlacement<T> {
+    /// A placement whose output buffer is reserved for `records`
+    /// records up front.
+    pub fn with_capacity(records: usize) -> Self {
+        Self {
+            offsets: Vec::new(),
+            cursor: Vec::new(),
+            out: Vec::with_capacity(records),
+            phase: Phase::Placed,
+        }
+    }
+
+    /// Starts a placement over keys `0..num_keys`, discarding the
+    /// previous one (buffers keep their capacity).
+    pub fn begin(&mut self, num_keys: usize) {
+        self.offsets.clear();
+        self.offsets.resize(num_keys + 1, 0);
+        self.out.clear();
+        self.phase = Phase::Counting;
+    }
+
+    /// Counting phase: counts one chunk of the input.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the first [`place`](Self::place), or if `key`
+    /// returns a key outside `0..num_keys`.
+    pub fn count(&mut self, chunk: impl IntoIterator<Item = T>, mut key: impl FnMut(&T) -> usize) {
+        assert_eq!(self.phase, Phase::Counting, "count after place");
+        let counts = &mut self.offsets[1..];
+        for r in chunk {
+            counts[key(&r)] += 1;
+        }
+    }
+
+    /// Placement phase: places one chunk of the input, which must
+    /// arrive in the order and with the keys it was counted with. The
+    /// first call ends counting.
+    ///
+    /// # Panics
+    ///
+    /// Panics after [`finish`](Self::finish), or if `key` returns a key
+    /// outside `0..num_keys`.
+    pub fn place(&mut self, chunk: impl IntoIterator<Item = T>, mut key: impl FnMut(&T) -> usize) {
+        if self.phase == Phase::Counting {
+            self.end_counting();
+        }
+        assert_eq!(self.phase, Phase::Placing, "place after finish");
+        let total = self.offsets[self.offsets.len() - 1];
+        let slots = &mut self.out.spare_capacity_mut()[..total];
+        for r in chunk {
+            let cursor = &mut self.cursor[key(&r)];
+            slots[*cursor].write(r);
+            *cursor += 1;
+        }
+    }
+
+    /// Prefix-sums the counts into run offsets and arms the cursors.
+    fn end_counting(&mut self) {
+        for i in 1..self.offsets.len() {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        let keys = self.offsets.len() - 1;
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.offsets[..keys]);
+        self.out.reserve(self.offsets[keys]);
+        self.phase = Phase::Placing;
+    }
+
+    /// Ends the placement and returns the placed records with their
+    /// run offsets (`num_keys + 1` entries).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidInput`] if the placed keys differ from the
+    /// counted ones — some run is not exactly full. The placement then
+    /// holds no records until the next [`begin`](Self::begin).
+    pub fn finish(&mut self) -> Result<(&[T], &[usize])> {
+        if self.phase == Phase::Counting {
+            self.end_counting();
+        }
+        if self.phase == Phase::Placing {
+            if self.cursor[..] != self.offsets[1..] {
+                return Err(Error::InvalidInput(
+                    "counting placement: placed keys differ from the counted ones".into(),
+                ));
+            }
+            // SAFETY: every `place` write went to the slot its key's
+            // cursor named and then advanced that cursor. Cursor `k`
+            // started at `offsets[k]` and now equals `offsets[k + 1]`,
+            // so run `k` was written slot by slot from start to end;
+            // the runs tile `0..total`, so every slot below the new
+            // length was initialized (a double write would have left
+            // some cursor past its run's end, failing the check). `out`
+            // never reallocated in between: only `end_counting`
+            // reserves, and it ran before the first write.
+            unsafe { self.out.set_len(self.offsets[self.offsets.len() - 1]) };
+            self.phase = Phase::Placed;
+        }
+        Ok((&self.out, &self.offsets))
+    }
+
+    /// Places a whole slice in one call — [`begin`](Self::begin),
+    /// [`count`](Self::count), [`place`](Self::place) and
+    /// [`finish`](Self::finish) — and returns the placed records with
+    /// their run offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` returns a key outside `0..num_keys`, or a
+    /// different key for the same record on the second pass.
+    pub fn place_slice(
+        &mut self,
+        input: &[T],
+        num_keys: usize,
+        mut key: impl FnMut(&T) -> usize,
+    ) -> (&[T], &[usize]) {
+        self.begin(num_keys);
+        self.count(input.iter().copied(), &mut key);
+        self.place(input.iter().copied(), &mut key);
+        self.finish()
+            .expect("key must map a record to the same key on both passes")
+    }
+
+    /// Consumes a finished placement, returning the placed records and
+    /// their run offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics before a successful [`finish`](Self::finish).
+    pub fn into_parts(self) -> (Vec<T>, Vec<usize>) {
+        assert_eq!(self.phase, Phase::Placed, "into_parts before finish");
+        (self.out, self.offsets)
+    }
 }
 
 /// Plan for a multi-stage shuffle of `num_partitions` targets with a
@@ -163,39 +329,6 @@ pub fn multistage_shuffle<T: Record>(
     scratch.into_stream_buffer()
 }
 
-/// Shuffles each thread slice independently and in parallel (Fig. 7):
-/// slice `i` of `slices` is shuffled by one thread; the results are the
-/// per-slice stream buffers whose chunk `p` union is partition `p`.
-pub fn parallel_multistage_shuffle<T, K>(
-    slices: Vec<Vec<T>>,
-    plan: MultiStagePlan,
-    key: K,
-) -> Vec<StreamBuffer<T>>
-where
-    T: Record,
-    K: Fn(&T) -> usize + Sync,
-{
-    if slices.len() <= 1 {
-        return slices
-            .into_iter()
-            .map(|s| multistage_shuffle(s, plan, &key))
-            .collect();
-    }
-    let mut out: Vec<Option<StreamBuffer<T>>> = Vec::new();
-    out.resize_with(slices.len(), || None);
-    std::thread::scope(|scope| {
-        let key = &key;
-        let mut handles = Vec::new();
-        for (i, slice) in slices.into_iter().enumerate() {
-            handles.push((i, scope.spawn(move || multistage_shuffle(slice, plan, key))));
-        }
-        for (i, h) in handles {
-            out[i] = Some(h.join().expect("shuffle worker panicked"));
-        }
-    });
-    out.into_iter().map(|b| b.expect("filled above")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,19 +390,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_slices_route_independently() {
-        let slices: Vec<Vec<u32>> = (0..4)
-            .map(|s| (0..1000u32).map(|i| i * 4 + s).collect())
-            .collect();
-        let plan = MultiStagePlan::new(16, 4);
-        let bufs = parallel_multistage_shuffle(slices, plan, |r| (*r % 16) as usize);
-        assert_eq!(bufs.len(), 4);
-        let mut total = 0usize;
-        for buf in &bufs {
-            check_partitioned(buf, 16, |r| (*r % 16) as usize);
-            total += buf.len();
+    fn placement_rejects_keys_that_differ_from_the_count() {
+        let mut placement = CountingPlacement::<u32>::default();
+        placement.begin(2);
+        placement.count([0u32, 1], |r| *r as usize);
+        placement.place([0u32, 0], |r| *r as usize);
+        assert!(placement.finish().is_err());
+        // Reusable after a fresh begin.
+        placement.begin(2);
+        placement.count([1u32, 0], |r| *r as usize);
+        placement.place([1u32, 0], |r| *r as usize);
+        let (placed, offsets) = placement.finish().unwrap();
+        assert_eq!((placed, offsets), (&[0u32, 1][..], &[0usize, 1, 2][..]));
+    }
+
+    #[test]
+    fn placement_reuse_is_stable_and_allocation_free() {
+        let input: Vec<u32> = (0..4_000u32).map(|i| i.wrapping_mul(48_271)).collect();
+        let k = 16usize;
+        let key = |r: &u32| (*r % 16) as usize;
+        let mut placement = CountingPlacement::default();
+        placement.place_slice(&input, k, key);
+        let clean_window = xstream_core::alloc_stats::any_allocation_free_window(50, || {
+            placement.place_slice(&input, k, key);
+        });
+        assert!(clean_window, "placement reuse allocated in every window");
+        let (placed, offsets) = placement.finish().unwrap();
+        for p in 0..k {
+            let in_order: Vec<u32> = input.iter().copied().filter(|r| key(r) == p).collect();
+            assert_eq!(
+                &placed[offsets[p]..offsets[p + 1]],
+                &in_order[..],
+                "chunk {p}"
+            );
         }
-        assert_eq!(total, 4000);
     }
 
     #[test]

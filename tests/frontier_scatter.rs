@@ -11,7 +11,10 @@
 //! fallback all compose with the pooled out-of-core pipeline.
 
 use xstream::algorithms::{bfs, pagerank_delta, sssp};
+use xstream::core::partition::run_offsets;
+use xstream::core::record::{decode_records, Record};
 use xstream::core::{Edge, EngineConfig};
+use xstream::disk::engine::{edge_stream, index_stream};
 use xstream::disk::DiskEngine;
 use xstream::graph::{generators, EdgeList};
 use xstream::memory::InMemoryEngine;
@@ -210,4 +213,42 @@ fn bfs_tail_supersteps_stream_an_order_of_magnitude_fewer_edges() {
         peak > 0.0 && peak < 0.5,
         "grid BFS frontier density should be a narrow wave, got {peak}"
     );
+}
+
+#[test]
+fn chunked_index_build_matches_each_edge_file() {
+    // An I/O unit far below one partition's edge file makes the tracked
+    // build's count and place passes each read the file in several
+    // chunks.
+    let io_unit = 512;
+    let g = generators::erdos_renyi(600, 3000, 13);
+    let root = std::env::temp_dir().join("xstream_frontier_chunked_index");
+    let _ = std::fs::remove_dir_all(&root);
+    let store = StreamStore::new(&root, io_unit).expect("store");
+    let cfg = spill_cfg().with_io_unit(io_unit);
+    let e = DiskEngine::from_graph(store, &g, &bfs::Bfs::new(), cfg).expect("engine");
+    let (store, part) = (e.store(), e.partitioner());
+    for p in part.iter() {
+        let edges: Vec<Edge> = decode_records(&store.read_all(&edge_stream(p)).expect("edges"));
+        assert!(
+            edges.len() * Edge::SIZE > 4 * io_unit,
+            "partition {p} fits in too few reads"
+        );
+        let index: Vec<u32> = decode_records(&store.read_all(&index_stream(p)).expect("index"));
+        let mut want = Vec::new();
+        run_offsets(edges.iter().copied(), part.range(p), &mut want).expect("source-grouped");
+        assert_eq!(index, want, "partition {p}: index.p");
+        // Within a run, edges keep their input order: the file is the
+        // partition's input edges, stably grouped by source.
+        let mut expect: Vec<Edge> = g
+            .edges()
+            .iter()
+            .filter(|e| part.partition_of(e.src) == p)
+            .copied()
+            .collect();
+        expect.sort_by_key(|e| e.src);
+        assert_eq!(edges, expect, "partition {p}: edges.p");
+    }
+    drop(e);
+    let _ = std::fs::remove_dir_all(&root);
 }

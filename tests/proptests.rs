@@ -6,10 +6,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use xstream::algorithms::{bfs, mcst, mis, sssp, wcc};
+use xstream::core::partition::run_offsets;
 use xstream::core::record::{decode_records, records_as_bytes};
-use xstream::core::{Edge, EngineConfig};
+use xstream::core::{Edge, EngineConfig, Partitioner};
 use xstream::graph::{edgelist::from_pairs, EdgeList};
-use xstream::storage::shuffle::{multistage_shuffle, shuffle, MultiStagePlan};
+use xstream::storage::shuffle::{multistage_shuffle, shuffle, CountingPlacement, MultiStagePlan};
 use xstream::storage::ShuffleScratch;
 
 /// Strategy: a directed graph as (vertex count, edge pairs).
@@ -165,6 +166,60 @@ proptest! {
             }
         }
         prop_assert_eq!(seen, input.len());
+    }
+
+    #[test]
+    fn counting_placement_builds_each_partitions_run_index(
+        (n, pairs) in arb_graph(40, 300),
+        chunk_len in 1usize..64,
+    ) {
+        // The engines' build: a placement keyed by partition (each chunk
+        // keeps input order), then each partition's edges placed by
+        // source vertex. Fed in chunks the placement must equal the
+        // one-shot call, its offsets must be the run index of a
+        // comparison-sorted copy (the old build), and each run must
+        // hold its vertex's edges in input order.
+        let input: Vec<Edge> = pairs.iter().map(|&(s, d)| Edge::new(s, d)).collect();
+        for k in [1usize, 4, n] {
+            let part = Partitioner::new(n, k);
+            let by_part = shuffle(&input, part.num_partitions(), |e| part.partition_of(e.src));
+            for p in part.iter() {
+                let range = part.range(p);
+                let edges: Vec<Edge> = input
+                    .iter()
+                    .filter(|e| range.contains(&(e.src as usize)))
+                    .copied()
+                    .collect();
+                prop_assert_eq!(by_part.chunk(p), &edges[..], "K={}, partition {}", k, p);
+                let key = |e: &Edge| e.src as usize - range.start;
+                let one_shot = shuffle(&edges, range.len(), key);
+                let mut chunked = CountingPlacement::default();
+                chunked.begin(range.len());
+                for c in edges.chunks(chunk_len) {
+                    chunked.count(c.iter().copied(), key);
+                }
+                for c in edges.chunks(chunk_len) {
+                    chunked.place(c.iter().copied(), key);
+                }
+                let (placed, offsets) = chunked.finish().unwrap();
+                prop_assert_eq!(placed, one_shot.as_slice(), "K={}, partition {}", k, p);
+
+                let mut sorted = edges.clone();
+                sorted.sort_unstable_by_key(|e| e.src);
+                let mut want = Vec::new();
+                run_offsets(sorted.iter().copied(), range.clone(), &mut want).unwrap();
+                let got: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
+                prop_assert_eq!(got, want, "K={}, partition {}", k, p);
+
+                for v in range.clone() {
+                    let lv = v - range.start;
+                    let run = &placed[offsets[lv]..offsets[lv + 1]];
+                    let in_order: Vec<Edge> =
+                        input.iter().filter(|e| e.src as usize == v).copied().collect();
+                    prop_assert_eq!(run, &in_order[..], "vertex {}", v);
+                }
+            }
+        }
     }
 
     #[test]
