@@ -22,11 +22,15 @@
 //! | [`als`] | alternating least squares | bipartite rating graph |
 //! | [`bp`] | loopy belief propagation | undirected expansion |
 //! | [`hyperanf`] | HyperANF neighbourhood function / diameter | undirected expansion |
+//!
+//! [`engines`] records which stream each of the CLI's algorithms reads
+//! and builds either engine for it from a loaded graph or an edge file.
 
 pub mod als;
 pub mod bfs;
 pub mod bp;
 pub mod conductance;
+pub mod engines;
 pub mod hyperanf;
 pub mod mcst;
 pub mod mis;

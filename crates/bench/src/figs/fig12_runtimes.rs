@@ -12,13 +12,13 @@ use std::time::Duration;
 
 use crate::figs::{cleanup, temp_store, ModeledRuntime};
 use crate::{fmt_duration, Effort, Table};
+use xstream_algorithms::engines::{self, AnyEngine, Orientation, Source};
 use xstream_algorithms::util::splitmix64;
 use xstream_algorithms::{bfs, bp, conductance, mcst, mis, pagerank, scc, spmv, sssp, wcc};
-use xstream_core::{Edge, EngineConfig, RunStats};
-use xstream_disk::DiskEngine;
+use xstream_core::{Edge, EdgeProgram, EngineConfig, RunStats};
 use xstream_graph::datasets::{Dataset, Kind, Tier, DATASETS};
 use xstream_graph::EdgeList;
-use xstream_memory::InMemoryEngine;
+use xstream_storage::StreamStore;
 
 /// The algorithm columns of Fig. 12a, in the paper's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,141 +126,72 @@ fn prepare(algo: Algo, ds: &Dataset, base: &EdgeList) -> EdgeList {
     }
 }
 
-/// Runs one algorithm on the in-memory engine.
-pub fn run_in_memory(algo: Algo, graph: &EdgeList, cfg: EngineConfig) -> RunStats {
-    match algo {
-        Algo::Wcc => {
-            let p = wcc::Wcc::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            wcc::run(&mut e, &p).1
-        }
-        Algo::Scc => {
-            let p = scc::Scc::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            scc::run(&mut e, &p).1
-        }
-        Algo::Sssp => {
-            let p = sssp::Sssp::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            sssp::run(&mut e, &p, graph.max_out_degree_vertex()).1
-        }
-        Algo::Mcst => {
-            let p = mcst::Mcst;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            mcst::run(&mut e, &p).1
-        }
-        Algo::Mis => {
-            let p = mis::Mis::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            mis::run(&mut e, &p).1
-        }
-        Algo::Cond => {
-            let p = conductance::Conductance;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (_, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            one_iteration_stats(it)
-        }
-        Algo::Spmv => {
-            let p = spmv::Spmv;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let x = vec![1.0f32; graph.num_vertices()];
-            let (_, it) = spmv::run(&mut e, &p, &x);
-            one_iteration_stats(it)
-        }
-        Algo::Pagerank => {
-            let p = pagerank::Pagerank;
-            let degrees = graph.out_degrees();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            pagerank::run(&mut e, &p, &degrees, 5).1
-        }
-        Algo::Bp => {
-            let p = bp::Bp;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            bp::run(&mut e, &p, &bp_seeds(graph.num_vertices()), 5).1
-        }
-    }
-}
-
-/// Runs one algorithm on the out-of-core engine against an accounted
-/// temp store; returns the run stats and the modeled device runtimes.
-pub fn run_out_of_core(
+/// Runs one algorithm over a stream `prepare` already oriented: on
+/// the out-of-core engine over `store` when one is given, otherwise in
+/// memory. A disk run also returns the modeled device runtimes of its
+/// accounted I/O trace.
+pub fn run_cell(
     algo: Algo,
     graph: &EdgeList,
     cfg: EngineConfig,
-    tag: &str,
-) -> (RunStats, ModeledRuntime) {
-    let store = temp_store(tag, cfg.io_unit, true);
+    store: Option<StreamStore>,
+) -> (RunStats, Option<ModeledRuntime>) {
+    let cell = Cell { graph, cfg, store };
+    let n = graph.num_vertices();
     match algo {
-        Algo::Wcc => {
-            let p = wcc::Wcc::new();
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, s) = wcc::run(&mut e, &p);
-            finish(e, s, tag)
-        }
-        Algo::Scc => {
-            let p = scc::Scc::new();
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, s) = scc::run(&mut e, &p);
-            finish(e, s, tag)
-        }
-        Algo::Sssp => {
-            let p = sssp::Sssp::new();
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, s) = sssp::run(&mut e, &p, graph.max_out_degree_vertex());
-            finish(e, s, tag)
-        }
-        Algo::Mcst => {
-            let p = mcst::Mcst;
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, s) = mcst::run(&mut e, &p);
-            finish(e, s, tag)
-        }
-        Algo::Mis => {
-            let p = mis::Mis::new();
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, s) = mis::run(&mut e, &p);
-            finish(e, s, tag)
-        }
-        Algo::Cond => {
-            let p = conductance::Conductance;
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            finish(e, one_iteration_stats(it), tag)
-        }
-        Algo::Spmv => {
-            let p = spmv::Spmv;
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let x = vec![1.0f32; graph.num_vertices()];
-            let (_, it) = spmv::run(&mut e, &p, &x);
-            finish(e, one_iteration_stats(it), tag)
-        }
-        Algo::Pagerank => {
-            let p = pagerank::Pagerank;
-            let degrees = graph.out_degrees();
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, s) = pagerank::run(&mut e, &p, &degrees, 5);
-            finish(e, s, tag)
-        }
-        Algo::Bp => {
-            let p = bp::Bp;
-            let mut e = DiskEngine::from_graph(store, graph, &p, cfg).expect("disk engine");
-            let (_, s) = bp::run(&mut e, &p, &bp_seeds(graph.num_vertices()), 5);
-            finish(e, s, tag)
-        }
+        Algo::Wcc => cell.run(&wcc::Wcc::new(), false, |e, p, _| wcc::run(e, p).1),
+        Algo::Scc => cell.run(&scc::Scc::new(), false, |e, p, _| scc::run(e, p).1),
+        Algo::Sssp => cell.run(&sssp::Sssp::new(), false, |e, p, _| {
+            sssp::run(e, p, graph.max_out_degree_vertex()).1
+        }),
+        Algo::Mcst => cell.run(&mcst::Mcst, false, |e, p, _| mcst::run(e, p).1),
+        Algo::Mis => cell.run(&mis::Mis::new(), false, |e, p, _| mis::run(e, p).1),
+        Algo::Cond => cell.run(&conductance::Conductance, false, |e, p, _| {
+            one_iteration_stats(conductance::run(e, p, &|v| v & 1).1)
+        }),
+        Algo::Spmv => cell.run(&spmv::Spmv, false, |e, p, _| {
+            one_iteration_stats(spmv::run(e, p, &vec![1.0f32; n]).1)
+        }),
+        Algo::Pagerank => cell.run(&pagerank::Pagerank, true, |e, p, degrees| {
+            pagerank::run(e, p, degrees, 5).1
+        }),
+        Algo::Bp => cell.run(&bp::Bp, false, |e, p, _| bp::run(e, p, &bp_seeds(n), 5).1),
     }
 }
 
-fn finish<P: xstream_core::EdgeProgram>(
-    engine: DiskEngine<P>,
-    stats: RunStats,
-    tag: &str,
-) -> (RunStats, ModeledRuntime) {
-    let trace = engine.store().accounting().trace();
-    let wall = Duration::from_nanos(stats.total_ns);
-    let modeled = ModeledRuntime::from_trace(wall, &trace);
-    drop(engine);
-    cleanup(tag);
-    (stats, modeled)
+/// One Fig. 12a cell: the prepared stream and the engine to run it on.
+struct Cell<'a> {
+    graph: &'a EdgeList,
+    cfg: EngineConfig,
+    store: Option<StreamStore>,
+}
+
+impl Cell<'_> {
+    fn run<P: EdgeProgram>(
+        self,
+        program: &P,
+        out_degrees: bool,
+        driver: impl FnOnce(&mut AnyEngine<P>, &P, &[u32]) -> RunStats,
+    ) -> (RunStats, Option<ModeledRuntime>) {
+        let (mut engine, degrees) = engines::build(
+            Source::Graph(self.graph),
+            Orientation::Directed,
+            self.store,
+            program,
+            self.cfg,
+            out_degrees,
+        )
+        .expect("engine build");
+        let stats = driver(&mut engine, program, &degrees);
+        let modeled = match &engine {
+            AnyEngine::Mem(_) => None,
+            AnyEngine::Disk(e) => Some(ModeledRuntime::from_trace(
+                Duration::from_nanos(stats.total_ns),
+                &e.store().accounting().trace(),
+            )),
+        };
+        (stats, modeled)
+    }
 }
 
 fn one_iteration_stats(it: xstream_core::IterationStats) -> RunStats {
@@ -326,7 +257,7 @@ pub fn report(effort: Effort) -> String {
         let mut row = vec![format!("mem/{}", ds.name)];
         for &algo in ALGOS {
             let input = prepare(algo, ds, &base);
-            let stats = run_in_memory(algo, &input, mem_cfg());
+            let (stats, _) = run_cell(algo, &input, mem_cfg(), None);
             if algo == Algo::Wcc {
                 wcc_rows.push((format!("mem/{}", ds.name), stats.clone()));
             }
@@ -357,8 +288,11 @@ pub fn report(effort: Effort) -> String {
                 }
                 let input = prepare(algo, ds, &base);
                 let tag = format!("fig12_{}_{}_{medium}", ds.name, algo.label());
-                let (stats, modeled) =
-                    run_out_of_core(algo, &input, disk_cfg(effort, input.num_vertices()), &tag);
+                let cfg = disk_cfg(effort, input.num_vertices());
+                let store = temp_store(&tag, cfg.io_unit, true);
+                let (stats, modeled) = run_cell(algo, &input, cfg, Some(store));
+                cleanup(&tag);
+                let modeled = modeled.expect("a disk cell models its trace");
                 let runtime = if medium == "ssd" {
                     modeled.ssd
                 } else {
@@ -424,7 +358,15 @@ pub fn report(effort: Effort) -> String {
                 .with_memory_budget(2 << 20)
                 .with_partitions(8)
         };
-        let mut e = DiskEngine::from_graph(store, &input, &p, cfg).expect("disk engine");
+        let (mut e, _) = engines::build(
+            Source::Graph(&input),
+            Orientation::Directed,
+            Some(store),
+            &p,
+            cfg,
+            false,
+        )
+        .expect("disk engine");
         let (_, s) = bfs::run(&mut e, &p, input.max_out_degree_vertex());
         drop(e);
         cleanup(&tag);
@@ -464,7 +406,8 @@ mod tests {
         let ds = by_name("amazon0601").unwrap();
         let base = ds.generate(2048);
         let input = prepare(Algo::Wcc, ds, &base);
-        let stats = run_in_memory(Algo::Wcc, &input, mem_cfg());
+        let (stats, modeled) = run_cell(Algo::Wcc, &input, mem_cfg(), None);
+        assert!(modeled.is_none());
         assert!(stats.num_iterations() > 0);
     }
 
@@ -473,12 +416,11 @@ mod tests {
         let ds = by_name("Twitter").unwrap();
         let base = ds.generate(1 << 14);
         let input = prepare(Algo::Pagerank, ds, &base);
-        let (stats, modeled) = run_out_of_core(
-            Algo::Pagerank,
-            &input,
-            disk_cfg(Effort::Smoke, input.num_vertices()),
-            "fig12_test",
-        );
+        let cfg = disk_cfg(Effort::Smoke, input.num_vertices());
+        let store = temp_store("fig12_test", cfg.io_unit, true);
+        let (stats, modeled) = run_cell(Algo::Pagerank, &input, cfg, Some(store));
+        cleanup("fig12_test");
+        let modeled = modeled.expect("a disk cell models its trace");
         assert_eq!(stats.num_iterations(), 5);
         // The disk engine must actually touch storage, so the modeled
         // HDD time exceeds the modeled SSD time.

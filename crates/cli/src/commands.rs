@@ -1,18 +1,20 @@
 //! The `xstream` subcommands.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use crate::args::{Args, CliError};
+use xstream_algorithms::engines::{self, Algo, AnyEngine, Source};
 use xstream_algorithms::{
     bfs, conductance, mcst, mis, pagerank, pagerank_delta, scc, spmv, sssp, wcc,
 };
-use xstream_core::{DeviceMap, EngineConfig, PinMode, RetryPolicy, RunStats};
-use xstream_disk::{DiskEngine, EdgeIngest};
+use xstream_core::{
+    DeviceMap, EdgeProgram, Engine, EngineConfig, IterationStats, PinMode, RetryPolicy, RunStats,
+};
 use xstream_graph::fileio::{read_edge_file, write_edge_file, EdgeFileReader};
 use xstream_graph::import::{ImportFormat, ImportOptions};
-use xstream_graph::{generators, transform, EdgeList, Rmat};
-use xstream_memory::InMemoryEngine;
+use xstream_graph::{generators, transform, Rmat};
 use xstream_storage::StreamStore;
 use xstream_streams::{semi, wstream, FileSource, Mirrored};
 
@@ -60,7 +62,8 @@ USAGE:
       algos: wcc, bfs, sssp, pagerank, pagerank-delta, spmv, mis, scc,
              mcst, conductance
       --engine mem|disk    in-memory (§4) or out-of-core (§3) engine
-                           (default mem). The disk engine streams the
+                           (memory accepted as an alias for mem;
+                           default mem). The disk engine streams the
                            file straight into its partition shuffle —
                            undirected/bidirectional expansion and
                            degree scans included — and never holds the
@@ -349,6 +352,42 @@ pub fn import(args: &Args) -> Result<String, CliError> {
 
 // --------------------------------------------------------------------- run
 
+/// `--engine`: where the streams live, for both `run` and `serve`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EngineKind {
+    /// The in-memory engine (§4); `memory` is an alias.
+    Mem,
+    /// The out-of-core engine (§3).
+    Disk,
+}
+
+impl FromStr for EngineKind {
+    type Err = CliError;
+
+    fn from_str(s: &str) -> Result<Self, CliError> {
+        match s {
+            "mem" | "memory" => Ok(EngineKind::Mem),
+            "disk" => Ok(EngineKind::Disk),
+            other => Err(CliError::Usage(format!(
+                "--engine must be mem or disk, got `{other}`"
+            ))),
+        }
+    }
+}
+
+impl fmt::Display for EngineKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            EngineKind::Mem => "mem",
+            EngineKind::Disk => "disk",
+        })
+    }
+}
+
+fn engine_kind(args: &Args) -> Result<EngineKind, CliError> {
+    args.get("engine").unwrap_or("mem").parse()
+}
+
 fn engine_config(args: &Args) -> Result<EngineConfig, CliError> {
     let mut cfg = EngineConfig::default();
     if let Some(t) = args.get_usize("threads")? {
@@ -402,7 +441,7 @@ fn engine_config(args: &Args) -> Result<EngineConfig, CliError> {
     Ok(cfg)
 }
 
-fn summarize(algo: &str, extra: &str, stats: &RunStats) -> String {
+fn summarize(algo: Algo, extra: &str, stats: &RunStats) -> String {
     let t = stats.totals();
     let mut s = format!(
         "{algo}: {extra}\niterations: {}, runtime: {:.3}s, edges streamed: {}, \
@@ -464,9 +503,9 @@ fn epsilon(args: &Args) -> Result<f32, CliError> {
 /// Validates `--root` for the traversal algorithms before any engine
 /// is built: an out-of-range root is a usage error with the valid
 /// range, not a panic deep inside scatter.
-fn validated_root(args: &Args, algo: &str, num_vertices: usize) -> Result<u32, CliError> {
+fn validated_root(args: &Args, algo: Algo, num_vertices: usize) -> Result<u32, CliError> {
     let root = args.get_usize("root")?.unwrap_or(0);
-    if matches!(algo, "bfs" | "sssp") && root >= num_vertices {
+    if matches!(algo, Algo::Bfs | Algo::Sssp) && root >= num_vertices {
         return Err(CliError::Usage(if num_vertices == 0 {
             format!("--root {root}: the graph has no vertices")
         } else {
@@ -590,9 +629,12 @@ fn prepare_store_dir(args: &Args) -> Result<StoreDir, CliError> {
 
 /// `xstream run <algo> <FILE> ...`.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let algo = args.require_positional(0, "algorithm")?.to_string();
-    let path = args.require_positional(1, "edge file")?.to_string();
-    let engine_kind = args.get("engine").unwrap_or("mem");
+    let algo: Algo = args
+        .require_positional(0, "algorithm")?
+        .parse()
+        .map_err(CliError::Usage)?;
+    let path = PathBuf::from(args.require_positional(1, "edge file")?);
+    let kind = engine_kind(args)?;
     let iterations = args.get_usize("iterations")?.unwrap_or(5);
     let eps = epsilon(args)?;
     let resume = args.switch("resume");
@@ -602,7 +644,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     // original layout record is still on disk).
     let cfg = engine_config(args)?.with_resume(resume);
     if resume {
-        if engine_kind != "disk" {
+        if kind != EngineKind::Disk {
             return Err(CliError::Usage(
                 "--resume requires --engine disk (checkpoints live in the \
                  partition store)"
@@ -617,399 +659,176 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             ));
         }
     }
-
-    match engine_kind {
-        "mem" => {
-            let graph = read_edge_file(Path::new(&path))?;
-            let root = validated_root(args, &algo, graph.num_vertices())?;
-            run_in_memory(&algo, &graph, cfg, root, iterations, eps)
-        }
-        "disk" => {
-            // Header-only peek: the vertex count for root validation
-            // and vertex-state sizing. The edge payload itself is
-            // streamed by the engine — never materialized (§3).
-            let num_vertices = EdgeFileReader::open(Path::new(&path))?.num_vertices();
-            let root = validated_root(args, &algo, num_vertices)?;
-            let dir = prepare_store_dir(args)?;
+    // Header-only peek: the vertex count for root validation. The disk
+    // engine streams the edge payload itself, never materialized (§3).
+    let num_vertices = EdgeFileReader::open(&path)?.num_vertices();
+    let root = validated_root(args, algo, num_vertices)?;
+    let dir = match kind {
+        EngineKind::Mem => None,
+        EngineKind::Disk => Some(prepare_store_dir(args)?),
+    };
+    let store = match &dir {
+        None => None,
+        Some(dir) => {
             let mut store = StreamStore::new(dir.path(), cfg.io_unit)?;
             if let Some(map) = cfg.device_map {
                 // Fig. 15 layout: the engine stripes one reader and one
                 // writer thread per declared device.
                 store = store.with_device_fn(map.num_devices(), move |name| map.device_of(name));
             }
-            let out = run_on_disk(
-                &algo,
-                Path::new(&path),
-                num_vertices,
-                store,
-                cfg,
-                root,
-                iterations,
-                eps,
-                resume,
-            );
-            drop(dir); // Removes the default temp store; keeps --store.
-            out
+            Some(store)
         }
-        other => Err(CliError::Usage(format!(
-            "--engine must be mem or disk, got `{other}`"
-        ))),
-    }
-}
-
-fn run_in_memory(
-    algo: &str,
-    graph: &EdgeList,
-    cfg: EngineConfig,
-    root: u32,
-    iterations: usize,
-    eps: f32,
-) -> Result<String, CliError> {
-    match algo {
-        "wcc" => {
-            let und = graph.to_undirected();
-            let p = wcc::Wcc::new();
-            let mut e = InMemoryEngine::from_graph(&und, &p, cfg);
-            let (labels, stats) = wcc::run(&mut e, &p);
-            Ok(summarize(
-                algo,
-                &format!("{} components", wcc::count_components(&labels)),
-                &stats,
-            ))
-        }
-        "bfs" => {
-            let p = bfs::Bfs::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (levels, stats) = bfs::run(&mut e, &p, root);
+    };
+    let run = Run {
+        algo,
+        path: &path,
+        store,
+        cfg,
+    };
+    let out = match algo {
+        Algo::Wcc => run.drive(&wcc::Wcc::new(), false, |e, p, _| {
+            let (labels, stats) = wcc::run(e, p);
+            (
+                format!("{} components", wcc::count_components(&labels)),
+                stats,
+            )
+        }),
+        Algo::Bfs => run.drive(&bfs::Bfs::new(), false, |e, p, _| {
+            let (levels, stats) = bfs::run(e, p, root);
             let reached = levels.iter().filter(|&&l| l != bfs::UNREACHED).count();
-            Ok(summarize(
-                algo,
-                &format!("{reached} vertices reached"),
-                &stats,
-            ))
-        }
-        "sssp" => {
-            let p = sssp::Sssp::new();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (dist, stats) = sssp::run(&mut e, &p, root);
+            (format!("{reached} vertices reached"), stats)
+        }),
+        Algo::Sssp => run.drive(&sssp::Sssp::new(), false, |e, p, _| {
+            let (dist, stats) = sssp::run(e, p, root);
             let reached = dist.iter().filter(|d| d.is_finite()).count();
-            Ok(summarize(
-                algo,
-                &format!("{reached} vertices reachable"),
-                &stats,
-            ))
-        }
-        "pagerank" => {
-            let p = pagerank::Pagerank;
-            let degrees = graph.out_degrees();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (ranks, stats) = pagerank::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(summarize(algo, &top, &stats))
-        }
-        "pagerank-delta" => {
-            let p = pagerank_delta::PagerankDelta::new(eps);
-            let degrees = graph.out_degrees();
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (ranks, stats) = pagerank_delta::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(summarize(algo, &top, &stats))
-        }
-        "spmv" => {
-            let p = spmv::Spmv;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let x = vec![1.0f32; graph.num_vertices()];
-            let (y, it) = spmv::run(&mut e, &p, &x);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
+            (format!("{reached} vertices reachable"), stats)
+        }),
+        Algo::Pagerank => run.drive(&pagerank::Pagerank, true, |e, p, degrees| {
+            let (ranks, stats) = pagerank::run(e, p, degrees, iterations);
+            (top_vertex(&ranks), stats)
+        }),
+        Algo::PagerankDelta => run.drive(
+            &pagerank_delta::PagerankDelta::new(eps),
+            true,
+            |e, p, degrees| {
+                let (ranks, stats) = pagerank_delta::run(e, p, degrees, iterations);
+                (top_vertex(&ranks), stats)
+            },
+        ),
+        Algo::Spmv => run.drive(&spmv::Spmv, false, |e, p, _| {
+            let x = vec![1.0f32; e.num_vertices()];
+            let (y, it) = spmv::run(e, p, &x);
             let norm: f64 = y.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
-            Ok(summarize(algo, &format!("|y|^2 = {norm:.3}"), &stats))
-        }
-        "mis" => {
-            let und = graph.to_undirected();
-            let p = mis::Mis::new();
-            let mut e = InMemoryEngine::from_graph(&und, &p, cfg);
-            let (statuses, stats) = mis::run(&mut e, &p);
+            (format!("|y|^2 = {norm:.3}"), one_iteration(it))
+        }),
+        Algo::Mis => run.drive(&mis::Mis::new(), false, |e, p, _| {
+            let (statuses, stats) = mis::run(e, p);
             let members = statuses
                 .iter()
                 .filter(|&&s| s == mis::status::IN_SET)
                 .count();
-            Ok(summarize(algo, &format!("{members} members"), &stats))
-        }
-        "scc" => {
-            let bidir = graph.to_bidirectional();
-            let p = scc::Scc::new();
-            let mut e = InMemoryEngine::from_graph(&bidir, &p, cfg);
-            let (ids, stats) = scc::run(&mut e, &p);
-            let mut distinct = ids.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            Ok(summarize(
-                algo,
-                &format!("{} strongly connected components", distinct.len()),
-                &stats,
-            ))
-        }
-        "mcst" => {
-            let und = graph.to_undirected();
-            let p = mcst::Mcst;
-            let mut e = InMemoryEngine::from_graph(&und, &p, cfg);
-            let (result, stats) = mcst::run(&mut e, &p);
-            Ok(summarize(
-                algo,
-                &format!(
+            (format!("{members} members"), stats)
+        }),
+        Algo::Scc => run.drive(&scc::Scc::new(), false, |e, p, _| {
+            let (mut ids, stats) = scc::run(e, p);
+            ids.sort_unstable();
+            ids.dedup();
+            (
+                format!("{} strongly connected components", ids.len()),
+                stats,
+            )
+        }),
+        Algo::Mcst => run.drive(&mcst::Mcst, false, |e, p, _| {
+            let (result, stats) = mcst::run(e, p);
+            (
+                format!(
                     "forest weight {:.3} over {} trees",
                     result.total_weight, result.components
                 ),
-                &stats,
-            ))
-        }
-        "conductance" => {
-            let p = conductance::Conductance;
-            let mut e = InMemoryEngine::from_graph(graph, &p, cfg);
-            let (r, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
-            Ok(summarize(
-                algo,
-                &format!("cut {} / volumes {} : {}", r.cut, r.vol0, r.vol1),
-                &stats,
-            ))
-        }
-        other => Err(CliError::Usage(format!("unknown algorithm `{other}`"))),
-    }
+                stats,
+            )
+        }),
+        Algo::Conductance => run.drive(&conductance::Conductance, false, |e, p, _| {
+            let (r, it) = conductance::run(e, p, &|v| v & 1);
+            (
+                format!("cut {} / volumes {} : {}", r.cut, r.vol0, r.vol1),
+                one_iteration(it),
+            )
+        }),
+    };
+    drop(dir); // Removes the default temp store; keeps --store.
+    out
 }
 
-/// Applies `--resume` before a disk-engine run: restores the newest
-/// valid checkpoint (both slots are CRC- and fingerprint-validated)
-/// and returns a status line to prepend to the command output. A
-/// missing or invalid checkpoint is not an error — the run simply
-/// starts fresh and says so.
-fn maybe_resume<P: xstream_core::EdgeProgram>(
-    e: &mut DiskEngine<P>,
-    resume: bool,
-) -> Result<String, CliError> {
-    if !resume {
-        return Ok(String::new());
-    }
-    Ok(match e.resume_from_checkpoint()? {
-        Some(step) => format!("resumed from checkpoint after superstep {step}\n"),
-        None => "no valid checkpoint in store; starting fresh\n".to_string(),
-    })
-}
-
-/// Runs an algorithm on the out-of-core engine. Every arm builds its
-/// engine from a path-based [`EdgeIngest`] descriptor — the file is
-/// streamed into the partition shuffle with any undirected or
-/// bidirectional doubling applied per chunk (§3.2 pre-processing), so
-/// the full `EdgeList` is never constructed. The only vertex-indexed
-/// allocations are the O(V) arrays §3.1 budgets to memory (degrees for
-/// PageRank, the SpMV input vector).
-// One flag per paper knob; bundling them into a struct would only move
-// the argument list into a literal at the lone call site.
-#[allow(clippy::too_many_arguments)]
-fn run_on_disk(
-    algo: &str,
-    input: &Path,
-    num_vertices: usize,
-    store: StreamStore,
+/// What every `run` arm shares: the input, the engine it runs on and
+/// how the answer is reported.
+struct Run<'a> {
+    algo: Algo,
+    path: &'a Path,
+    /// The partition store of a disk run; `None` runs in memory.
+    store: Option<StreamStore>,
     cfg: EngineConfig,
-    root: u32,
-    iterations: usize,
-    eps: f32,
-    resume: bool,
-) -> Result<String, CliError> {
-    match algo {
-        "wcc" => {
-            let p = wcc::Wcc::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::undirected(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (labels, stats) = wcc::run(&mut e, &p);
+}
+
+impl Run<'_> {
+    /// Builds `program`'s engine over the file in the algorithm's
+    /// orientation (with out-degree counts when asked), runs `driver` on
+    /// it and writes the summary. A disk run first applies `--resume`
+    /// and ends with its I/O volume.
+    fn drive<P: EdgeProgram>(
+        self,
+        program: &P,
+        out_degrees: bool,
+        driver: impl FnOnce(&mut AnyEngine<P>, &P, &[u32]) -> (String, RunStats),
+    ) -> Result<String, CliError> {
+        let resume = self.cfg.resume;
+        let (mut engine, degrees) = engines::build(
+            Source::File(self.path),
+            self.algo.orientation(),
+            self.store,
+            program,
+            self.cfg,
+            out_degrees,
+        )?;
+        let mut out = String::new();
+        if let (AnyEngine::Disk(e), true) = (&mut engine, resume) {
+            // A missing or invalid checkpoint is not an error: the run
+            // starts fresh and says so.
+            out = match e.resume_from_checkpoint()? {
+                Some(step) => format!("resumed from checkpoint after superstep {step}\n"),
+                None => "no valid checkpoint in store; starting fresh\n".to_string(),
+            };
+        }
+        let (answer, stats) = driver(&mut engine, program, &degrees);
+        out.push_str(&summarize(self.algo, &answer, &stats));
+        if let AnyEngine::Disk(e) = &engine {
             let io = e.store().accounting().snapshot();
-            Ok(format!(
-                "{pre}{}io: {:.1} MB read, {:.1} MB written\n",
-                summarize(
-                    algo,
-                    &format!("{} components", wcc::count_components(&labels)),
-                    &stats
-                ),
+            let _ = writeln!(
+                out,
+                "io: {:.1} MB read, {:.1} MB written",
                 io.bytes_read() as f64 / 1e6,
                 io.bytes_written() as f64 / 1e6,
-            ))
+            );
         }
-        "bfs" => {
-            let p = bfs::Bfs::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (levels, stats) = bfs::run(&mut e, &p, root);
-            let reached = levels.iter().filter(|&&l| l != bfs::UNREACHED).count();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("{reached} vertices reached"), &stats)
-            ))
-        }
-        "pagerank" => {
-            let p = pagerank::Pagerank;
-            // The O(V) out-degree counts fold into the ingest pass via
-            // the per-chunk observer — one streaming read of the edge
-            // file instead of the former separate degree scan + ingest
-            // double read.
-            let degrees = std::sync::Arc::new(std::sync::Mutex::new(vec![0u32; num_vertices]));
-            let ingest = {
-                let degrees = std::sync::Arc::clone(&degrees);
-                EdgeIngest::new(input).with_observer(move |chunk| {
-                    let mut d = degrees.lock().expect("degree counter poisoned");
-                    for e in chunk {
-                        d[e.src as usize] += 1;
-                    }
-                })
-            };
-            let mut e = DiskEngine::from_ingest(store, &ingest, &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let degrees = std::mem::take(&mut *degrees.lock().expect("degree counter poisoned"));
-            let (ranks, stats) = pagerank::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(format!("{pre}{}", summarize(algo, &top, &stats)))
-        }
-        "pagerank-delta" => {
-            let p = pagerank_delta::PagerankDelta::new(eps);
-            // Same one-pass degree fold as pagerank: the O(V) counts
-            // ride along the ingest observer.
-            let degrees = std::sync::Arc::new(std::sync::Mutex::new(vec![0u32; num_vertices]));
-            let ingest = {
-                let degrees = std::sync::Arc::clone(&degrees);
-                EdgeIngest::new(input).with_observer(move |chunk| {
-                    let mut d = degrees.lock().expect("degree counter poisoned");
-                    for e in chunk {
-                        d[e.src as usize] += 1;
-                    }
-                })
-            };
-            let mut e = DiskEngine::from_ingest(store, &ingest, &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let degrees = std::mem::take(&mut *degrees.lock().expect("degree counter poisoned"));
-            let (ranks, stats) = pagerank_delta::run(&mut e, &p, &degrees, iterations);
-            let top = ranks
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
-                .unwrap_or_default();
-            Ok(format!("{pre}{}", summarize(algo, &top, &stats)))
-        }
-        "sssp" => {
-            let p = sssp::Sssp::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (dist, stats) = sssp::run(&mut e, &p, root);
-            let reached = dist.iter().filter(|d| d.is_finite()).count();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("{reached} vertices reachable"), &stats)
-            ))
-        }
-        "mis" => {
-            let p = mis::Mis::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::undirected(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (statuses, stats) = mis::run(&mut e, &p);
-            let members = statuses
-                .iter()
-                .filter(|&&s| s == mis::status::IN_SET)
-                .count();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("{members} members"), &stats)
-            ))
-        }
-        "scc" => {
-            let p = scc::Scc::new();
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::bidirectional(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (ids, stats) = scc::run(&mut e, &p);
-            let mut distinct = ids.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            Ok(format!(
-                "{pre}{}",
-                summarize(
-                    algo,
-                    &format!("{} strongly connected components", distinct.len()),
-                    &stats
-                )
-            ))
-        }
-        "mcst" => {
-            let p = mcst::Mcst;
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::undirected(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (result, stats) = mcst::run(&mut e, &p);
-            Ok(format!(
-                "{pre}{}",
-                summarize(
-                    algo,
-                    &format!(
-                        "forest weight {:.3} over {} trees",
-                        result.total_weight, result.components
-                    ),
-                    &stats
-                )
-            ))
-        }
-        "spmv" => {
-            let p = spmv::Spmv;
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let x = vec![1.0f32; num_vertices];
-            let (y, it) = spmv::run(&mut e, &p, &x);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
-            let norm: f64 = y.iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
-            Ok(format!(
-                "{pre}{}",
-                summarize(algo, &format!("|y|^2 = {norm:.3}"), &stats)
-            ))
-        }
-        "conductance" => {
-            let p = conductance::Conductance;
-            let mut e = DiskEngine::from_ingest(store, &EdgeIngest::new(input), &p, cfg)?;
-            let pre = maybe_resume(&mut e, resume)?;
-            let (r, it) = conductance::run(&mut e, &p, &|v| v & 1);
-            let stats = RunStats {
-                iterations: vec![it],
-                total_ns: 0,
-            };
-            Ok(format!(
-                "{pre}{}",
-                summarize(
-                    algo,
-                    &format!("cut {} / volumes {} : {}", r.cut, r.vol0, r.vol1),
-                    &stats
-                )
-            ))
-        }
-        other => Err(CliError::Usage(format!("unknown algorithm `{other}`"))),
+        Ok(out)
+    }
+}
+
+/// The answer line of the PageRank variants.
+fn top_vertex(ranks: &[f32]) -> String {
+    ranks
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(v, r)| format!("top vertex {v} (rank {r:.6})"))
+        .unwrap_or_default()
+}
+
+/// Run statistics of the one-pass algorithms (SpMV, conductance).
+fn one_iteration(it: IterationStats) -> RunStats {
+    RunStats {
+        iterations: vec![it],
+        total_ns: 0,
     }
 }
 
@@ -1067,7 +886,7 @@ fn serve_until(
     use xstream_server::{GraphService, ServeOptions, Server};
 
     let path = args.require_positional(0, "edge file")?.to_string();
-    let engine_kind = args.get("engine").unwrap_or("mem");
+    let kind = engine_kind(args)?;
     let iterations = args.get_usize("iterations")?.unwrap_or(5);
     let cfg = engine_config(args)?;
     let port = args.get_usize("port")?.unwrap_or(0);
@@ -1088,21 +907,16 @@ fn serve_until(
     // Built before the engine so bad flags fail fast, dropped after
     // the server exits (removes a default ephemeral store, keeps an
     // explicit --store).
-    let (service, store_dir) = match engine_kind {
-        "mem" | "memory" => {
+    let (service, store_dir) = match kind {
+        EngineKind::Mem => {
             let graph = read_edge_file(Path::new(&path))?;
             (GraphService::open_memory(graph, cfg, iterations), None)
         }
-        "disk" => {
+        EngineKind::Disk => {
             let dir = prepare_store_dir(args)?;
             let service = GraphService::open_disk(Path::new(&path), dir.path(), cfg, iterations)
                 .map_err(CliError::Run)?;
             (service, Some(dir))
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "--engine must be mem or disk, got `{other}`"
-            )))
         }
     };
     let opts = ServeOptions {
@@ -1116,7 +930,7 @@ fn serve_until(
     // resolved ephemeral port; the summary itself is returned through
     // dispatch once the server drains.
     println!(
-        "serving {path} on {} ({engine_kind} engine, max-inflight {max_inflight}, \
+        "serving {path} on {} ({kind} engine, max-inflight {max_inflight}, \
          query-timeout {query_timeout} ms, cache {cache_entries} entries)",
         server.local_addr()
     );
@@ -1350,22 +1164,24 @@ mod tests {
         ]))
         .unwrap();
         let store = std::env::temp_dir().join("xstream_cli_tests_store");
-        let out = dispatch(&sv(&[
-            "run",
-            "wcc",
-            path.to_str().unwrap(),
-            "--engine",
-            "disk",
-            "--memory-budget",
-            "1M",
-            "--io-unit",
-            "16K",
-            "--store",
-            store.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("MB read"), "{out}");
-        let _ = std::fs::remove_dir_all(&store);
+        for algo in ["wcc", "bfs", "pagerank"] {
+            let out = dispatch(&sv(&[
+                "run",
+                algo,
+                path.to_str().unwrap(),
+                "--engine",
+                "disk",
+                "--memory-budget",
+                "1M",
+                "--io-unit",
+                "16K",
+                "--store",
+                store.to_str().unwrap(),
+            ]))
+            .unwrap();
+            assert!(out.contains("MB read"), "{algo}: {out}");
+            let _ = std::fs::remove_dir_all(&store);
+        }
     }
 
     #[test]
@@ -1383,24 +1199,13 @@ mod tests {
             path.to_str().unwrap(),
         ]))
         .unwrap();
-        for algo in [
-            "wcc",
-            "bfs",
-            "sssp",
-            "pagerank",
-            "pagerank-delta",
-            "spmv",
-            "mis",
-            "scc",
-            "mcst",
-            "conductance",
-        ] {
-            for engine in ["mem", "disk"] {
+        for algo in Algo::ALL {
+            let [mem, disk] = ["mem", "disk"].map(|engine| {
                 let store =
                     std::env::temp_dir().join(format!("xstream_cli_allalgos_{algo}_{engine}"));
                 let out = dispatch(&sv(&[
                     "run",
-                    algo,
+                    algo.name(),
                     path.to_str().unwrap(),
                     "--engine",
                     engine,
@@ -1414,7 +1219,68 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{algo} on {engine}: {e}"));
                 assert!(out.contains("iterations"), "{algo}/{engine}: {out}");
                 let _ = std::fs::remove_dir_all(&store);
+                out.lines().next().unwrap_or_default().to_string()
+            });
+            match algo {
+                // Integer answers: the whole answer line agrees.
+                Algo::Wcc | Algo::Bfs | Algo::Sssp | Algo::Mis | Algo::Scc | Algo::Conductance => {
+                    assert_eq!(mem, disk, "{algo}")
+                }
+                // Float ranks may reassociate; the top vertex agrees.
+                Algo::Pagerank | Algo::PagerankDelta => {
+                    let top =
+                        |line: &str| line.split(" (rank").next().unwrap_or_default().to_string();
+                    assert!(mem.contains("top vertex"), "{mem}");
+                    assert_eq!(top(&mem), top(&disk), "{algo}: {mem} vs {disk}");
+                }
+                Algo::Spmv | Algo::Mcst => {}
             }
+        }
+    }
+
+    #[test]
+    fn run_and_serve_share_one_engine_flag() {
+        let path = tmpfile("engineflag.edges");
+        dispatch(&sv(&[
+            "generate",
+            "erdos-renyi",
+            "--vertices",
+            "100",
+            "--edges",
+            "400",
+            "-o",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let p = path.to_str().unwrap();
+        for engine in ["mem", "memory", "disk"] {
+            let store = std::env::temp_dir().join(format!("xstream_cli_engineflag_{engine}"));
+            let common = [
+                "--engine",
+                engine,
+                "--memory-budget",
+                "1M",
+                "--io-unit",
+                "16K",
+                "--store",
+                store.to_str().unwrap(),
+            ];
+            let out = dispatch(&sv(&[&["run", "wcc", p][..], &common].concat())).unwrap();
+            assert!(out.contains("components"), "run --engine {engine}: {out}");
+            // A pre-set shutdown flag: serve binds, drains at once and
+            // returns its summary.
+            let args = Args::parse(&sv(&[&[p, "--port", "0"][..], &common].concat())).unwrap();
+            let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+            let out = serve_until(&args, flag).unwrap();
+            assert!(
+                out.contains("shutdown complete"),
+                "serve --engine {engine}: {out}"
+            );
+            let _ = std::fs::remove_dir_all(&store);
+        }
+        for cmd in [&["run", "wcc", p][..], &["serve", p]] {
+            let err = dispatch(&sv(&[cmd, &["--engine", "warp"]].concat())).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmd:?}: {err}");
         }
     }
 
@@ -2104,6 +1970,28 @@ mod tests {
                 .map(str::to_string)
         };
         assert_eq!(count(&semi_out), count(&w_out), "{semi_out} vs {w_out}");
+        // So does `run wcc` on both engines. Every edge of this graph
+        // points at an older vertex, so a WCC that read the file
+        // directed instead of undirected would split it apart.
+        let store = tmpfile("cc_store");
+        for engine in ["mem", "disk"] {
+            let out = dispatch(&sv(&[
+                "run",
+                "wcc",
+                path.to_str().unwrap(),
+                "--engine",
+                engine,
+                "--store",
+                store.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let components = out
+                .split(" components")
+                .next()
+                .and_then(|h| h.split(": ").nth(1));
+            assert_eq!(components, count(&semi_out).as_deref(), "{engine}: {out}");
+        }
+        let _ = std::fs::remove_dir_all(&store);
     }
 
     #[test]

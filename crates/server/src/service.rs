@@ -15,15 +15,14 @@
 //! touching the other families' cache entries.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use xstream_algorithms::engines::{self, AnyEngine, Orientation, Source};
 use xstream_algorithms::multi::{run_multi_bfs, run_multi_sssp, MultiBfs, MultiSssp, UNREACHED};
 use xstream_algorithms::{pagerank, wcc};
-use xstream_core::{EngineConfig, RunStats};
-use xstream_disk::{DiskEngine, EdgeIngest};
+use xstream_core::{EdgeProgram, EngineConfig, RunStats};
 use xstream_graph::fileio::EdgeFileReader;
 use xstream_graph::EdgeList;
-use xstream_memory::InMemoryEngine;
 use xstream_storage::manifest::{Manifest, MANIFEST_NAME};
 use xstream_storage::StreamStore;
 
@@ -34,63 +33,56 @@ pub const LANES: usize = 4;
 /// Per-family sub-store directory names under the serve store root.
 pub const FAMILY_DIRS: [&str; 4] = ["bfs", "sssp", "pagerank", "wcc"];
 
-type MemBfs = InMemoryEngine<MultiBfs<LANES>>;
-type MemSssp = InMemoryEngine<MultiSssp<LANES>>;
-type MemPr = InMemoryEngine<pagerank::Pagerank>;
-type DiskBfs = DiskEngine<MultiBfs<LANES>>;
-type DiskSssp = DiskEngine<MultiSssp<LANES>>;
-type DiskPr = DiskEngine<pagerank::Pagerank>;
-
-// One Backend exists per process, owned by the executor thread for the
-// server's whole lifetime — the size skew between variants never costs
-// a copy.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Memory {
-        graph: EdgeList,
-        bfs: Option<MemBfs>,
-        sssp: Option<MemSssp>,
-        pagerank: Option<(MemPr, Vec<u32>)>,
-    },
-    Disk {
-        input: PathBuf,
-        root: PathBuf,
-        bfs: Option<DiskBfs>,
-        sssp: Option<DiskSssp>,
-        pagerank: Option<(DiskPr, Vec<u32>)>,
-    },
+/// Where the family engines get their edges.
+enum Graph {
+    /// A loaded graph served by in-memory engines.
+    Loaded(EdgeList),
+    /// An edge file ingested by out-of-core engines into per-family
+    /// sub-stores under `root`.
+    File { input: PathBuf, root: PathBuf },
 }
 
 /// The query-execution half of `xstream serve`.
 pub struct GraphService {
-    backend: Backend,
+    graph: Graph,
     cfg: EngineConfig,
     num_vertices: usize,
     num_edges: usize,
     /// Default PageRank iteration count (`--iterations`).
     pub iterations: usize,
+    bfs: Option<AnyEngine<MultiBfs<LANES>>>,
+    sssp: Option<AnyEngine<MultiSssp<LANES>>>,
+    pagerank: Option<(AnyEngine<pagerank::Pagerank>, Vec<u32>)>,
     /// WCC labels, computed once per generation and shared.
     wcc: Option<(u64, Arc<Vec<u32>>)>,
 }
 
 impl GraphService {
-    /// Serves an already-loaded in-memory graph. Its generation is
-    /// fixed at 0 (no manifest exists to bump).
-    pub fn open_memory(graph: EdgeList, cfg: EngineConfig, iterations: usize) -> Self {
-        let (num_vertices, num_edges) = (graph.num_vertices(), graph.num_edges());
+    fn new(
+        graph: Graph,
+        num_vertices: usize,
+        num_edges: usize,
+        cfg: EngineConfig,
+        iterations: usize,
+    ) -> Self {
         Self {
-            backend: Backend::Memory {
-                graph,
-                bfs: None,
-                sssp: None,
-                pagerank: None,
-            },
+            graph,
             cfg,
             num_vertices,
             num_edges,
             iterations,
+            bfs: None,
+            sssp: None,
+            pagerank: None,
             wcc: None,
         }
+    }
+
+    /// Serves an already-loaded in-memory graph. Its generation is
+    /// fixed at 0 (no manifest exists to bump).
+    pub fn open_memory(graph: EdgeList, cfg: EngineConfig, iterations: usize) -> Self {
+        let (n, m) = (graph.num_vertices(), graph.num_edges());
+        Self::new(Graph::Loaded(graph), n, m, cfg, iterations)
     }
 
     /// Serves an edge file out-of-core: family engines ingest into
@@ -103,20 +95,12 @@ impl GraphService {
     ) -> Result<Self, String> {
         let reader =
             EdgeFileReader::open(input).map_err(|e| format!("{}: {e}", input.display()))?;
-        Ok(Self {
-            backend: Backend::Disk {
-                input: input.to_path_buf(),
-                root: store_root.to_path_buf(),
-                bfs: None,
-                sssp: None,
-                pagerank: None,
-            },
-            num_vertices: reader.num_vertices(),
-            num_edges: reader.num_edges(),
-            cfg,
-            iterations,
-            wcc: None,
-        })
+        let graph = Graph::File {
+            input: input.to_path_buf(),
+            root: store_root.to_path_buf(),
+        };
+        let (n, m) = (reader.num_vertices(), reader.num_edges());
+        Ok(Self::new(graph, n, m, cfg, iterations))
     }
 
     /// Vertex count of the served graph.
@@ -134,12 +118,12 @@ impl GraphService {
     /// name), re-read from its manifest on every call so external
     /// repairs are seen immediately. Generations are per family — a
     /// family's first-query ingest seals only its own sub-store, which
-    /// must not invalidate every other family's cached answers. The
-    /// memory backend has no manifests and stays at generation 0.
+    /// must not invalidate every other family's cached answers. A
+    /// loaded graph has no manifests and stays at generation 0.
     pub fn generation_of(&self, family: &str) -> u64 {
-        match &self.backend {
-            Backend::Memory { .. } => 0,
-            Backend::Disk { root, .. } => read_generation(&root.join(family)),
+        match &self.graph {
+            Graph::Loaded(_) => 0,
+            Graph::File { root, .. } => read_generation(&root.join(family)),
         }
     }
 
@@ -156,52 +140,45 @@ impl GraphService {
         }
     }
 
-    fn sub_store(root: &Path, family: &str, cfg: &EngineConfig) -> Result<StreamStore, String> {
-        StreamStore::new(&root.join(family), cfg.io_unit)
-            .map_err(|e| format!("opening {family} store: {e}"))
+    /// Builds `family`'s engine: in memory over a loaded graph, or by
+    /// ingesting the file into the family's own sub-store.
+    fn build<P: EdgeProgram>(
+        &self,
+        family: &str,
+        orientation: Orientation,
+        program: &P,
+        out_degrees: bool,
+    ) -> Result<(AnyEngine<P>, Vec<u32>), String> {
+        let (source, store) = match &self.graph {
+            Graph::Loaded(graph) => (Source::Graph(graph), None),
+            Graph::File { input, root } => {
+                let store = StreamStore::new(&root.join(family), self.cfg.io_unit)
+                    .map_err(|e| format!("opening {family} store: {e}"))?;
+                (Source::File(input), Some(store))
+            }
+        };
+        engines::build(
+            source,
+            orientation,
+            store,
+            program,
+            self.cfg.clone(),
+            out_degrees,
+        )
+        .map_err(|e| format!("{family} ingest: {e}"))
     }
 
     /// Runs one batched BFS pass over up to [`LANES`] distinct roots;
     /// returns lane-major level vectors (one per root, in order) and
     /// the pass statistics.
     pub fn run_bfs_batch(&mut self, roots: &[u32]) -> Result<(Vec<Vec<u32>>, RunStats), String> {
-        assert!(!roots.is_empty() && roots.len() <= LANES);
-        for &r in roots {
-            self.validate_vertex(r)?;
-        }
-        // Pad unused lanes with the first root: they recompute lane 0
-        // for free (no extra active partitions) and are discarded.
-        let mut lanes = [roots[0]; LANES];
-        lanes[..roots.len()].copy_from_slice(roots);
+        let lanes = self.lanes(roots)?;
         let program = MultiBfs::<LANES>::new();
-        let states = match &mut self.backend {
-            Backend::Memory { graph, bfs, .. } => {
-                let engine = ensure_engine(bfs, || {
-                    InMemoryEngine::from_graph(graph, &program, self.cfg.clone())
-                });
-                run_multi_bfs(engine, &program, &lanes)
-            }
-            Backend::Disk {
-                input, root, bfs, ..
-            } => {
-                let engine = match bfs {
-                    Some(e) => e,
-                    None => {
-                        let store = Self::sub_store(root, "bfs", &self.cfg)?;
-                        let e = DiskEngine::from_ingest(
-                            store,
-                            &EdgeIngest::new(&*input),
-                            &program,
-                            self.cfg.clone(),
-                        )
-                        .map_err(|e| format!("bfs ingest: {e}"))?;
-                        bfs.insert(e)
-                    }
-                };
-                run_multi_bfs(engine, &program, &lanes)
-            }
-        };
-        let (states, stats) = states;
+        if self.bfs.is_none() {
+            self.bfs = Some(self.build("bfs", Orientation::Directed, &program, false)?.0);
+        }
+        let engine = self.bfs.as_mut().expect("just built");
+        let (states, stats) = run_multi_bfs(engine, &program, &lanes);
         let levels = (0..roots.len())
             .map(|lane| states.iter().map(|s| s[lane]).collect())
             .collect();
@@ -211,44 +188,33 @@ impl GraphService {
     /// Runs one batched SSSP pass over up to [`LANES`] distinct roots;
     /// returns lane-major distance vectors and the pass statistics.
     pub fn run_sssp_batch(&mut self, roots: &[u32]) -> Result<(Vec<Vec<f32>>, RunStats), String> {
+        let lanes = self.lanes(roots)?;
+        let program = MultiSssp::<LANES>::new();
+        if self.sssp.is_none() {
+            self.sssp = Some(
+                self.build("sssp", Orientation::Directed, &program, false)?
+                    .0,
+            );
+        }
+        let engine = self.sssp.as_mut().expect("just built");
+        let (dists, stats) = run_multi_sssp(engine, &program, &lanes);
+        let out = (0..roots.len())
+            .map(|lane| dists.iter().map(|s| s[lane]).collect())
+            .collect();
+        Ok((out, stats))
+    }
+
+    /// Validates up to [`LANES`] roots and pads the unused lanes with
+    /// the first root: they recompute lane 0 for free (no extra active
+    /// partitions) and are discarded.
+    fn lanes(&self, roots: &[u32]) -> Result<[u32; LANES], String> {
         assert!(!roots.is_empty() && roots.len() <= LANES);
         for &r in roots {
             self.validate_vertex(r)?;
         }
         let mut lanes = [roots[0]; LANES];
         lanes[..roots.len()].copy_from_slice(roots);
-        let program = MultiSssp::<LANES>::new();
-        let (dists, stats) = match &mut self.backend {
-            Backend::Memory { graph, sssp, .. } => {
-                let engine = ensure_engine(sssp, || {
-                    InMemoryEngine::from_graph(graph, &program, self.cfg.clone())
-                });
-                run_multi_sssp(engine, &program, &lanes)
-            }
-            Backend::Disk {
-                input, root, sssp, ..
-            } => {
-                let engine = match sssp {
-                    Some(e) => e,
-                    None => {
-                        let store = Self::sub_store(root, "sssp", &self.cfg)?;
-                        let e = DiskEngine::from_ingest(
-                            store,
-                            &EdgeIngest::new(&*input),
-                            &program,
-                            self.cfg.clone(),
-                        )
-                        .map_err(|e| format!("sssp ingest: {e}"))?;
-                        sssp.insert(e)
-                    }
-                };
-                run_multi_sssp(engine, &program, &lanes)
-            }
-        };
-        let out = (0..roots.len())
-            .map(|lane| dists.iter().map(|s| s[lane]).collect())
-            .collect();
-        Ok((out, stats))
+        Ok(lanes)
     }
 
     /// Runs PageRank for `iterations` supersteps (0 = server default);
@@ -260,55 +226,11 @@ impl GraphService {
             iterations
         };
         let program = pagerank::Pagerank;
-        match &mut self.backend {
-            Backend::Memory {
-                graph,
-                pagerank: pr,
-                ..
-            } => {
-                let (engine, degrees) = match pr {
-                    Some(pair) => pair,
-                    None => {
-                        let degrees = graph.out_degrees();
-                        let engine = InMemoryEngine::from_graph(graph, &program, self.cfg.clone());
-                        pr.insert((engine, degrees))
-                    }
-                };
-                Ok(pagerank::run(engine, &program, degrees, iterations))
-            }
-            Backend::Disk {
-                input,
-                root,
-                pagerank: pr,
-                ..
-            } => {
-                let (engine, degrees) = match pr {
-                    Some(pair) => pair,
-                    None => {
-                        let store = Self::sub_store(root, "pagerank", &self.cfg)?;
-                        // Degrees fold into the ingest pass, as in the
-                        // one-shot CLI path.
-                        let counts = Arc::new(Mutex::new(vec![0u32; self.num_vertices]));
-                        let ingest = {
-                            let counts = Arc::clone(&counts);
-                            EdgeIngest::new(&*input).with_observer(move |chunk| {
-                                let mut d = counts.lock().expect("degree counter poisoned");
-                                for e in chunk {
-                                    d[e.src as usize] += 1;
-                                }
-                            })
-                        };
-                        let engine =
-                            DiskEngine::from_ingest(store, &ingest, &program, self.cfg.clone())
-                                .map_err(|e| format!("pagerank ingest: {e}"))?;
-                        let degrees =
-                            std::mem::take(&mut *counts.lock().expect("degree counter poisoned"));
-                        pr.insert((engine, degrees))
-                    }
-                };
-                Ok(pagerank::run(engine, &program, degrees, iterations))
-            }
+        if self.pagerank.is_none() {
+            self.pagerank = Some(self.build("pagerank", Orientation::Directed, &program, true)?);
         }
+        let (engine, degrees) = self.pagerank.as_mut().expect("just built");
+        Ok(pagerank::run(engine, &program, degrees, iterations))
     }
 
     /// Weakly-connected-component labels, computed once per graph
@@ -321,28 +243,12 @@ impl GraphService {
                 return Ok((Arc::clone(labels), None));
             }
         }
+        // Transient engine: labels are immutable per generation, so the
+        // doubled edge copy (or the wcc sub-store's engine) is dropped
+        // right after the run.
         let program = wcc::Wcc::new();
-        let (labels, stats) = match &mut self.backend {
-            Backend::Memory { graph, .. } => {
-                // Transient engine: labels are immutable per
-                // generation, so the doubled edge copy is dropped
-                // right after the run.
-                let und = graph.to_undirected();
-                let mut engine = InMemoryEngine::from_graph(&und, &program, self.cfg.clone());
-                wcc::run(&mut engine, &program)
-            }
-            Backend::Disk { input, root, .. } => {
-                let store = Self::sub_store(root, "wcc", &self.cfg)?;
-                let mut engine = DiskEngine::from_ingest(
-                    store,
-                    &EdgeIngest::undirected(&*input),
-                    &program,
-                    self.cfg.clone(),
-                )
-                .map_err(|e| format!("wcc ingest: {e}"))?;
-                wcc::run(&mut engine, &program)
-            }
-        };
+        let (mut engine, _) = self.build("wcc", Orientation::Undirected, &program, false)?;
+        let (labels, stats) = wcc::run(&mut engine, &program);
         let labels = Arc::new(labels);
         // Stamp the cached labels with the generation observed *after*
         // the run: on the disk backend every WCC run ingests the wcc
@@ -352,13 +258,6 @@ impl GraphService {
         self.wcc = Some((self.generation_of("wcc"), Arc::clone(&labels)));
         Ok((labels, Some(stats)))
     }
-}
-
-fn ensure_engine<E>(slot: &mut Option<E>, build: impl FnOnce() -> E) -> &mut E {
-    if slot.is_none() {
-        *slot = Some(build());
-    }
-    slot.as_mut().expect("just filled")
 }
 
 fn read_generation(dir: &Path) -> u64 {
@@ -406,6 +305,50 @@ mod tests {
         let (l2, stats2) = svc.wcc_labels().unwrap();
         assert!(stats2.is_none(), "second call is served from cache");
         assert!(Arc::ptr_eq(&l1, &l2));
+    }
+
+    #[test]
+    fn memory_and_disk_services_agree_in_every_family() {
+        let base = generators::erdos_renyi(300, 1800, 23);
+        let edges = (base.edges().iter().enumerate())
+            .map(|(i, e)| xstream_core::Edge::weighted(e.src, e.dst, 0.25 + (i % 7) as f32 * 0.5))
+            .collect();
+        let g = EdgeList::from_parts_unchecked(base.num_vertices(), edges);
+        let dir =
+            std::env::temp_dir().join(format!("xstream_service_agree_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("graph.xse");
+        xstream_graph::fileio::write_edge_file(&input, &g).unwrap();
+        let disk_cfg = cfg().with_io_unit(1 << 13).with_memory_budget(1 << 20);
+        let mut mem = GraphService::open_memory(g, cfg(), 5);
+        let mut disk = GraphService::open_disk(&input, &dir.join("store"), disk_cfg, 5).unwrap();
+
+        let roots = [0, 17, 150, 299];
+        assert_eq!(
+            mem.run_bfs_batch(&roots).unwrap().0,
+            disk.run_bfs_batch(&roots).unwrap().0
+        );
+        let bits = |lanes: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            lanes
+                .iter()
+                .map(|l| l.iter().map(|d| d.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(
+            bits(mem.run_sssp_batch(&roots).unwrap().0),
+            bits(disk.run_sssp_batch(&roots).unwrap().0)
+        );
+        assert_eq!(mem.wcc_labels().unwrap().0, disk.wcc_labels().unwrap().0);
+        // The disk ranks read degrees counted during ingest, the memory
+        // ranks degrees counted over the loaded list.
+        let (mem_ranks, _) = mem.run_pagerank(0).unwrap();
+        let (disk_ranks, _) = disk.run_pagerank(0).unwrap();
+        assert_eq!(mem_ranks.len(), disk_ranks.len());
+        for (v, (a, b)) in mem_ranks.iter().zip(&disk_ranks).enumerate() {
+            assert!((a - b).abs() <= 1e-6, "vertex {v}: {a} vs {b}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
