@@ -204,6 +204,18 @@ pub enum Source<'a> {
     File(&'a Path),
 }
 
+/// Opens the out-of-core stream store at `dir` as `cfg` lays it out:
+/// transfers of `cfg.io_unit` bytes, and the stream families placed
+/// on devices by `cfg.device_map` (Fig. 15; the engine stripes one
+/// reader and one writer thread per device).
+pub fn open_store(dir: &Path, cfg: &EngineConfig) -> Result<StreamStore> {
+    let store = StreamStore::new(dir, cfg.io_unit)?;
+    Ok(match cfg.device_map {
+        Some(map) => store.with_device_fn(map.num_devices(), move |name| map.device_of(name)),
+        None => store,
+    })
+}
+
 /// Builds the engine for `program` over `source` in `orientation`: the
 /// out-of-core engine over `store` when one is given, otherwise the
 /// in-memory engine.

@@ -1,9 +1,13 @@
-//! Minimal argument parser: positionals plus `--flag value` /
-//! `--flag=value` / `--switch` options, with byte-size suffix parsing
-//! (`64K`, `16M`, `2G`).
+//! Argument parser over the flag table: operands plus `--flag value` /
+//! `--flag=value` / `--switch` options, each checked against the
+//! command's row in [`crate::flags::FLAGS`], with typed values read
+//! through [`Args::value`].
 
 use std::collections::HashMap;
 use std::fmt;
+use std::str::FromStr;
+
+use crate::flags::{self, Command};
 
 /// CLI failure: either a usage problem (caller prints help) or an
 /// execution error.
@@ -32,33 +36,22 @@ impl From<xstream_core::Error> for CliError {
     }
 }
 
-/// Parsed arguments: positional operands in order plus named options.
-#[derive(Debug, Default, Clone)]
+/// Parsed arguments of one command: its operands in order plus the
+/// flags its table row accepts.
+#[derive(Debug, Clone)]
 pub struct Args {
-    positional: Vec<String>,
-    options: HashMap<String, String>,
-    switches: Vec<String>,
+    command: &'static Command,
+    operands: Vec<String>,
+    /// Every flag given, by long name: an option with its value, a
+    /// switch with `None`.
+    flags: HashMap<&'static str, Option<String>>,
 }
-
-/// Option names that take no value.
-const SWITCHES: &[&str] = &[
-    "undirected",
-    "weighted",
-    "verbose",
-    "resume",
-    "no-frontier-skip",
-    "no-verify-reads",
-    "repair",
-];
 
 /// Consumes the value of option `flag`, refusing to swallow a
 /// following option: `--store --verbose` must be a usage error, not a
 /// directory literally named `--verbose`. Values that genuinely start
 /// with `--` can be passed with the `--flag=value` form.
-fn take_value(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-    flag: &str,
-) -> Result<String, CliError> {
+fn take_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, CliError> {
     match it.next() {
         Some(v) if v.starts_with("--") => Err(CliError::Usage(format!(
             "option {flag} needs a value, but the next argument is the option `{v}` \
@@ -70,88 +63,124 @@ fn take_value(
 }
 
 impl Args {
-    /// Parses `argv` (already split, command name removed).
-    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
-        let mut args = Args::default();
-        let mut it = argv.iter().peekable();
+    /// Parses `argv` (the arguments after the command name) for
+    /// command `cmd`. A flag outside the command's row, a switch given
+    /// a value, an option without one, or a wrong operand count is a
+    /// [`CliError::Usage`].
+    pub fn parse(cmd: &str, argv: &[String]) -> Result<Self, CliError> {
+        let command = flags::command(cmd).ok_or_else(|| {
+            CliError::Usage(format!("unknown command `{cmd}`\n\n{}", flags::usage()))
+        })?;
+        let mut args = Args {
+            command,
+            operands: Vec::new(),
+            flags: HashMap::new(),
+        };
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if let Some((name, value)) = name.split_once('=') {
-                    // `--flag=value` form. A switch spelled with a
-                    // value must error, not silently land in the
-                    // options map where `switch()` would never see it
-                    // (`--undirected=true` generating a directed graph
-                    // would be a nasty quiet failure).
-                    if SWITCHES.contains(&name) {
-                        return Err(CliError::Usage(format!(
-                            "switch --{name} takes no value (got `{value}`)"
-                        )));
-                    }
-                    args.options.insert(name.to_string(), value.to_string());
-                } else if SWITCHES.contains(&name) {
-                    args.switches.push(name.to_string());
-                } else {
-                    let value = take_value(&mut it, &format!("--{name}"))?;
-                    args.options.insert(name.to_string(), value);
+            let (spelled, inline) = match a.split_once('=') {
+                Some((name, value)) if a.starts_with("--") => (name, Some(value)),
+                _ => (a.as_str(), None),
+            };
+            let flag = match spelled.strip_prefix('-') {
+                Some(long) if long.starts_with('-') => flags::flag(&long[1..]),
+                Some(short) if short.chars().count() == 1 => flags::short_flag(short),
+                _ => {
+                    args.operands.push(a.clone());
+                    continue;
                 }
-            } else if let Some(short) = a.strip_prefix('-').filter(|s| s.len() == 1) {
-                // Single-letter aliases: -o FILE.
-                let long = match short {
-                    "o" => "output",
-                    other => return Err(CliError::Usage(format!("unknown option -{other}"))),
-                };
-                let value = take_value(&mut it, &format!("-{short}"))?;
-                args.options.insert(long.to_string(), value);
-            } else {
-                args.positional.push(a.clone());
-            }
+            };
+            let flag = flag
+                .filter(|f| f.commands.contains(&command.name))
+                .ok_or_else(|| {
+                    CliError::Usage(format!(
+                        "`xstream {cmd}` does not take {spelled} (see `xstream help`)"
+                    ))
+                })?;
+            let value = match (flag.metavar, inline) {
+                // A switch spelled with a value must error, not be
+                // silently read as set or unset (`--undirected=false`
+                // generating an undirected graph would be a nasty
+                // quiet failure).
+                (None, Some(value)) => {
+                    return Err(CliError::Usage(format!(
+                        "switch {spelled} takes no value (got `{value}`)"
+                    )))
+                }
+                (None, None) => None,
+                (Some(_), Some(value)) => Some(value.to_string()),
+                (Some(_), None) => Some(take_value(&mut it, spelled)?),
+            };
+            args.flags.insert(flag.long, value);
+        }
+        if args.operands.len() != command.operands.len() {
+            return Err(CliError::Usage(format!(
+                "usage: {} [options], got operands `{}`",
+                command.synopsis(),
+                args.operands.join(" ")
+            )));
         }
         Ok(args)
     }
 
-    /// Positional operand `i`.
-    pub fn positional(&self, i: usize) -> Option<&str> {
-        self.positional.get(i).map(String::as_str)
+    /// The command these arguments were parsed for.
+    pub(crate) fn command(&self) -> &'static Command {
+        self.command
     }
 
-    /// Required positional operand `i`, described as `what` in errors.
-    pub fn require_positional(&self, i: usize, what: &str) -> Result<&str, CliError> {
-        self.positional(i)
-            .ok_or_else(|| CliError::Usage(format!("missing {what}")))
+    /// Operand `i`; [`Args::parse`] guarantees one per name in the
+    /// command's row.
+    pub fn operand(&self, i: usize) -> &str {
+        &self.operands[i]
+    }
+
+    /// Whether the command's row declares `--name`, as a switch or as
+    /// an option. Reading an undeclared name is a bug: it could never
+    /// be set.
+    fn declares(&self, name: &str, switch: bool) -> bool {
+        flags::flag(name).is_some_and(|f| {
+            f.metavar.is_none() == switch && f.commands.contains(&self.command.name)
+        })
     }
 
     /// Named option as a raw string.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
+        debug_assert!(self.declares(name, false), "undeclared option --{name}");
+        self.flags.get(name)?.as_deref()
+    }
+
+    /// Named option parsed as a `T`; a value `T` rejects is a usage
+    /// error carrying `T`'s own explanation.
+    pub fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| CliError::Usage(format!("--{name}: {e}")))
+            })
+            .transpose()
     }
 
     /// Whether `--name` was passed as a switch.
     pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        debug_assert!(self.declares(name, true), "undeclared switch --{name}");
+        self.flags.contains_key(name)
     }
+}
 
-    /// Named option parsed as an integer.
-    pub fn get_usize(&self, name: &str) -> Result<Option<usize>, CliError> {
-        self.get(name)
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| CliError::Usage(format!("--{name} expects an integer, got `{v}`")))
-            })
-            .transpose()
-    }
+/// A byte size written `16M`-style (see [`parse_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bytes(pub usize);
 
-    /// Named option parsed as a byte size (suffixes K/M/G, powers of
-    /// two, case-insensitive).
-    pub fn get_bytes(&self, name: &str) -> Result<Option<usize>, CliError> {
-        self.get(name)
-            .map(|v| {
-                parse_bytes(v).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "--{name} expects a size like 64K/16M/2G, got `{v}`"
-                    ))
-                })
-            })
-            .transpose()
+impl FromStr for Bytes {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        parse_bytes(s)
+            .map(Bytes)
+            .ok_or_else(|| format!("expected a size like 64K/16M/2G, got `{s}`"))
     }
 }
 
@@ -181,16 +210,12 @@ mod tests {
 
     #[test]
     fn parses_positionals_options_and_switches() {
-        let a = Args::parse(&sv(&[
-            "rmat",
-            "--scale",
-            "20",
-            "-o",
-            "out.edges",
-            "--undirected",
-        ]))
+        let a = Args::parse(
+            "generate",
+            &sv(&["rmat", "--scale", "20", "-o", "out.edges", "--undirected"]),
+        )
         .unwrap();
-        assert_eq!(a.positional(0), Some("rmat"));
+        assert_eq!(a.operand(0), "rmat");
         assert_eq!(a.get("scale"), Some("20"));
         assert_eq!(a.get("output"), Some("out.edges"));
         assert!(a.switch("undirected"));
@@ -199,20 +224,24 @@ mod tests {
 
     #[test]
     fn equals_form_parses_like_spaced_form() {
-        let a = Args::parse(&sv(&["--pin-workers=cores", "--threads=4"])).unwrap();
+        let a = Args::parse(
+            "run",
+            &sv(&["wcc", "g", "--pin-workers=cores", "--threads=4"]),
+        )
+        .unwrap();
         assert_eq!(a.get("pin-workers"), Some("cores"));
-        assert_eq!(a.get_usize("threads").unwrap(), Some(4));
+        assert_eq!(a.value::<usize>("threads").unwrap(), Some(4));
         // Values may themselves contain `=` (device maps).
-        let a = Args::parse(&sv(&["--device-map=edges=0,updates=1"])).unwrap();
+        let a = Args::parse("run", &sv(&["wcc", "g", "--device-map=edges=0,updates=1"])).unwrap();
         assert_eq!(a.get("device-map"), Some("edges=0,updates=1"));
         // A switch given a value is a usage error, not a silent no-op.
-        let err = Args::parse(&sv(&["--undirected=true"])).unwrap_err();
+        let err = Args::parse("generate", &sv(&["rmat", "--undirected=true"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
     }
 
     #[test]
     fn missing_value_is_a_usage_error() {
-        let err = Args::parse(&sv(&["--scale"])).unwrap_err();
+        let err = Args::parse("generate", &sv(&["rmat", "--scale"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
     }
 
@@ -220,7 +249,7 @@ mod tests {
     fn option_cannot_swallow_a_following_option() {
         // `--store --verbose` must not create a directory named
         // `--verbose`.
-        let err = Args::parse(&sv(&["--store", "--verbose"])).unwrap_err();
+        let err = Args::parse("run", &sv(&["--store", "--verbose"])).unwrap_err();
         match err {
             CliError::Usage(msg) => {
                 assert!(msg.contains("--store"), "{msg}");
@@ -228,14 +257,14 @@ mod tests {
             }
             other => panic!("expected usage error, got {other:?}"),
         }
-        let err = Args::parse(&sv(&["-o", "--threads", "4"])).unwrap_err();
+        let err = Args::parse("generate", &sv(&["-o", "--threads", "4"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         // The `=` form remains the escape hatch for literal `--` values.
-        let a = Args::parse(&sv(&["--store=--weird-dir"])).unwrap();
+        let a = Args::parse("run", &sv(&["wcc", "g", "--store=--weird-dir"])).unwrap();
         assert_eq!(a.get("store"), Some("--weird-dir"));
         // A single-dash value (e.g. a negative number or stdin `-`)
         // still passes positionally through options.
-        let a = Args::parse(&sv(&["--output", "-"])).unwrap();
+        let a = Args::parse("generate", &sv(&["rmat", "--output", "-"])).unwrap();
         assert_eq!(a.get("output"), Some("-"));
     }
 
@@ -252,9 +281,13 @@ mod tests {
 
     #[test]
     fn typed_getters_validate() {
-        let a = Args::parse(&sv(&["--threads", "abc"])).unwrap();
-        assert!(a.get_usize("threads").is_err());
-        let a = Args::parse(&sv(&["--memory-budget", "64M"])).unwrap();
-        assert_eq!(a.get_bytes("memory-budget").unwrap(), Some(64 << 20));
+        let a = Args::parse("run", &sv(&["wcc", "g", "--threads", "abc"])).unwrap();
+        let err = a.value::<usize>("threads").unwrap_err();
+        assert!(err.to_string().contains("--threads"), "{err}");
+        let a = Args::parse("run", &sv(&["wcc", "g", "--memory-budget", "64M"])).unwrap();
+        assert_eq!(a.value("memory-budget").unwrap(), Some(Bytes(64 << 20)));
+        let a = Args::parse("run", &sv(&["wcc", "g", "--io-unit", "lots"])).unwrap();
+        let err = a.value::<Bytes>("io-unit").unwrap_err();
+        assert!(err.to_string().contains("64K/16M/2G"), "{err}");
     }
 }

@@ -1,256 +1,66 @@
 //! The `xstream` subcommands.
 
 use std::fmt::{self, Write as _};
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use crate::args::{Args, CliError};
+use crate::args::{Args, Bytes, CliError};
 use xstream_algorithms::engines::{self, Algo, AnyEngine, Source};
 use xstream_algorithms::{
     bfs, conductance, mcst, mis, pagerank, pagerank_delta, scc, spmv, sssp, wcc,
 };
-use xstream_core::{
-    DeviceMap, EdgeProgram, Engine, EngineConfig, IterationStats, PinMode, RetryPolicy, RunStats,
-};
+use xstream_core::{EdgeProgram, Engine, EngineConfig, IterationStats, RetryPolicy, RunStats};
 use xstream_graph::fileio::{read_edge_file, write_edge_file, EdgeFileReader};
-use xstream_graph::import::{ImportFormat, ImportOptions};
+use xstream_graph::import::ImportOptions;
 use xstream_graph::{generators, transform, Rmat};
 use xstream_storage::StreamStore;
 use xstream_streams::{semi, wstream, FileSource, Mirrored};
 
-/// Top-level usage text. Every flag of every subcommand is documented
-/// here — this is the reference the README points at.
-pub fn usage() -> String {
-    "xstream - edge-centric graph processing (X-Stream, SOSP'13)
-
-Options take `--flag VALUE` or `--flag=VALUE`; sizes accept K/M/G
-suffixes (powers of two, e.g. 64K, 16M, 2G).
-
-USAGE:
-  xstream generate <kind> [options] -o FILE
-      Write a synthetic binary edge file.
-      kinds: rmat, erdos-renyi, pref-attach, grid, web, bipartite
-      --scale N        rmat only: 2^N vertices (paper's graph sizing)
-      --vertices N     vertex count (all kinds except rmat)
-      --edges N        edge count (erdos-renyi, bipartite; default
-                       derives from --degree)
-      --degree N       average/out degree knob (rmat edge factor,
-                       pref-attach/web attachment degree; default 8/16)
-      --seed N         RNG seed (default 42)
-      --undirected     add the reverse of every edge
-      --weighted       assign uniform random weights in [0, 1)
-      -o, --output F   output path (required)
-
-  xstream info <FILE>
-      Print header and degree statistics of a binary edge file
-      (computed in one streaming pass; the edge list is never loaded).
-
-  xstream import <SRC> <DST> [options]
-      Convert an external edge list into the binary .xse format,
-      streaming: bounded memory, text chunks parsed in parallel.
-      --format F           snap: whitespace text `src dst [weight]`
-                           with # / % comments and blank lines
-                           (default); pairs32 / pairs64: raw
-                           little-endian id pairs, 8/16 bytes per edge
-      --num-vertices N     declare the vertex count instead of
-                           discovering max id + 1
-      --undirected         also write the reverse of every edge
-      --threads N          parser threads (default: all cores)
-
-  xstream run <algo> <FILE> [options]
-      Run an algorithm over an edge file on either engine.
-      algos: wcc, bfs, sssp, pagerank, pagerank-delta, spmv, mis, scc,
-             mcst, conductance
-      --engine mem|disk    in-memory (§4) or out-of-core (§3) engine
-                           (memory accepted as an alias for mem;
-                           default mem). The disk engine streams the
-                           file straight into its partition shuffle —
-                           undirected/bidirectional expansion and
-                           degree scans included — and never holds the
-                           edge list in memory (§3.2)
-      --threads N          worker threads (default: all cores)
-      --pin-workers MODE   off|cores|nodes: pin pool workers (and the
-                           disk engine's per-device I/O threads) to
-                           cores or NUMA nodes so the shuffle slice a
-                           worker owns stays node-local (Fig. 14).
-                           Default off; silently a no-op on 1-CPU or
-                           affinity-restricted environments
-      --gather-threads N   cap the disk engine's parallel gather lanes
-                           (1 = serial, the paper's base design;
-                           default: --threads)
-      --partitions K       force the streaming partition count instead
-                           of the automatic §3.4 / §4 sizing
-      --memory-budget SIZE out-of-core fast-storage budget M (default 1G)
-      --io-unit SIZE       preferred I/O unit S (default 16M, §3.4)
-      --device-map MAP     edges=N,updates=M[,vertices=P]: place the
-                           out-of-core stream families on separate
-                           devices (Fig. 15); one reader and one writer
-                           thread are striped per device
-      --iterations N       iteration-capped algorithms (pagerank,
-                           pagerank-delta): rounds to run (default 5)
-      --epsilon X          pagerank-delta: activation tolerance — a
-                           vertex re-scatters only when its damped
-                           incoming delta exceeds X (default 1e-7;
-                           0 = propagate every nonzero delta)
-      --frontier-threshold D
-                           frontier-tracked algorithms (bfs, sssp, wcc,
-                           mis, pagerank-delta) on the disk engine:
-                           dense/sparse hybrid-switch divisor — a
-                           partition scatters through its vertex->edge
-                           index when active_edges * D < |E_p| (Ligra's
-                           rule; default 20; 0 forces sparse, a huge D
-                           forces dense)
-      --no-frontier-skip   disable frontier-aware scatter entirely:
-                           stream every partition densely even for
-                           frontier-tracked programs (the paper's
-                           baseline behaviour; useful for A/B timing)
-      --root V             source vertex for bfs/sssp (default 0; must
-                           be below the graph's vertex count)
-      --store DIR          disk engine: directory for partition streams
-                           (default: a fresh unique temp directory,
-                           removed afterwards). An existing DIR is
-                           wiped only if it is empty or carries the
-                           .xstream-store marker from a previous run;
-                           anything else is refused
-      --max-retries N      disk engine: re-run a superstep up to N extra
-                           times after a transient I/O error (EINTR,
-                           EIO, EAGAIN, timeouts), with exponential
-                           backoff; permanent errors (ENOSPC,
-                           permissions) always fail fast (default 2)
-      --checkpoint-every N disk engine: after every N completed
-                           supersteps, persist vertex state as a
-                           CRC-checksummed checkpoint frame in the
-                           store directory (crash-atomic two-slot
-                           write; 0 = off, the default). Use with an
-                           explicit --store so the checkpoint survives
-                           the process
-      --resume             disk engine: restore the newest valid
-                           checkpoint from --store (torn or foreign
-                           frames are rejected by CRC/fingerprint) and
-                           skip the already-completed supersteps;
-                           requires --engine disk and --store, keeps
-                           the store directory's checkpoint files
-                           instead of wiping them. Resuming under
-                           changed layout flags (--partitions,
-                           --io-unit, ...) fails naming the flag
-      --no-verify-reads    disk engine: trust mode — skip per-chunk
-                           checksum verification on durable-stream
-                           reads (verification is on by default; the
-                           write-side checksums are maintained either
-                           way, so a later scrub still works)
-
-  xstream scrub <STORE> [--repair]
-      Verify every durable stream of a partition store (written by
-      `run --engine disk --store DIR`) against its MANIFEST: sidecar
-      authenticity, one CRC per I/O-unit chunk, and checkpoint frame
-      structure. Detecting damage exits nonzero.
-      --repair             rebuild what is derivable (sparse-scatter
-                           indexes from their verified edge streams,
-                           rotted sidecars over intact streams) and
-                           quarantine the rest (*.quarantined, never
-                           deleted); re-seals the manifest
-
-  xstream serve <FILE> [options]
-      Serve the graph as a long-lived query process: ingest once,
-      answer concurrent queries over a line-delimited JSON protocol on
-      a TCP socket (one request object per line, one response line
-      each; ops: bfs, sssp, reach, same-component, components,
-      pagerank, stats, ping). Queued BFS/SSSP queries are batched into
-      one multi-source frontier pass — one edge stream serves the
-      whole batch — and results are cached by (query, store manifest
-      generation), so a re-ingest or scrub --repair invalidates stale
-      entries. SIGTERM/SIGINT drains the queue and exits 0.
-      --engine mem|disk    engine backing the queries (memory accepted
-                           as an alias for mem; default mem). disk
-                           namespaces per-query-family sub-stores
-                           under the store directory
-      --port N             TCP port on 127.0.0.1 (default 0 = pick an
-                           ephemeral port; the chosen address is
-                           printed on startup)
-      --max-inflight N     queued-plus-running query bound; admission
-                           beyond it answers an overload error
-                           (default 32)
-      --query-timeout MS   per-query deadline in milliseconds; a
-                           slower answer becomes a clean timeout error
-                           (default 30000)
-      --cache-entries N    LRU result-cache capacity in entries
-                           (0 disables; default 256)
-      --iterations N       default pagerank rounds when a query does
-                           not specify (default 5)
-      plus the `run` engine flags: --threads, --partitions,
-      --memory-budget, --io-unit, --store, --frontier-threshold,
-      --no-frontier-skip, --no-verify-reads, ...
-
-  xstream components <FILE> --model semi|wstream [--capacity N]
-      Connected components in the alternative streaming models. The
-      edge file is streamed (with on-the-fly undirected mirroring) —
-      never loaded into memory.
-      --model semi|wstream semi-streaming (1 pass, O(V) memory) or
-                           W-Stream (bounded passes; default semi)
-      --capacity N         wstream only: per-pass edge memory
-                           (default 65536)
-
-  xstream help
-      Print this text.
-"
-    .to_string()
-}
-
 // ---------------------------------------------------------------- generate
 
-/// `xstream generate <kind> ... -o FILE`.
+/// `xstream generate <KIND> -o FILE`.
 pub fn generate(args: &Args) -> Result<String, CliError> {
-    let kind = args.require_positional(0, "generator kind (e.g. rmat)")?;
+    let kind = args.operand(0);
     let out = args
         .get("output")
         .ok_or_else(|| CliError::Usage("missing -o OUTPUT".into()))?;
-    let seed = args.get_usize("seed")?.unwrap_or(42) as u64;
+    let seed = args.value("seed")?.unwrap_or(42u64);
+    let degree = args.value::<usize>("degree")?;
+    let vertices = || {
+        args.value::<usize>("vertices")?
+            .ok_or_else(|| CliError::Usage(format!("{kind} needs --vertices")))
+    };
     let mut graph = match kind {
         "rmat" => {
             let scale = args
-                .get_usize("scale")?
-                .ok_or_else(|| CliError::Usage("rmat needs --scale".into()))?
-                as u32;
+                .value("scale")?
+                .ok_or_else(|| CliError::Usage("rmat needs --scale".into()))?;
             let mut r = Rmat::new(scale).with_seed(seed);
-            if let Some(d) = args.get_usize("degree")? {
+            if let Some(d) = degree {
                 r = r.with_edge_factor(d);
             }
             r.generate()
         }
         "erdos-renyi" => {
-            let v = args
-                .get_usize("vertices")?
-                .ok_or_else(|| CliError::Usage("erdos-renyi needs --vertices".into()))?;
+            let v = vertices()?;
             let e = args
-                .get_usize("edges")?
-                .unwrap_or(v.saturating_mul(args.get_usize("degree")?.unwrap_or(8)));
+                .value("edges")?
+                .unwrap_or(v.saturating_mul(degree.unwrap_or(8)));
             generators::erdos_renyi(v, e, seed)
         }
         "pref-attach" => {
-            let v = args
-                .get_usize("vertices")?
-                .ok_or_else(|| CliError::Usage("pref-attach needs --vertices".into()))?;
-            generators::preferential_attachment(v, args.get_usize("degree")?.unwrap_or(8), seed)
+            generators::preferential_attachment(vertices()?, degree.unwrap_or(8), seed)
         }
         "grid" => {
-            let v = args
-                .get_usize("vertices")?
-                .ok_or_else(|| CliError::Usage("grid needs --vertices".into()))?;
-            let side = (v as f64).sqrt().ceil() as usize;
+            let side = (vertices()? as f64).sqrt().ceil() as usize;
             generators::grid2d(side.max(2), side.max(2))
         }
-        "web" => {
-            let v = args
-                .get_usize("vertices")?
-                .ok_or_else(|| CliError::Usage("web needs --vertices".into()))?;
-            generators::webgraph(v, args.get_usize("degree")?.unwrap_or(16), 64, seed)
-        }
+        "web" => generators::webgraph(vertices()?, degree.unwrap_or(16), 64, seed),
         "bipartite" => {
-            let v = args
-                .get_usize("vertices")?
-                .ok_or_else(|| CliError::Usage("bipartite needs --vertices".into()))?;
+            let v = vertices()?;
             let users = (v * 24) / 25;
-            let e = args.get_usize("edges")?.unwrap_or(v * 16);
+            let e = args.value("edges")?.unwrap_or(v * 16);
             generators::bipartite(users.max(2), (v - users).max(1), e, seed)
         }
         other => return Err(CliError::Usage(format!("unknown generator `{other}`"))),
@@ -299,7 +109,7 @@ mod rand_seed {
 
 /// `xstream info FILE` — one streaming pass, O(V) memory.
 pub fn info(args: &Args) -> Result<String, CliError> {
-    let path = args.require_positional(0, "edge file")?;
+    let path = args.operand(0);
     let i = transform::streamed_info(Path::new(path))?;
     let mut s = String::new();
     let _ = writeln!(s, "file:        {path}");
@@ -318,24 +128,16 @@ pub fn info(args: &Args) -> Result<String, CliError> {
 
 // ------------------------------------------------------------------ import
 
-/// `xstream import <SRC> <DST> [--format F] [--num-vertices N]
-/// [--undirected] [--threads N]`.
+/// `xstream import <SRC> <DST>`.
 pub fn import(args: &Args) -> Result<String, CliError> {
-    let src = args.require_positional(0, "source file")?;
-    let dst = args.require_positional(1, "output edge file")?;
-    let format = match args.get("format") {
-        Some(f) => ImportFormat::parse(f).ok_or_else(|| {
-            CliError::Usage(format!("--format expects snap|pairs32|pairs64, got `{f}`"))
-        })?,
-        None => ImportFormat::SnapText,
-    };
+    let (src, dst) = (args.operand(0), args.operand(1));
     let mut opts = ImportOptions {
-        format,
-        num_vertices: args.get_usize("num-vertices")?,
+        format: args.value("format")?.unwrap_or_default(),
+        num_vertices: args.value("num-vertices")?,
         undirected: args.switch("undirected"),
         ..ImportOptions::default()
     };
-    if let Some(t) = args.get_usize("threads")? {
+    if let Some(t) = args.value::<usize>("threads")? {
         opts.threads = t.max(1);
     }
     let r = xstream_graph::import::import(Path::new(src), Path::new(dst), &opts)?;
@@ -362,15 +164,13 @@ enum EngineKind {
 }
 
 impl FromStr for EngineKind {
-    type Err = CliError;
+    type Err = String;
 
-    fn from_str(s: &str) -> Result<Self, CliError> {
+    fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "mem" | "memory" => Ok(EngineKind::Mem),
             "disk" => Ok(EngineKind::Disk),
-            other => Err(CliError::Usage(format!(
-                "--engine must be mem or disk, got `{other}`"
-            ))),
+            other => Err(format!("expected mem or disk, got `{other}`")),
         }
     }
 }
@@ -385,51 +185,41 @@ impl fmt::Display for EngineKind {
 }
 
 fn engine_kind(args: &Args) -> Result<EngineKind, CliError> {
-    args.get("engine").unwrap_or("mem").parse()
+    Ok(args.value("engine")?.unwrap_or(EngineKind::Mem))
 }
 
+/// The engine flags `run` and `serve` share.
 fn engine_config(args: &Args) -> Result<EngineConfig, CliError> {
     let mut cfg = EngineConfig::default();
-    if let Some(t) = args.get_usize("threads")? {
+    if let Some(t) = args.value("threads")? {
         cfg = cfg.with_threads(t);
     }
-    if let Some(t) = args.get_usize("gather-threads")? {
-        cfg = cfg.with_gather_threads(t);
-    }
-    if let Some(k) = args.get_usize("partitions")? {
+    if let Some(k) = args.value("partitions")? {
         cfg = cfg.with_partitions(k);
     }
-    if let Some(b) = args.get_bytes("memory-budget")? {
+    if let Some(Bytes(b)) = args.value("memory-budget")? {
         cfg = cfg.with_memory_budget(b);
     }
-    if let Some(u) = args.get_bytes("io-unit")? {
+    if let Some(Bytes(u)) = args.value("io-unit")? {
         cfg = cfg.with_io_unit(u);
     }
-    if let Some(m) = args.get("device-map") {
-        let map = DeviceMap::parse(m).ok_or_else(|| {
-            CliError::Usage(format!(
-                "--device-map expects edges=N,updates=M[,vertices=P], got `{m}`"
-            ))
-        })?;
+    if let Some(map) = args.value("device-map")? {
         cfg = cfg.with_device_map(map);
     }
-    if let Some(p) = args.get("pin-workers") {
-        let mode = PinMode::parse(p).ok_or_else(|| {
-            CliError::Usage(format!("--pin-workers expects off|cores|nodes, got `{p}`"))
-        })?;
+    if let Some(mode) = args.value("pin-workers")? {
         cfg = cfg.with_pinning(mode);
     }
-    if let Some(r) = args.get_usize("max-retries")? {
+    if let Some(r) = args.value::<u32>("max-retries")? {
         // N *extra* attempts after the first = N + 1 total.
         cfg = cfg.with_retry(RetryPolicy {
-            max_attempts: r as u32 + 1,
+            max_attempts: r.saturating_add(1),
             ..RetryPolicy::default()
         });
     }
-    if let Some(n) = args.get_usize("checkpoint-every")? {
+    if let Some(n) = args.value("checkpoint-every")? {
         cfg = cfg.with_checkpoint_every(n);
     }
-    if let Some(d) = args.get_usize("frontier-threshold")? {
+    if let Some(d) = args.value("frontier-threshold")? {
         cfg = cfg.with_frontier_threshold(d);
     }
     if args.switch("no-frontier-skip") {
@@ -482,21 +272,19 @@ fn summarize(algo: Algo, extra: &str, stats: &RunStats) -> String {
     s
 }
 
-/// Parses `--epsilon` for pagerank-delta: a non-negative finite float
-/// (default 1e-7). Zero propagates every nonzero delta (the exact
-/// untruncated series).
-fn epsilon(args: &Args) -> Result<f32, CliError> {
-    match args.get("epsilon") {
-        None => Ok(1e-7),
-        Some(v) => v
-            .parse::<f32>()
+/// `--epsilon` of pagerank-delta: a non-negative finite tolerance.
+/// Zero propagates every nonzero delta (the exact untruncated series).
+struct Epsilon(f32);
+
+impl FromStr for Epsilon {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        s.parse::<f32>()
             .ok()
             .filter(|e| *e >= 0.0 && e.is_finite())
-            .ok_or_else(|| {
-                CliError::Usage(format!(
-                    "--epsilon expects a non-negative number, got `{v}`"
-                ))
-            }),
+            .map(Epsilon)
+            .ok_or_else(|| format!("expected a non-negative number, got `{s}`"))
     }
 }
 
@@ -504,8 +292,8 @@ fn epsilon(args: &Args) -> Result<f32, CliError> {
 /// is built: an out-of-range root is a usage error with the valid
 /// range, not a panic deep inside scatter.
 fn validated_root(args: &Args, algo: Algo, num_vertices: usize) -> Result<u32, CliError> {
-    let root = args.get_usize("root")?.unwrap_or(0);
-    if matches!(algo, Algo::Bfs | Algo::Sssp) && root >= num_vertices {
+    let root = args.value::<u32>("root")?.unwrap_or(0);
+    if matches!(algo, Algo::Bfs | Algo::Sssp) && root as usize >= num_vertices {
         return Err(CliError::Usage(if num_vertices == 0 {
             format!("--root {root}: the graph has no vertices")
         } else {
@@ -516,7 +304,7 @@ fn validated_root(args: &Args, algo: Algo, num_vertices: usize) -> Result<u32, C
             )
         }));
     }
-    Ok(root as u32)
+    Ok(root)
 }
 
 /// Marker file stamped into every partition-store directory the CLI
@@ -559,7 +347,7 @@ fn create_marked(dir: &Path) -> Result<(), CliError> {
 /// marked directory is *kept* instead — its checkpoint frames are the
 /// whole point (edge/update streams are rebuilt by ingest either way);
 /// the default is a fresh unique temp directory.
-fn prepare_store_dir(args: &Args) -> Result<StoreDir, CliError> {
+fn prepare_store_dir(args: &Args, resume: bool) -> Result<StoreDir, CliError> {
     if let Some(dir) = args.get("store") {
         let dir = PathBuf::from(dir);
         if dir.exists() {
@@ -580,7 +368,7 @@ fn prepare_store_dir(args: &Args) -> Result<StoreDir, CliError> {
                     dir.display()
                 )));
             }
-            if args.switch("resume") && dir.join(STORE_MARKER).is_file() {
+            if resume && dir.join(STORE_MARKER).is_file() {
                 return Ok(StoreDir {
                     path: dir,
                     ephemeral: false,
@@ -627,16 +415,13 @@ fn prepare_store_dir(args: &Args) -> Result<StoreDir, CliError> {
     }
 }
 
-/// `xstream run <algo> <FILE> ...`.
+/// `xstream run <ALGO> <FILE>`.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let algo: Algo = args
-        .require_positional(0, "algorithm")?
-        .parse()
-        .map_err(CliError::Usage)?;
-    let path = PathBuf::from(args.require_positional(1, "edge file")?);
+    let algo: Algo = args.operand(0).parse().map_err(CliError::Usage)?;
+    let path = PathBuf::from(args.operand(1));
     let kind = engine_kind(args)?;
-    let iterations = args.get_usize("iterations")?.unwrap_or(5);
-    let eps = epsilon(args)?;
+    let iterations = args.value("iterations")?.unwrap_or(5);
+    let Epsilon(eps) = args.value("epsilon")?.unwrap_or(Epsilon(1e-7));
     let resume = args.switch("resume");
     // Declared on the engine config too, so the disk engine validates
     // the layout flags against the store's manifest *before* the
@@ -665,19 +450,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let root = validated_root(args, algo, num_vertices)?;
     let dir = match kind {
         EngineKind::Mem => None,
-        EngineKind::Disk => Some(prepare_store_dir(args)?),
+        EngineKind::Disk => Some(prepare_store_dir(args, resume)?),
     };
     let store = match &dir {
         None => None,
-        Some(dir) => {
-            let mut store = StreamStore::new(dir.path(), cfg.io_unit)?;
-            if let Some(map) = cfg.device_map {
-                // Fig. 15 layout: the engine stripes one reader and one
-                // writer thread per declared device.
-                store = store.with_device_fn(map.num_devices(), move |name| map.device_of(name));
-            }
-            Some(store)
-        }
+        Some(dir) => Some(engines::open_store(dir.path(), &cfg)?),
     };
     let run = Run {
         algo,
@@ -885,36 +662,26 @@ fn serve_until(
 ) -> Result<String, CliError> {
     use xstream_server::{GraphService, ServeOptions, Server};
 
-    let path = args.require_positional(0, "edge file")?.to_string();
+    let path = args.operand(0);
     let kind = engine_kind(args)?;
-    let iterations = args.get_usize("iterations")?.unwrap_or(5);
+    let iterations = args.value("iterations")?.unwrap_or(5);
     let cfg = engine_config(args)?;
-    let port = args.get_usize("port")?.unwrap_or(0);
-    let port = u16::try_from(port)
-        .map_err(|_| CliError::Usage(format!("--port must be 0..=65535, got {port}")))?;
-    let max_inflight = args.get_usize("max-inflight")?.unwrap_or(32);
-    if max_inflight == 0 {
-        return Err(CliError::Usage("--max-inflight must be at least 1".into()));
-    }
-    let query_timeout = args.get_usize("query-timeout")?.unwrap_or(30_000);
-    if query_timeout == 0 {
-        return Err(CliError::Usage(
-            "--query-timeout must be at least 1 (milliseconds)".into(),
-        ));
-    }
-    let cache_entries = args.get_usize("cache-entries")?.unwrap_or(256);
+    let port = args.value("port")?.unwrap_or(0);
+    let max_inflight = args.value("max-inflight")?.map_or(32, NonZeroUsize::get);
+    let query_timeout = args.value("query-timeout")?.map_or(30_000, NonZeroU64::get);
+    let cache_entries = args.value("cache-entries")?.unwrap_or(256);
 
     // Built before the engine so bad flags fail fast, dropped after
     // the server exits (removes a default ephemeral store, keeps an
     // explicit --store).
     let (service, store_dir) = match kind {
         EngineKind::Mem => {
-            let graph = read_edge_file(Path::new(&path))?;
+            let graph = read_edge_file(Path::new(path))?;
             (GraphService::open_memory(graph, cfg, iterations), None)
         }
         EngineKind::Disk => {
-            let dir = prepare_store_dir(args)?;
-            let service = GraphService::open_disk(Path::new(&path), dir.path(), cfg, iterations)
+            let dir = prepare_store_dir(args, false)?;
+            let service = GraphService::open_disk(Path::new(path), dir.path(), cfg, iterations)
                 .map_err(CliError::Run)?;
             (service, Some(dir))
         }
@@ -922,7 +689,7 @@ fn serve_until(
     let opts = ServeOptions {
         port,
         max_inflight,
-        query_timeout: std::time::Duration::from_millis(query_timeout as u64),
+        query_timeout: std::time::Duration::from_millis(query_timeout),
         cache_entries,
     };
     let server = Server::bind(service, opts, shutdown).map_err(CliError::Run)?;
@@ -943,7 +710,7 @@ fn serve_until(
 
 // ------------------------------------------------------------------- scrub
 
-/// `xstream scrub <STORE> [--repair]` — verify every durable stream of
+/// `xstream scrub <STORE>` — verify every durable stream of
 /// a partition store against its manifest; with `--repair`, rebuild
 /// derived streams and quarantine stale ones.
 ///
@@ -951,7 +718,7 @@ fn serve_until(
 /// so CI and scripts can gate on it; a repair that resolves everything
 /// it found exits cleanly.
 pub fn scrub(args: &Args) -> Result<String, CliError> {
-    let dir = PathBuf::from(args.require_positional(0, "store directory")?);
+    let dir = PathBuf::from(args.operand(0));
     if !dir.is_dir() {
         return Err(CliError::Run(format!("{}: not a directory", dir.display())));
     }
@@ -1020,7 +787,7 @@ pub fn scrub(args: &Args) -> Result<String, CliError> {
 
 // -------------------------------------------------------------- components
 
-/// `xstream components <FILE> --model semi|wstream [--capacity N]`.
+/// `xstream components <FILE>`.
 ///
 /// The edge file is presented to the streaming models as a
 /// [`FileSource`] wrapped in [`Mirrored`] — each pass re-reads the
@@ -1028,11 +795,10 @@ pub fn scrub(args: &Args) -> Result<String, CliError> {
 /// doubled edge list is never materialized (the models' whole point is
 /// sequential passes over a stream larger than memory).
 pub fn components(args: &Args) -> Result<String, CliError> {
-    let path = args.require_positional(0, "edge file")?;
+    let path = args.operand(0);
     let graph = Mirrored(FileSource::open(Path::new(path), 1 << 14)?);
-    let model = args.get("model").unwrap_or("semi");
-    match model {
-        "semi" => {
+    match args.value("model")?.unwrap_or(Model::Semi) {
+        Model::Semi => {
             let labels = semi::connected_components(&graph)?;
             let mut distinct = labels.clone();
             distinct.sort_unstable();
@@ -1042,8 +808,8 @@ pub fn components(args: &Args) -> Result<String, CliError> {
                 distinct.len()
             ))
         }
-        "wstream" => {
-            let capacity = args.get_usize("capacity")?.unwrap_or(1 << 16);
+        Model::Wstream => {
+            let capacity = args.value("capacity")?.unwrap_or(1 << 16);
             let r = wstream::connected_components(&graph, capacity, wstream::Backing::Memory)?;
             let mut distinct = r.labels.clone();
             distinct.sort_unstable();
@@ -1055,16 +821,35 @@ pub fn components(args: &Args) -> Result<String, CliError> {
                 r.forwarded_edges
             ))
         }
-        other => Err(CliError::Usage(format!(
-            "--model must be semi or wstream, got `{other}`"
-        ))),
+    }
+}
+
+/// `--model`: the streaming model `components` runs in.
+enum Model {
+    /// Semi-streaming: one pass, O(V) memory.
+    Semi,
+    /// W-Stream: bounded passes over bounded edge memory.
+    Wstream,
+}
+
+impl FromStr for Model {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "semi" => Ok(Model::Semi),
+            "wstream" => Ok(Model::Wstream),
+            other => Err(format!("expected semi or wstream, got `{other}`")),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch;
+    use crate::flags::{self, Flag, COMMANDS, FLAGS};
+    use crate::{dispatch, usage};
+    use xstream_storage::manifest::{Manifest, MANIFEST_NAME};
 
     fn sv(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
@@ -1104,7 +889,7 @@ mod tests {
         // Full startup + graceful drain through the injectable flag
         // (the signal path stores into the same kind of flag).
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let args = Args::parse(&sv(&[p, "--port", "0", "--threads", "2"])).unwrap();
+        let args = Args::parse("serve", &sv(&[p, "--port", "0", "--threads", "2"])).unwrap();
         let thread_flag = std::sync::Arc::clone(&flag);
         let handle = std::thread::spawn(move || serve_until(&args, thread_flag));
         std::thread::sleep(std::time::Duration::from_millis(300));
@@ -1269,7 +1054,8 @@ mod tests {
             assert!(out.contains("components"), "run --engine {engine}: {out}");
             // A pre-set shutdown flag: serve binds, drains at once and
             // returns its summary.
-            let args = Args::parse(&sv(&[&[p, "--port", "0"][..], &common].concat())).unwrap();
+            let args =
+                Args::parse("serve", &sv(&[&[p, "--port", "0"][..], &common].concat())).unwrap();
             let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
             let out = serve_until(&args, flag).unwrap();
             assert!(
@@ -1285,7 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_threads_and_device_map_flags() {
+    fn threads_and_device_map_flags() {
         let path = tmpfile("devmap.edges");
         dispatch(&sv(&[
             "generate",
@@ -1308,8 +1094,6 @@ mod tests {
             "disk",
             "--threads",
             "4",
-            "--gather-threads",
-            "2",
             "--partitions",
             "4",
             "--device-map",
@@ -1412,7 +1196,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
-        let err = Args::parse(&sv(&["--no-frontier-skip=yes"])).unwrap_err();
+        let err = Args::parse("run", &sv(&["wcc", "g", "--no-frontier-skip=yes"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
@@ -1460,58 +1244,138 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
-        // Every documented run flag appears in the help text.
+    }
+
+    /// Whether `section` lists `flag` in its flag column.
+    fn documents(section: &str, flag: &Flag) -> bool {
+        let label = flag.label();
+        section.lines().any(|line| {
+            line.strip_prefix("      ")
+                .and_then(|rest| rest.strip_prefix(&label))
+                .is_some_and(|tail| tail.is_empty() || tail.starts_with(' '))
+        })
+    }
+
+    #[test]
+    fn flag_table_drives_parsing_and_help() {
         let help = usage();
-        for flag in [
-            "--engine",
-            "--threads",
-            "--pin-workers",
-            "--gather-threads",
-            "--partitions",
-            "--memory-budget",
-            "--io-unit",
-            "--device-map",
-            "--iterations",
-            "--root",
-            "--store",
-            "--max-retries",
-            "--checkpoint-every",
-            "--resume",
-            "--epsilon",
-            "--frontier-threshold",
-            "--no-frontier-skip",
-            "--model",
-            "--capacity",
-            "--scale",
-            "--vertices",
-            "--edges",
-            "--degree",
-            "--seed",
-            "--undirected",
-            "--weighted",
-            "--format",
-            "--num-vertices",
-            "--no-verify-reads",
-            "--repair",
-            "--port",
-            "--max-inflight",
-            "--query-timeout",
-            "--cache-entries",
-        ] {
-            assert!(help.contains(flag), "{flag} missing from usage()");
+        for f in FLAGS {
+            let rows = FLAGS.iter().filter(|g| g.long == f.long).count();
+            assert_eq!(rows, 1, "--{} declared {rows} times", f.long);
+            for c in f.commands {
+                assert!(flags::command(c).is_some(), "--{}: no command {c}", f.long);
+            }
         }
-        // Every subcommand is documented too.
-        for cmd in [
+        for cmd in COMMANDS {
+            let section = flags::section(cmd);
+            assert!(help.contains(&section), "{} missing from usage()", cmd.name);
+            for f in FLAGS {
+                let mut spellings = vec![format!("--{}", f.long)];
+                spellings.extend(f.short.map(|s| format!("-{s}")));
+                for spelled in spellings {
+                    let mut argv = vec!["x".to_string(); cmd.operands.len()];
+                    argv.push(spelled.clone());
+                    if f.metavar.is_some() {
+                        argv.push("1".into());
+                    }
+                    let parsed = Args::parse(cmd.name, &argv);
+                    if f.commands.contains(&cmd.name) {
+                        assert!(documents(&section, f), "{spelled} not in {section}");
+                        assert!(parsed.is_ok(), "{} {spelled}: {parsed:?}", cmd.name);
+                    } else {
+                        assert!(!documents(&section, f), "{spelled} in {section}");
+                        match parsed {
+                            Err(CliError::Usage(msg)) => {
+                                assert!(msg.contains(&spelled), "{msg}");
+                                assert!(msg.contains(cmd.name), "{msg}");
+                            }
+                            other => panic!("{} {spelled}: {other:?}", cmd.name),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_misplaced_and_extra_arguments_are_usage_errors() {
+        for (argv, offender) in [
+            (&["run", "wcc", "g", "--thread", "8"][..], "--thread"),
+            (&["info", "g", "--threads", "4"], "--threads"),
+            (
+                &[
+                    "generate",
+                    "grid",
+                    "--vertices",
+                    "16",
+                    "--verbose",
+                    "-o",
+                    "x",
+                ],
+                "--verbose",
+            ),
+            (&["serve", "g", "--resume"], "--resume"),
+            (&["serve", "g", "--root", "5"], "--root"),
+            (&["serve", "g", "--epsilon", "3"], "--epsilon"),
+            (&["run", "wcc", "g", "extra"], "extra"),
+            (
+                &["run", "wcc", "g", "--gather-threads", "2"],
+                "--gather-threads",
+            ),
+        ] {
+            match dispatch(&sv(argv)) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(offender), "{argv:?}: {msg}"),
+                other => panic!("{argv:?}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn manifest_layout_flags_are_run_flags() {
+        // The store manifest records the layout-deciding flags by name,
+        // and `--resume` under a changed one names it back; every name
+        // recorded must be a flag `run` takes.
+        let path = tmpfile("manifest_flags.edges");
+        dispatch(&sv(&[
             "generate",
-            "import",
-            "info",
+            "erdos-renyi",
+            "--vertices",
+            "200",
+            "--edges",
+            "1000",
+            "-o",
+            path.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let store = std::env::temp_dir().join("xstream_cli_tests_manifest_flags");
+        let _ = std::fs::remove_dir_all(&store);
+        dispatch(&sv(&[
             "run",
-            "serve",
-            "components",
-            "scrub",
-        ] {
-            assert!(help.contains(cmd), "{cmd} missing from usage()");
+            "bfs",
+            path.to_str().unwrap(),
+            "--engine",
+            "disk",
+            "--memory-budget",
+            "1M",
+            "--io-unit",
+            "16K",
+            "--store",
+            store.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let bytes = std::fs::read(store.join(MANIFEST_NAME)).unwrap();
+        let manifest = Manifest::decode(&bytes).expect("sealed manifest");
+        let recorded: Vec<&str> = manifest
+            .config
+            .iter()
+            .filter_map(|(key, _)| key.strip_prefix("--"))
+            .collect();
+        assert!(!recorded.is_empty(), "{:?}", manifest.config);
+        for name in recorded {
+            let flag = flags::flag(name).unwrap_or_else(|| panic!("--{name} is no flag"));
+            assert!(flag.commands.contains(&"run"), "--{name} is not a run flag");
         }
+        let _ = std::fs::remove_dir_all(&store);
     }
 
     #[test]

@@ -16,32 +16,28 @@
 //! one pass) and the full edge list is never held in memory.
 //!
 //! Argument parsing is hand-rolled (the project's dependency policy
-//! admits no CLI crates) but lives in [`args`] behind a testable API.
+//! admits no CLI crates): one table of commands and flags
+//! ([`flags`]) drives parsing, validation and `xstream help`, and
+//! [`args`] reads typed values through `FromStr`.
 
 pub mod args;
 pub mod commands;
+pub mod flags;
 
-pub use args::{parse_bytes, Args, CliError};
+pub use args::{parse_bytes, Args, Bytes, CliError};
+pub use flags::usage;
 
 /// Entry point shared by the binary and the tests: dispatches a full
-/// argument vector (excluding `argv[0]`) and returns the rendered
-/// output or an error message.
+/// argument vector (excluding `argv[0]`) through the command table and
+/// returns the rendered output or an error message.
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = argv.split_first() else {
-        return Err(CliError::Usage(commands::usage()));
+        return Err(CliError::Usage(usage()));
     };
-    match command.as_str() {
-        "generate" => commands::generate(&Args::parse(rest)?),
-        "info" => commands::info(&Args::parse(rest)?),
-        "import" => commands::import(&Args::parse(rest)?),
-        "run" => commands::run(&Args::parse(rest)?),
-        "serve" => commands::serve(&Args::parse(rest)?),
-        "components" => commands::components(&Args::parse(rest)?),
-        "scrub" => commands::scrub(&Args::parse(rest)?),
-        "help" | "--help" | "-h" => Ok(commands::usage()),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{}",
-            commands::usage()
-        ))),
-    }
+    let command = match command.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let args = Args::parse(command, rest)?;
+    (args.command().exec)(&args)
 }

@@ -56,20 +56,30 @@ impl DeviceMap {
             self.edges
         }
     }
+}
+
+impl std::str::FromStr for DeviceMap {
+    type Err = String;
 
     /// Parses the CLI form `edges=0,updates=1[,vertices=0]`. Rejects
     /// device ids at or above [`MAX_MAPPED_DEVICES`] — the storage
     /// layer tracks that many devices, and a larger id would silently
     /// alias onto device `id % MAX`, losing the separation the map
     /// asked for.
-    pub fn parse(s: &str) -> Option<Self> {
+    fn from_str(s: &str) -> Result<Self, String> {
+        let bad = || {
+            format!(
+                "expected edges=N,updates=M[,vertices=P] with ids below \
+                 {MAX_MAPPED_DEVICES}, got `{s}`"
+            )
+        };
         let mut map = DeviceMap::new(0, 0);
         let mut saw_vertices = false;
         for part in s.split(',') {
-            let (key, value) = part.split_once('=')?;
-            let id: u8 = value.trim().parse().ok()?;
+            let (key, value) = part.split_once('=').ok_or_else(bad)?;
+            let id: u8 = value.trim().parse().map_err(|_| bad())?;
             if id >= MAX_MAPPED_DEVICES {
-                return None;
+                return Err(bad());
             }
             match key.trim() {
                 "edges" => map.edges = id,
@@ -78,13 +88,13 @@ impl DeviceMap {
                     map.vertices = id;
                     saw_vertices = true;
                 }
-                _ => return None,
+                _ => return Err(bad()),
             }
         }
         if !saw_vertices {
             map.vertices = map.edges;
         }
-        Some(map)
+        Ok(map)
     }
 }
 
@@ -115,14 +125,16 @@ pub enum PinMode {
     Nodes,
 }
 
-impl PinMode {
+impl std::str::FromStr for PinMode {
+    type Err = String;
+
     /// Parses the CLI form `off`/`cores`/`nodes` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
+    fn from_str(s: &str) -> Result<Self, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" => Some(Self::Off),
-            "cores" | "core" => Some(Self::Cores),
-            "nodes" | "node" | "numa" => Some(Self::Nodes),
-            _ => None,
+            "off" | "none" => Ok(Self::Off),
+            "cores" | "core" => Ok(Self::Cores),
+            "nodes" | "node" | "numa" => Ok(Self::Nodes),
+            _ => Err(format!("expected off|cores|nodes, got `{s}`")),
         }
     }
 }
@@ -170,24 +182,16 @@ pub struct EngineConfig {
     /// on real multi-socket hardware and is a no-op on restricted or
     /// single-CPU environments either way.
     pub pinning: PinMode,
-    /// Worker threads applying independent partitions' updates
-    /// concurrently in the out-of-core gather phase (paper Fig. 14's
-    /// core-scaling regime applied to gather). `None` follows
-    /// `threads`; `Some(1)` forces the serial one-partition-at-a-time
-    /// gather of the paper's base design.
-    pub gather_threads: Option<usize>,
     /// Placement of the out-of-core stream families onto storage
-    /// devices (Fig. 15). `None` keeps every stream on device 0. The
-    /// CLI and experiment harnesses use this to build the stream store;
-    /// the engine stripes one reader and one writer thread per device
-    /// either way, following the store's mapping.
+    /// devices (Fig. 15). `None` keeps every stream on device 0. Read
+    /// where a stream store is opened (`engines::open_store` in the
+    /// algorithms crate); the engine stripes one reader and one writer
+    /// thread per device either way, following the store's mapping.
     pub device_map: Option<DeviceMap>,
     /// Fast-storage capacity per core for the in-memory engine: the CPU
     /// cache available to one worker (paper uses a 2 MB shared L2 per
     /// core pair on their Opteron testbed).
     pub cache_size: usize,
-    /// Cache line size; bounds the multi-stage shuffler fanout (§4.2).
-    pub cache_line: usize,
     /// Fast-storage capacity for the out-of-core engine: main memory
     /// available for vertex state and stream buffers.
     pub memory_budget: usize,
@@ -198,7 +202,8 @@ pub struct EngineConfig {
     /// automatic choice (Fig. 24 sweeps this).
     pub num_partitions: Option<usize>,
     /// Force the multi-stage shuffler fanout (power of two). `None`
-    /// derives it from `cache_size / cache_line` (Fig. 25 sweeps this).
+    /// derives it from `cache_size` over a 64-byte cache line (Fig. 25
+    /// sweeps this).
     pub shuffle_fanout: Option<usize>,
     /// Enable work stealing of streaming partitions between threads
     /// (§4.1); disabling it is an ablation.
@@ -255,10 +260,8 @@ impl Default for EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             pinning: PinMode::Off,
-            gather_threads: None,
             device_map: None,
             cache_size: 2 << 20,
-            cache_line: 64,
             memory_budget: 1 << 30,
             io_unit: 16 << 20,
             num_partitions: None,
@@ -296,21 +299,6 @@ impl EngineConfig {
     pub fn with_pinning(mut self, mode: PinMode) -> Self {
         self.pinning = mode;
         self
-    }
-
-    /// Sets the out-of-core gather parallelism (see
-    /// [`Self::gather_threads`]).
-    pub fn with_gather_threads(mut self, threads: usize) -> Self {
-        self.gather_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Effective gather parallelism: the explicit setting, capped by
-    /// `threads`, defaulting to `threads`.
-    pub fn effective_gather_threads(&self) -> usize {
-        self.gather_threads
-            .unwrap_or(self.threads)
-            .clamp(1, self.threads.max(1))
     }
 
     /// Sets the stream → device placement (see [`Self::device_map`]).
@@ -532,44 +520,32 @@ mod tests {
 
     #[test]
     fn device_map_parses_and_routes() {
-        let m = DeviceMap::parse("edges=0,updates=1").unwrap();
+        let m = "edges=0,updates=1".parse::<DeviceMap>().unwrap();
         assert_eq!(m, DeviceMap::new(0, 1));
         assert_eq!(m.num_devices(), 2);
         assert_eq!(m.device_of("edges.3"), 0);
         assert_eq!(m.device_of("updates.0"), 1);
         assert_eq!(m.device_of("vertices.7"), 0);
-        let m = DeviceMap::parse("edges=1,updates=0,vertices=2").unwrap();
+        let m = "edges=1,updates=0,vertices=2".parse::<DeviceMap>().unwrap();
         assert_eq!(m.device_of("vertices.0"), 2);
         assert_eq!(m.num_devices(), 3);
-        assert!(DeviceMap::parse("edges=x").is_none());
-        assert!(DeviceMap::parse("disks=1").is_none());
-        assert!(DeviceMap::parse("edges").is_none());
+        assert!("edges=x".parse::<DeviceMap>().is_err());
+        assert!("disks=1".parse::<DeviceMap>().is_err());
+        assert!("edges".parse::<DeviceMap>().is_err());
         // Ids past the storage accounting cap would silently alias.
-        assert!(DeviceMap::parse("edges=0,updates=4").is_none());
+        assert!("edges=0,updates=4".parse::<DeviceMap>().is_err());
     }
 
     #[test]
     fn pin_mode_parses_cli_forms() {
-        assert_eq!(PinMode::parse("off"), Some(PinMode::Off));
-        assert_eq!(PinMode::parse("Cores"), Some(PinMode::Cores));
-        assert_eq!(PinMode::parse("nodes"), Some(PinMode::Nodes));
-        assert_eq!(PinMode::parse("numa"), Some(PinMode::Nodes));
-        assert_eq!(PinMode::parse("bogus"), None);
+        assert_eq!("off".parse(), Ok(PinMode::Off));
+        assert_eq!("Cores".parse(), Ok(PinMode::Cores));
+        assert_eq!("nodes".parse(), Ok(PinMode::Nodes));
+        assert_eq!("numa".parse(), Ok(PinMode::Nodes));
+        assert!("bogus".parse::<PinMode>().is_err());
         assert_eq!(PinMode::default(), PinMode::Off);
         let cfg = EngineConfig::default().with_pinning(PinMode::Cores);
         assert_eq!(cfg.pinning, PinMode::Cores);
-    }
-
-    #[test]
-    fn gather_threads_follow_and_cap_to_threads() {
-        let cfg = EngineConfig::default().with_threads(8);
-        assert_eq!(cfg.effective_gather_threads(), 8);
-        let cfg = cfg.with_gather_threads(2);
-        assert_eq!(cfg.effective_gather_threads(), 2);
-        let cfg = EngineConfig::default()
-            .with_threads(2)
-            .with_gather_threads(16);
-        assert_eq!(cfg.effective_gather_threads(), 2);
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //!    partition owns a disjoint vertex-state slice, so workers apply
 //!    `program.gather` with no locks, and each worker streams its own
 //!    partition's file so the load of one partition overlaps the
-//!    apply of another (Fig. 14's core scaling applied to gather; see
-//!    [`EngineConfig::gather_threads`]). The serial fallback (on-disk
-//!    vertex state, one partition, or `gather_threads = 1`) streams
-//!    files through the read-ahead thread exactly as the paper
-//!    describes. Update streams are truncated, not deleted (a TRIM,
+//!    apply of another (Fig. 14's core scaling applied to gather, on
+//!    `min(threads, K)` lanes). The serial fallback (on-disk vertex
+//!    state, one partition, one thread, or update files too large for
+//!    the memory gate) streams files through the read-ahead thread
+//!    exactly as the paper describes. Update streams are truncated, not deleted (a TRIM,
 //!    §3.3), so their file handles — and the buffer pools — survive
 //!    into the next superstep.
 //!
@@ -1509,7 +1509,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
         mark_next: bool,
     ) -> Result<()> {
         let kp = self.partitioner.num_partitions();
-        let lanes = self.config.effective_gather_threads().min(kp.max(1));
+        let lanes = self.config.threads.clamp(1, kp.max(1));
         let mut parallel =
             lanes > 1 && kp > 1 && self.pool.is_some() && self.vertices.in_memory_mut().is_some();
         if parallel && self.spilled_updates {
@@ -2266,16 +2266,14 @@ mod tests {
         // but not in how often a vertex changes, so change counts are
         // compared only as zero vs nonzero.
         let g = generators::preferential_attachment(300, 4, 7).to_undirected();
-        for (tag, in_memory_updates, gather_threads) in [
+        for (tag, in_memory_updates, threads) in [
             ("agree_mem", true, 4),
             ("agree_spill", false, 1),
             ("agree_spill_par", false, 4),
         ] {
             let cfg = EngineConfig {
                 in_memory_updates,
-                ..small_config()
-                    .with_threads(4)
-                    .with_gather_threads(gather_threads)
+                ..small_config().with_threads(threads)
             };
             let mut pooled = DiskEngine::from_graph(temp_store(tag), &g, &MinLabel, cfg).unwrap();
             let mut oracle =
@@ -2301,20 +2299,19 @@ mod tests {
 
     #[test]
     fn gather_parallelism_sweep_matches_serial() {
-        // Forced spill with several partitions: 1/2/4 gather lanes must
-        // all converge to the serial result.
+        // Forced spill with several partitions: 1/2/4 gather lanes (one
+        // per thread) must all converge to the serial result.
         let g = generators::erdos_renyi(600, 4000, 33).to_undirected();
         let cfg_base = EngineConfig {
             in_memory_updates: false,
             ..EngineConfig::default()
-                .with_threads(4)
                 .with_io_unit(8192)
                 .with_memory_budget(1 << 20)
                 .with_partitions(8)
         };
         let expected = {
             let store = temp_store("gsweep_serial");
-            let cfg = cfg_base.clone().with_gather_threads(1);
+            let cfg = cfg_base.clone().with_threads(1);
             let mut disk = DiskEngine::from_graph(store, &g, &MinLabel, cfg).unwrap();
             disk.run(&MinLabel, Termination::Converged);
             disk.states()
@@ -2322,10 +2319,10 @@ mod tests {
         assert!(expected.iter().all(|&l| l == 0));
         for lanes in [2usize, 4] {
             let store = temp_store(&format!("gsweep_{lanes}"));
-            let cfg = cfg_base.clone().with_gather_threads(lanes);
+            let cfg = cfg_base.clone().with_threads(lanes);
             let mut disk = DiskEngine::from_graph(store, &g, &MinLabel, cfg).unwrap();
             disk.run(&MinLabel, Termination::Converged);
-            assert_eq!(disk.states(), expected, "gather_threads={lanes}");
+            assert_eq!(disk.states(), expected, "threads={lanes}");
         }
     }
 

@@ -55,14 +55,16 @@ pub enum ImportFormat {
     PairsU64,
 }
 
-impl ImportFormat {
+impl std::str::FromStr for ImportFormat {
+    type Err = String;
+
     /// Parses the CLI form (`snap`/`text`, `pairs32`, `pairs64`).
-    pub fn parse(s: &str) -> Option<Self> {
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "snap" | "text" | "txt" | "tsv" | "edgelist" => Some(Self::SnapText),
-            "pairs32" | "pairs-u32" | "bin32" => Some(Self::PairsU32),
-            "pairs64" | "pairs-u64" | "bin64" => Some(Self::PairsU64),
-            _ => None,
+            "snap" | "text" | "txt" | "tsv" | "edgelist" => Ok(Self::SnapText),
+            "pairs32" | "pairs-u32" | "bin32" => Ok(Self::PairsU32),
+            "pairs64" | "pairs-u64" | "bin64" => Ok(Self::PairsU64),
+            _ => Err(format!("expected snap|pairs32|pairs64, got `{s}`")),
         }
     }
 }
@@ -609,10 +611,10 @@ mod tests {
 
     #[test]
     fn format_names_parse() {
-        assert_eq!(ImportFormat::parse("snap"), Some(ImportFormat::SnapText));
-        assert_eq!(ImportFormat::parse("TEXT"), Some(ImportFormat::SnapText));
-        assert_eq!(ImportFormat::parse("pairs32"), Some(ImportFormat::PairsU32));
-        assert_eq!(ImportFormat::parse("bin64"), Some(ImportFormat::PairsU64));
-        assert_eq!(ImportFormat::parse("json"), None);
+        assert_eq!("snap".parse(), Ok(ImportFormat::SnapText));
+        assert_eq!("TEXT".parse(), Ok(ImportFormat::SnapText));
+        assert_eq!("pairs32".parse(), Ok(ImportFormat::PairsU32));
+        assert_eq!("bin64".parse(), Ok(ImportFormat::PairsU64));
+        assert!("json".parse::<ImportFormat>().is_err());
     }
 }

@@ -48,6 +48,10 @@ use xstream_storage::shuffle::{shuffle, MultiStagePlan};
 use xstream_storage::topology::Topology;
 use xstream_storage::{ShufflePool, ShuffleScratch, StreamBuffer};
 
+/// Cache line size in bytes; bounds the multi-stage shuffler fanout
+/// (§4.2).
+const CACHE_LINE: usize = 64;
+
 /// Per-worker phase counters, folded into [`IterationStats`] after
 /// each superstep (kept separate from the shuffle scratch so gather
 /// can mutate its own counters while reading every slice's chunks).
@@ -118,11 +122,9 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
             size_of::<P::State>() + size_of::<Edge>() + size_of::<TargetedUpdate<P::Update>>();
         let k = config.in_memory_partitions(num_vertices, footprint);
         let partitioner = Partitioner::new(num_vertices, k);
-        let fanout = config.shuffle_fanout.unwrap_or_else(|| {
-            (config.cache_size / config.cache_line)
-                .next_power_of_two()
-                .max(2)
-        });
+        let fanout = config
+            .shuffle_fanout
+            .unwrap_or_else(|| (config.cache_size / CACHE_LINE).next_power_of_two().max(2));
         let plan = MultiStagePlan::new(partitioner.num_partitions(), fanout);
         let num_edges = graph.num_edges();
         let threads = config.threads.max(1);

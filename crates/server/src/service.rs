@@ -24,7 +24,6 @@ use xstream_core::{EdgeProgram, EngineConfig, RunStats};
 use xstream_graph::fileio::EdgeFileReader;
 use xstream_graph::EdgeList;
 use xstream_storage::manifest::{Manifest, MANIFEST_NAME};
-use xstream_storage::StreamStore;
 
 /// Traversal lanes per batched pass: up to this many distinct roots
 /// share one multi-source frontier run.
@@ -152,7 +151,7 @@ impl GraphService {
         let (source, store) = match &self.graph {
             Graph::Loaded(graph) => (Source::Graph(graph), None),
             Graph::File { input, root } => {
-                let store = StreamStore::new(&root.join(family), self.cfg.io_unit)
+                let store = engines::open_store(&root.join(family), &self.cfg)
                     .map_err(|e| format!("opening {family} store: {e}"))?;
                 (Source::File(input), Some(store))
             }
@@ -274,6 +273,7 @@ pub const BFS_UNREACHED: u32 = UNREACHED;
 mod tests {
     use super::*;
     use xstream_algorithms::bfs;
+    use xstream_core::DeviceMap;
     use xstream_graph::generators;
 
     fn cfg() -> EngineConfig {
@@ -348,6 +348,36 @@ mod tests {
         for (v, (a, b)) in mem_ranks.iter().zip(&disk_ranks).enumerate() {
             assert!((a - b).abs() <= 1e-6, "vertex {v}: {a} vs {b}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_family_stores_honour_the_device_map() {
+        let g = generators::erdos_renyi(400, 3000, 29);
+        let dir =
+            std::env::temp_dir().join(format!("xstream_service_devmap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("graph.xse");
+        xstream_graph::fileio::write_edge_file(&input, &g).unwrap();
+        // Forced spill: every update stream goes through the device the
+        // map names for it.
+        let spill_cfg = EngineConfig {
+            in_memory_updates: false,
+            ..cfg()
+                .with_io_unit(1 << 13)
+                .with_memory_budget(1 << 20)
+                .with_device_map(DeviceMap::new(0, 1))
+        };
+        let mut svc = GraphService::open_disk(&input, &dir.join("store"), spill_cfg, 5).unwrap();
+        let (levels, _) = svc.run_bfs_batch(&[0, 3]).unwrap();
+        assert_eq!(levels[0], bfs::bfs_in_memory(&g, 0, cfg()).0);
+        let Some(AnyEngine::Disk(engine)) = &svc.bfs else {
+            panic!("a disk service builds disk engines");
+        };
+        assert_eq!(engine.store().num_devices(), 2);
+        let io = engine.store().accounting().snapshot();
+        assert!(io.per_device[1].bytes_written > 0, "{io:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -148,7 +148,7 @@ fn two_device_run_matches_single_device_run() {
     let program = wcc::Wcc::new();
     let (store, _) = two_device_store("differential", false);
     // Per-device writer/reader threads with parallel gather on top.
-    let cfg = spill_cfg().with_threads(4).with_gather_threads(4);
+    let cfg = spill_cfg().with_threads(4);
     let mut disk = DiskEngine::from_graph(store, &g, &program, cfg).unwrap();
     let (labels, stats) = wcc::run(&mut disk, &program);
     assert!(stats.totals().bytes_written > 0, "spill path not exercised");

@@ -134,21 +134,19 @@ fn pagerank_forced_spill_parallel_gather_matches_in_memory() {
         5,
         EngineConfig::default().with_threads(2).with_partitions(8),
     );
-    for gather_threads in [1usize, 2, 4] {
-        let store = temp_store(&format!("pr_gt{gather_threads}"));
-        let cfg = spill_cfg(4)
-            .with_partitions(4)
-            .with_gather_threads(gather_threads);
+    for threads in [1usize, 2, 4] {
+        let store = temp_store(&format!("pr_gt{threads}"));
+        let cfg = spill_cfg(threads).with_partitions(4);
         let mut disk = DiskEngine::from_graph(store, &g, &p, cfg).expect("engine");
         let (disk_ranks, stats) = pagerank::run(&mut disk, &p, &degrees, 5);
         assert!(
             stats.totals().bytes_written > 0,
-            "gather_threads={gather_threads}: no update spills occurred"
+            "threads={threads}: no update spills occurred"
         );
         for (v, (m, d)) in mem_ranks.iter().zip(&disk_ranks).enumerate() {
             assert!(
                 (m - d).abs() < 1e-5,
-                "gather_threads={gather_threads} vertex {v}: {m} vs {d}"
+                "threads={threads} vertex {v}: {m} vs {d}"
             );
         }
     }
@@ -164,20 +162,18 @@ fn wcc_forced_spill_parallel_gather_matches_serial() {
         // fresh instance.
         let program = wcc::Wcc::new();
         let store = temp_store("wcc_gt_serial");
-        let cfg = spill_cfg(4).with_partitions(4).with_gather_threads(1);
+        let cfg = spill_cfg(1).with_partitions(4);
         let mut disk = DiskEngine::from_graph(store, &g, &program, cfg).expect("engine");
         let (labels, _) = wcc::run(&mut disk, &program);
         labels
     };
-    for gather_threads in [2usize, 4] {
+    for threads in [2usize, 4] {
         let program = wcc::Wcc::new();
-        let store = temp_store(&format!("wcc_gt{gather_threads}"));
-        let cfg = spill_cfg(4)
-            .with_partitions(4)
-            .with_gather_threads(gather_threads);
+        let store = temp_store(&format!("wcc_gt{threads}"));
+        let cfg = spill_cfg(threads).with_partitions(4);
         let mut disk = DiskEngine::from_graph(store, &g, &program, cfg).expect("engine");
         let (labels, _) = wcc::run(&mut disk, &program);
-        assert_eq!(labels, serial, "gather_threads={gather_threads}");
+        assert_eq!(labels, serial, "threads={threads}");
     }
 }
 
