@@ -1742,6 +1742,54 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_edges_are_an_error_on_both_engines() {
+        // Four declared vertices and an edge naming vertex 9, with no
+        // checksum sidecar: every engine must report the edge, never
+        // panic while building.
+        let path = tmpfile("out_of_range.edges");
+        let _ = std::fs::remove_file(xstream_graph::fileio::sum_path(&path));
+        let mut bytes = b"XSTREAM1".to_vec();
+        for word in [4u64, 2] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        for (src, dst) in [(0u32, 1u32), (0, 9)] {
+            bytes.extend_from_slice(&src.to_le_bytes());
+            bytes.extend_from_slice(&dst.to_le_bytes());
+            bytes.extend_from_slice(&0f32.to_le_bytes());
+        }
+        std::fs::write(&path, bytes).unwrap();
+        let p = path.to_str().unwrap();
+        for engine in ["mem", "disk"] {
+            for algo in ["wcc", "bfs"] {
+                let err = dispatch(&sv(&[
+                    "run",
+                    algo,
+                    p,
+                    "--engine",
+                    engine,
+                    "--memory-budget",
+                    "1M",
+                    "--io-unit",
+                    "16K",
+                ]))
+                .unwrap_err();
+                assert!(
+                    err.to_string().contains("outside the declared range"),
+                    "{algo}/{engine}: {err}"
+                );
+            }
+        }
+        // The in-memory server builds its engine at startup.
+        let args = Args::parse("serve", &sv(&[p, "--engine", "mem", "--port", "0"])).unwrap();
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let err = serve_until(&args, stop).unwrap_err();
+        assert!(
+            err.to_string().contains("outside the declared range"),
+            "serve: {err}"
+        );
+    }
+
+    #[test]
     fn import_then_run_pipeline() {
         let dir = std::env::temp_dir().join("xstream_cli_import");
         std::fs::create_dir_all(&dir).unwrap();

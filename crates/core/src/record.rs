@@ -62,6 +62,18 @@ pub fn records_as_bytes<T: Record>(records: &[T]) -> &[u8] {
     unsafe { slice::from_raw_parts(records.as_ptr().cast::<u8>(), mem::size_of_val(records)) }
 }
 
+/// Views a mutable slice of records as raw bytes, zero-copy, so a
+/// reader can fill records straight from a byte source.
+#[inline]
+pub fn records_as_bytes_mut<T: Record>(records: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `records_as_bytes`, every byte is initialized;
+    // and `T: Record` guarantees any bit pattern is a valid `T`, so no
+    // bytes written through the view can leave an invalid record.
+    unsafe {
+        slice::from_raw_parts_mut(records.as_mut_ptr().cast::<u8>(), mem::size_of_val(records))
+    }
+}
+
 /// Reads one record from the front of `buf`.
 ///
 /// # Panics
@@ -175,6 +187,14 @@ mod tests {
         assert_eq!(bytes.len(), 36);
         let back: Vec<Edge> = decode_records(bytes);
         assert_eq!(back, edges);
+    }
+
+    #[test]
+    fn mutable_byte_view_fills_records() {
+        let src = vec![Edge::new(1, 2), Edge::weighted(3, 4, 0.5)];
+        let mut dst = vec![Edge::new(0, 0); 2];
+        records_as_bytes_mut(&mut dst).copy_from_slice(records_as_bytes(&src));
+        assert_eq!(dst, src);
     }
 
     #[test]

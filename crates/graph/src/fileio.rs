@@ -36,7 +36,8 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::edgelist::EdgeList;
-use xstream_core::record::{records_as_bytes, RecordIter};
+use crate::transform::validate_edge;
+use xstream_core::record::{records_as_bytes, records_as_bytes_mut};
 use xstream_core::{Edge, Error, Result, VertexId};
 use xstream_storage::{crc32c, Crc32c, SumSidecar};
 
@@ -178,19 +179,49 @@ impl SidecarVerify {
     }
 }
 
+/// Edges [`read_edge_file`] reads, verifies and range-checks per
+/// window: 12 MiB, so each window is still cache-warm for its checks.
+const READ_WINDOW_EDGES: usize = 1 << 20;
+
 /// Reads a whole edge file into memory.
 ///
 /// The header was validated against the file length by
 /// [`EdgeFileReader::open`], so the up-front allocation is bounded by
-/// the actual file size.
+/// the actual file size. The file is read straight into the edge
+/// vector, one window at a time; each window is checksum-verified (with
+/// a sidecar) and range-checked as it lands, so an edge that names a
+/// vertex outside the declared range is an [`Error::InvalidInput`]
+/// here, as it is on every streaming path.
 pub fn read_edge_file(path: &Path) -> Result<EdgeList> {
     let mut reader = EdgeFileReader::open(path)?;
-    let mut edges = Vec::with_capacity(reader.num_edges());
-    let mut chunk = Vec::new();
-    while reader.read_chunk_into(1 << 20, &mut chunk)? {
-        edges.extend_from_slice(&chunk);
+    let n = reader.num_vertices();
+    let mut edges = zeroed_edges(reader.num_edges());
+    for window in edges.chunks_mut(READ_WINDOW_EDGES) {
+        reader.fill(window)?;
+        window.iter().try_for_each(|e| validate_edge(e, n))?;
     }
-    Ok(EdgeList::from_parts_unchecked(reader.num_vertices(), edges))
+    Ok(EdgeList::from_parts_unchecked(n, edges))
+}
+
+/// A vector of `len` all-zero edges from `alloc_zeroed`: a large one
+/// maps fresh zero pages, which the reader then overwrites once,
+/// instead of memsetting them first.
+fn zeroed_edges(len: usize) -> Vec<Edge> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let layout = std::alloc::Layout::array::<Edge>(len).expect("edge count overflows a layout");
+    // SAFETY: `layout` has nonzero size. The all-zero bit pattern is a
+    // valid `Edge` (the `Record` contract), so all `len` elements are
+    // initialized; the pointer comes from the global allocator with
+    // exactly the layout `Vec` frees it with (capacity `len`).
+    unsafe {
+        let ptr = std::alloc::alloc_zeroed(layout).cast::<Edge>();
+        if ptr.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        Vec::from_raw_parts(ptr, len, len)
+    }
 }
 
 /// Chunked sequential reader over an edge file.
@@ -199,10 +230,6 @@ pub struct EdgeFileReader {
     num_vertices: usize,
     num_edges: usize,
     read_edges: usize,
-    /// Pooled staging buffer: refilling a chunk through
-    /// [`Self::read_chunk_into`] reuses it, so steady-state reads
-    /// allocate nothing.
-    bytes: Vec<u8>,
     /// Rolling checksum verification, when a `.sum` sidecar was found
     /// next to the file.
     verify: Option<SidecarVerify>,
@@ -284,7 +311,6 @@ impl EdgeFileReader {
             num_vertices: num_vertices as usize,
             num_edges: num_edges as usize,
             read_edges: 0,
-            bytes: Vec::new(),
             verify,
         };
         // An edge-free file is fully read at open; settle the tail so
@@ -310,54 +336,47 @@ impl EdgeFileReader {
     }
 
     /// Refills `out` with the next chunk of at most `max_edges` edges,
-    /// reusing its capacity (and the reader's pooled byte buffer), so
-    /// a streaming pass over the file performs no steady-state
-    /// allocation. Returns `false` at end of file.
+    /// read straight into its storage: `out` is resized, which
+    /// zero-fills only growth, so a streaming pass over the file
+    /// allocates nothing once `out` has held one full chunk. Returns
+    /// `false` (with `out` empty) at end of file.
     ///
     /// An unexpected end of file (the file shrank after
     /// [`open`](Self::open) validated it) reports
     /// [`Error::InvalidInput`]; every other read failure keeps its
     /// [`std::io::Error`] kind in [`Error::Io`], so `EIO`/`ENOSPC`
-    /// remain distinguishable from truncation.
+    /// remain distinguishable from truncation. On any error `out` is
+    /// left empty, never holding unverified edges.
     pub fn read_chunk_into(&mut self, max_edges: usize, out: &mut Vec<Edge>) -> Result<bool> {
-        out.clear();
-        let remaining = self.num_edges - self.read_edges;
-        if remaining == 0 {
+        let want = (self.num_edges - self.read_edges).min(max_edges.max(1));
+        out.resize(want, Edge::new(0, 0));
+        if want == 0 {
             return Ok(false);
         }
-        let want = remaining.min(max_edges.max(1));
-        // resize (no clear) zero-fills only growth: steady-state
-        // chunks are same-sized, so no memset precedes the read.
-        self.bytes.resize(want * Edge::SIZE, 0);
-        self.reader.read_exact(&mut self.bytes).map_err(|e| {
+        self.fill(out).inspect_err(|_| out.clear())?;
+        Ok(true)
+    }
+
+    /// Reads the next `edges.len()` edges into `edges`, feeding the
+    /// same bytes to the sidecar verifier.
+    fn fill(&mut self, edges: &mut [Edge]) -> Result<()> {
+        debug_assert!(edges.len() <= self.num_edges - self.read_edges);
+        self.read_edges += edges.len();
+        let bytes = records_as_bytes_mut(edges);
+        self.reader.read_exact(bytes).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 Error::InvalidInput("edge file truncated mid-record".to_string())
             } else {
                 Error::Io(e)
             }
         })?;
-        self.read_edges += want;
         if let Some(v) = &mut self.verify {
-            v.feed(&self.bytes)?;
+            v.feed(bytes)?;
             if self.read_edges == self.num_edges {
                 v.finish()?;
             }
         }
-        out.reserve(want);
-        out.extend(RecordIter::<Edge>::new(&self.bytes));
-        Ok(true)
-    }
-
-    /// Reads the next chunk of at most `max_edges` edges into a fresh
-    /// vector; `None` at EOF. Prefer [`Self::read_chunk_into`] on
-    /// streaming paths — this variant allocates per chunk.
-    pub fn next_chunk(&mut self, max_edges: usize) -> Result<Option<Vec<Edge>>> {
-        let mut out = Vec::new();
-        Ok(if self.read_chunk_into(max_edges, &mut out)? {
-            Some(out)
-        } else {
-            None
-        })
+        Ok(())
     }
 }
 
@@ -495,10 +514,12 @@ mod tests {
         write_edge_file(&path, &g).unwrap();
         let mut reader = EdgeFileReader::open(&path).unwrap();
         let mut edges = Vec::new();
-        while let Some(chunk) = reader.next_chunk(100).unwrap() {
+        let mut chunk = Vec::new();
+        while reader.read_chunk_into(100, &mut chunk).unwrap() {
             assert!(chunk.len() <= 100);
             edges.extend_from_slice(&chunk);
         }
+        assert!(chunk.is_empty());
         assert_eq!(edges, g.edges());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -663,6 +684,53 @@ mod tests {
         write_edge_file(&path, &g).unwrap();
         rot_byte(&sum_path(&path), 25);
         assert!(read_edge_file(&path).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rot_in_the_last_sum_unit_of_a_multi_window_read_is_reported() {
+        let dir = std::env::temp_dir().join("xstream_fileio_test_window_rot");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.xse");
+        // Three read windows, the last one partial.
+        let n = 2 * READ_WINDOW_EDGES + 12_345;
+        let edges: Vec<Edge> = (0..n as u32)
+            .map(|i| Edge::new(i % 1000, i.wrapping_mul(7) % 1000))
+            .collect();
+        let mut w = EdgeFileWriter::create(&path).unwrap();
+        w.append(&edges).unwrap();
+        w.finish(Some(1000)).unwrap();
+        assert_eq!(read_edge_file(&path).unwrap().edges(), &edges[..]);
+
+        let len = std::fs::metadata(&path).unwrap().len();
+        let last_unit = (len - 1) / EDGE_SUM_UNIT as u64;
+        rot_byte(&path, len - 5);
+        match read_edge_file(&path) {
+            Err(Error::Corrupt { chunk, .. }) => assert_eq!(chunk, last_unit),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_edges_are_rejected_on_read() {
+        let dir = std::env::temp_dir().join("xstream_fileio_test_range");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.xse");
+        // Four declared vertices, one edge naming vertex 9, no sidecar
+        // (the writer would refuse the undercount).
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        bytes.extend_from_slice(records_as_bytes(&[Edge::new(0, 1), Edge::new(0, 9)]));
+        std::fs::write(&path, &bytes).unwrap();
+        match read_edge_file(&path) {
+            Err(Error::InvalidInput(msg)) => {
+                assert!(msg.contains("outside the declared range"), "{msg}")
+            }
+            other => panic!("expected InvalidInput, got {:?}", other.map(|_| ())),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -44,7 +44,7 @@ use xstream_core::{
 };
 use xstream_graph::EdgeList;
 use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
-use xstream_storage::shuffle::{shuffle, MultiStagePlan};
+use xstream_storage::shuffle::{CountingPlacement, MultiStagePlan};
 use xstream_storage::topology::Topology;
 use xstream_storage::{ShufflePool, ShuffleScratch, StreamBuffer};
 
@@ -111,11 +111,11 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
     /// Builds an engine over `graph` (an unordered edge list),
     /// initializing vertex state with `program.init`.
     ///
-    /// Setup performs the one-time streaming partitioning of the edge
-    /// list — a counting placement straight from the borrowed list
-    /// into the engine's one edge buffer, *not* a sort (the paper's key
-    /// pre-processing advantage, Fig. 18) — and warms the
-    /// iteration-persistent worker pool and shuffle scratch.
+    /// Setup starts the iteration-persistent worker pool, then performs
+    /// the one-time streaming partitioning of the edge list on it — a
+    /// counting placement in per-worker input slices straight from the
+    /// borrowed list into the engine's one edge buffer, *not* a sort
+    /// (the paper's key pre-processing advantage, Fig. 18).
     pub fn from_graph(graph: &EdgeList, program: &P, config: EngineConfig) -> Self {
         let num_vertices = graph.num_vertices();
         let footprint =
@@ -129,17 +129,34 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         let num_edges = graph.num_edges();
         let threads = config.threads.max(1);
 
-        // Group the edges by source partition. Dense programs need
-        // nothing finer: one placement keyed by partition. Tracked
-        // programs also need each partition's chunk grouped by source
-        // vertex so the sparse scatter can address one vertex's
-        // out-edge run: one placement keyed by source gives both, since
-        // partition ids are monotone in the vertex id — a partition's
-        // chunk starts at its first vertex's run.
+        // Topology-aware placement (Fig. 14): worker tid t — who owns
+        // shuffle slice t for first-touch and equalization — is pinned
+        // to a core/node per `config.pinning`; `plan` is `None` (and
+        // the pool runs unpinned) on single-CPU or affinity-restricted
+        // environments. A planned single-threaded run still holds a
+        // 0-worker pool: dispatch stays inline, but the calling thread
+        // is pinned (and restored on drop) like any other worker 0.
+        let pin_plan = (config.pinning != xstream_core::PinMode::Off)
+            .then(|| Topology::detect().plan(config.pinning, threads))
+            .flatten();
+        let pool = (threads > 1 || pin_plan.is_some())
+            .then(|| WorkerPool::new_pinned(threads - 1, pin_plan.as_ref()));
+
+        // Group the edges by source partition, each placement counting
+        // and placing per-worker input slices on the pool (Fig. 7).
+        // Dense programs need nothing finer: one placement keyed by
+        // partition. Tracked programs also need each partition's chunk
+        // grouped by source vertex so the sparse scatter can address
+        // one vertex's out-edge run: one placement keyed by source
+        // gives both, since partition ids are monotone in the vertex id
+        // — a partition's chunk starts at its first vertex's run.
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
+        let mut placement = CountingPlacement::with_capacity(num_edges);
         let (edges, run_index) = if tracked {
-            let (data, vertex_runs) =
-                shuffle(graph.edges(), num_vertices, |e| e.src as usize).into_parts();
+            placement.place_slice(graph.edges(), num_vertices, pool.as_ref(), |e| {
+                e.src as usize
+            });
+            let (data, vertex_runs) = placement.into_parts();
             let mut offsets: Vec<usize> = partitioner
                 .iter()
                 .map(|p| vertex_runs[partitioner.range(p).start])
@@ -156,27 +173,19 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
             }
             (StreamBuffer::from_grouped(data, offsets), run_index)
         } else {
-            let edges = shuffle(graph.edges(), partitioner.num_partitions(), |e| {
-                partitioner.partition_of(e.src)
-            });
-            (edges, Vec::new())
+            placement.place_slice(
+                graph.edges(),
+                partitioner.num_partitions(),
+                pool.as_ref(),
+                |e| partitioner.partition_of(e.src),
+            );
+            let (data, offsets) = placement.into_parts();
+            (StreamBuffer::from_grouped(data, offsets), Vec::new())
         };
 
         let states = (0..num_vertices as VertexId)
             .map(|v| program.init(v))
             .collect();
-        // Topology-aware placement (Fig. 14): worker tid t — who owns
-        // shuffle slice t for first-touch and equalization — is pinned
-        // to a core/node per `config.pinning`; `plan` is `None` (and
-        // the pool runs unpinned) on single-CPU or affinity-restricted
-        // environments. A planned single-threaded run still holds a
-        // 0-worker pool: dispatch stays inline, but the calling thread
-        // is pinned (and restored on drop) like any other worker 0.
-        let pin_plan = (config.pinning != xstream_core::PinMode::Off)
-            .then(|| Topology::detect().plan(config.pinning, threads))
-            .flatten();
-        let pool = (threads > 1 || pin_plan.is_some())
-            .then(|| WorkerPool::new_pinned(threads - 1, pin_plan.as_ref()));
         let scratch = ShufflePool::new(threads);
         let counters = vec![WorkerCounters::default(); threads];
         let queues = WorkQueues::new(std::iter::empty(), threads, config.work_stealing);
@@ -599,26 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_superstep_is_allocation_free() {
-        let g = generators::erdos_renyi(2000, 20_000, 13).to_undirected();
-        for threads in [1usize, 2] {
-            let mut e = InMemoryEngine::from_graph(&g, &DegreeCount, engine_cfg(threads, 64));
-            // Iteration 1 warms the pool.
-            let warmup = e.scatter_gather(&DegreeCount);
-            assert!(warmup.alloc_count > 0, "warm-up should allocate the pool");
-            // Sibling tests share the process-wide counters; accept the
-            // first interference-free window.
-            let clean_window = xstream_core::alloc_stats::any_allocation_free_window(20, || {
-                e.scatter_gather(&DegreeCount);
-            });
-            assert!(
-                clean_window,
-                "threads={threads}: steady-state superstep allocated in every window"
-            );
-        }
-    }
-
-    #[test]
     fn work_stealing_off_still_correct() {
         let g = generators::preferential_attachment(300, 5, 1).to_undirected();
         let cfg = engine_cfg(2, 16).with_work_stealing(false);
@@ -749,6 +738,42 @@ mod tests {
         let e1 = InMemoryEngine::from_graph(&g, &MinLabel, small_cache);
         let e2 = InMemoryEngine::from_graph(&g, &MinLabel, big_cache);
         assert!(e1.partitioner().num_partitions() > e2.partitioner().num_partitions());
+    }
+
+    /// The build's outputs, bytes and bounds: the placed edges, each
+    /// partition's chunk bounds and the run-offset index.
+    fn build_layout<P: EdgeProgram>(
+        g: &EdgeList,
+        program: &P,
+        threads: usize,
+    ) -> (Vec<u8>, Vec<usize>, Vec<u32>) {
+        let e = InMemoryEngine::from_graph(g, program, engine_cfg(threads, 16));
+        let bytes = xstream_core::record::records_as_bytes(e.edges.as_slice()).to_vec();
+        let chunk_lens = (0..e.edges.num_chunks())
+            .map(|p| e.edges.chunk(p).len())
+            .collect();
+        (bytes, chunk_lens, e.run_index)
+    }
+
+    #[test]
+    fn build_is_identical_at_any_thread_count() {
+        // The placement runs in one input slice per worker; the edge
+        // buffer and the run index must not depend on how many.
+        let g = generators::preferential_attachment(3000, 6, 21).to_undirected();
+        let dense = build_layout(&g, &MinLabel, 1);
+        let tracked = build_layout(&g, &TrackedBfs::new(), 1);
+        assert!(dense.2.is_empty());
+        assert!(tracked.2.len() > g.num_vertices());
+        for threads in [2usize, 4] {
+            assert!(
+                build_layout(&g, &MinLabel, threads) == dense,
+                "dense, {threads} threads"
+            );
+            assert!(
+                build_layout(&g, &TrackedBfs::new(), threads) == tracked,
+                "tracked, {threads} threads"
+            );
+        }
     }
 
     /// A frontier-tracked BFS (level == round gating), local to this

@@ -274,9 +274,11 @@ impl<T> PerWorkerPtr<T> {
 }
 
 /// Raw pointer wrapper granting pool workers access to disjoint
-/// partition sub-slices of a vertex-state array: both engines' parallel
-/// gathers hand each streaming partition to exactly one worker, which
-/// then applies updates to that partition's states with no locks.
+/// sub-slices of one array: both engines' parallel gathers hand each
+/// streaming partition to exactly one worker, which then applies
+/// updates to that partition's states with no locks, and a sliced
+/// counting placement hands each worker its own slice's runs and the
+/// output slots inside them.
 pub struct StatesPtr<S>(pub *mut S);
 
 // SAFETY: the pointer is only dereferenced through

@@ -29,14 +29,21 @@
 //!
 //! Parallelism follows Fig. 7: each thread owns a disjoint *slice* of
 //! the stream buffer with its own index array and shuffles it
-//! independently — zero synchronization until the final barrier.
+//! independently — zero synchronization until the final barrier. The
+//! engines' per-superstep shuffle slices the update stream that way
+//! (one [`ShuffleScratch`] per worker), and so does the in-memory
+//! engine's build ([`CountingPlacement::place_slice`] on a
+//! [`WorkerPool`]).
+
+use std::mem::MaybeUninit;
 
 use crate::buffer::StreamBuffer;
+use crate::pool::{StatesPtr, WorkerPool};
 use crate::scratch::ShuffleScratch;
 use xstream_core::{Error, Record, Result};
 
 /// Single-stage shuffle: routes `input` into `num_chunks` chunks keyed
-/// by `key` — a one-shot [`CountingPlacement`].
+/// by `key` — a one-shot serial [`CountingPlacement`].
 ///
 /// Records with equal keys keep their relative order (stable).
 ///
@@ -53,10 +60,10 @@ use xstream_core::{Error, Record, Result};
 pub fn shuffle<T: Record>(
     input: &[T],
     num_chunks: usize,
-    key: impl FnMut(&T) -> usize,
+    key: impl Fn(&T) -> usize + Sync,
 ) -> StreamBuffer<T> {
     let mut placement = CountingPlacement::with_capacity(input.len());
-    placement.place_slice(input, num_chunks.max(1), key);
+    placement.place_slice(input, num_chunks.max(1), None, key);
     let (data, offsets) = placement.into_parts();
     StreamBuffer::from_grouped(data, offsets)
 }
@@ -72,17 +79,35 @@ enum Phase {
     Placed,
 }
 
+/// One key's run inside one input slice's share of the output.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    /// While counting, the slice's count of the key; while placing,
+    /// the run's next free slot.
+    next: usize,
+    /// One past the run's last slot (set when counting ends).
+    end: usize,
+}
+
 /// A stable two-phase counting placement: count every record's key,
 /// prefix-sum the counts into per-key run offsets, then place every
 /// record at its run's next free slot. No comparison sort, and records
 /// with equal keys keep their input order.
 ///
-/// Both phases accept the input in chunks, so a caller that cannot
-/// hold its input twice (the out-of-core engine re-reads a partition
-/// file) streams it once to [`count`](Self::count) and once more to
-/// [`place`](Self::place). The output buffer is owned here — placement
-/// writes into its uninitialized capacity — and keeps its capacity
-/// across [`begin`](Self::begin)s, so one placement can be reused.
+/// [`place_slice`](Self::place_slice) places a borrowed slice in one
+/// call, on a [`WorkerPool`] one input slice per worker (the paper's
+/// Fig. 7 slicing). The serial chunked phases accept the input in pieces, so a caller
+/// that cannot hold its input twice (the out-of-core engine re-reads a
+/// partition file) streams it once to [`count`](Self::count) and once
+/// more to [`place`](Self::place). The output buffer is owned here —
+/// placement writes into its uninitialized capacity — and keeps its
+/// capacity across [`begin`](Self::begin)s, so one placement can be
+/// reused.
+///
+/// Every write is checked against its own run's end first, so a key
+/// function that answers differently on the two passes can never write
+/// outside its run (nor, sliced, into another worker's); it leaves some
+/// run not exactly full, which [`finish`](Self::finish) reports.
 ///
 /// After [`finish`](Self::finish), `offsets[key]..offsets[key + 1]` is
 /// key's run in the placed records: with keys = partitions these are
@@ -90,12 +115,14 @@ enum Phase {
 /// vertices of a partition, its sparse-scatter run-offset index.
 #[derive(Debug)]
 pub struct CountingPlacement<T> {
-    /// While counting, `offsets[key + 1]` is key's count; from the
-    /// first `place` on, key's first slot. `offsets[num_keys]` is the
-    /// total record count.
+    /// From the end of counting on, `offsets[key]` is key's first slot;
+    /// `offsets[num_keys]` is the total record count.
     offsets: Vec<usize>,
-    /// Next free slot of each key's run while placing.
-    cursor: Vec<usize>,
+    /// Slice-major: `runs[slice * num_keys + key]` is key's run within
+    /// `slice`'s share of the output.
+    runs: Vec<Run>,
+    /// Number of input slices; the chunked phases use one.
+    slices: usize,
     /// Placed records: length 0 until `finish` has checked that every
     /// slot below the total was written exactly once.
     out: Vec<T>,
@@ -114,17 +141,25 @@ impl<T: Record> CountingPlacement<T> {
     pub fn with_capacity(records: usize) -> Self {
         Self {
             offsets: Vec::new(),
-            cursor: Vec::new(),
+            runs: Vec::new(),
+            slices: 1,
             out: Vec::with_capacity(records),
             phase: Phase::Placed,
         }
     }
 
-    /// Starts a placement over keys `0..num_keys`, discarding the
-    /// previous one (buffers keep their capacity).
+    /// Starts a chunked placement over keys `0..num_keys`, discarding
+    /// the previous one (buffers keep their capacity).
     pub fn begin(&mut self, num_keys: usize) {
+        self.begin_sliced(num_keys, 1);
+    }
+
+    fn begin_sliced(&mut self, num_keys: usize, slices: usize) {
         self.offsets.clear();
         self.offsets.resize(num_keys + 1, 0);
+        self.runs.clear();
+        self.runs.resize(num_keys * slices, Run::default());
+        self.slices = slices;
         self.out.clear();
         self.phase = Phase::Counting;
     }
@@ -135,12 +170,9 @@ impl<T: Record> CountingPlacement<T> {
     ///
     /// Panics after the first [`place`](Self::place), or if `key`
     /// returns a key outside `0..num_keys`.
-    pub fn count(&mut self, chunk: impl IntoIterator<Item = T>, mut key: impl FnMut(&T) -> usize) {
+    pub fn count(&mut self, chunk: impl IntoIterator<Item = T>, key: impl FnMut(&T) -> usize) {
         assert_eq!(self.phase, Phase::Counting, "count after place");
-        let counts = &mut self.offsets[1..];
-        for r in chunk {
-            counts[key(&r)] += 1;
-        }
+        count_runs(&mut self.runs, chunk, key);
     }
 
     /// Placement phase: places one chunk of the input, which must
@@ -151,29 +183,35 @@ impl<T: Record> CountingPlacement<T> {
     ///
     /// Panics after [`finish`](Self::finish), or if `key` returns a key
     /// outside `0..num_keys`.
-    pub fn place(&mut self, chunk: impl IntoIterator<Item = T>, mut key: impl FnMut(&T) -> usize) {
+    pub fn place(&mut self, chunk: impl IntoIterator<Item = T>, key: impl FnMut(&T) -> usize) {
         if self.phase == Phase::Counting {
             self.end_counting();
         }
         assert_eq!(self.phase, Phase::Placing, "place after finish");
-        let total = self.offsets[self.offsets.len() - 1];
-        let slots = &mut self.out.spare_capacity_mut()[..total];
-        for r in chunk {
-            let cursor = &mut self.cursor[key(&r)];
-            slots[*cursor].write(r);
-            *cursor += 1;
-        }
+        let slots = StatesPtr(self.out.spare_capacity_mut().as_mut_ptr());
+        // SAFETY: `end_counting` reserved the total, and every run
+        // ends at or below it; nothing else writes the slots.
+        unsafe { place_runs(&mut self.runs, &slots, chunk, key) };
     }
 
-    /// Prefix-sums the counts into run offsets and arms the cursors.
+    /// Prefix-sums the counts over (key, slice) into runs: key `k`'s
+    /// run is its slices' runs back to back, in slice order, so a
+    /// sliced placement lays records out exactly as a serial one.
     fn end_counting(&mut self) {
-        for i in 1..self.offsets.len() {
-            self.offsets[i] += self.offsets[i - 1];
-        }
         let keys = self.offsets.len() - 1;
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.offsets[..keys]);
-        self.out.reserve(self.offsets[keys]);
+        let mut total = 0;
+        for k in 0..keys {
+            self.offsets[k] = total;
+            for s in 0..self.slices {
+                let run = &mut self.runs[s * keys + k];
+                let count = run.next;
+                run.next = total;
+                total += count;
+                run.end = total;
+            }
+        }
+        self.offsets[keys] = total;
+        self.out.reserve(total);
         self.phase = Phase::Placing;
     }
 
@@ -190,18 +228,18 @@ impl<T: Record> CountingPlacement<T> {
             self.end_counting();
         }
         if self.phase == Phase::Placing {
-            if self.cursor[..] != self.offsets[1..] {
+            if self.runs.iter().any(|run| run.next != run.end) {
                 return Err(Error::InvalidInput(
                     "counting placement: placed keys differ from the counted ones".into(),
                 ));
             }
-            // SAFETY: every `place` write went to the slot its key's
-            // cursor named and then advanced that cursor. Cursor `k`
-            // started at `offsets[k]` and now equals `offsets[k + 1]`,
-            // so run `k` was written slot by slot from start to end;
-            // the runs tile `0..total`, so every slot below the new
-            // length was initialized (a double write would have left
-            // some cursor past its run's end, failing the check). `out`
+            // SAFETY: `place_runs` wrote a record to a run's `next`
+            // slot only while `next < end`, and advanced `next` for
+            // every record, written or not. Every run's `next` started
+            // at its first slot and now equals its end, so no record
+            // was dropped and each run was written slot by slot from
+            // start to end; the runs of all slices tile `0..total`, so
+            // every slot below the new length was initialized. `out`
             // never reallocated in between: only `end_counting`
             // reserves, and it ran before the first write.
             unsafe { self.out.set_len(self.offsets[self.offsets.len() - 1]) };
@@ -210,10 +248,17 @@ impl<T: Record> CountingPlacement<T> {
         Ok((&self.out, &self.offsets))
     }
 
-    /// Places a whole slice in one call — [`begin`](Self::begin),
-    /// [`count`](Self::count), [`place`](Self::place) and
-    /// [`finish`](Self::finish) — and returns the placed records with
-    /// their run offsets.
+    /// Places a whole slice in one call and returns the placed records
+    /// with their run offsets.
+    ///
+    /// With a `pool` the input is cut into `pool.workers() + 1`
+    /// contiguous slices — fewer when the input holds fewer than
+    /// `num_keys` records per slice, so the per-slice histograms never
+    /// outgrow the input. Each worker counts its slice into its own
+    /// histogram; one prefix sum over (key, slice) gives every slice a
+    /// disjoint sub-run inside each key's run; each worker places its
+    /// slice there. No synchronization between the two barriers, and
+    /// the output is the serial placement's, bit for bit.
     ///
     /// # Panics
     ///
@@ -223,11 +268,44 @@ impl<T: Record> CountingPlacement<T> {
         &mut self,
         input: &[T],
         num_keys: usize,
-        mut key: impl FnMut(&T) -> usize,
+        pool: Option<&WorkerPool>,
+        key: impl Fn(&T) -> usize + Sync,
     ) -> (&[T], &[usize]) {
-        self.begin(num_keys);
-        self.count(input.iter().copied(), &mut key);
-        self.place(input.iter().copied(), &mut key);
+        let lanes = pool.map_or(1, |p| p.workers() + 1);
+        let slices = lanes.min(input.len() / num_keys.max(1)).max(1);
+        self.begin_sliced(num_keys, slices);
+        let slice = |s: usize| &input[s * input.len() / slices..(s + 1) * input.len() / slices];
+        let per_slice = |job: &(dyn Fn(usize) + Sync)| match pool {
+            Some(pool) if slices > 1 => pool.run(job),
+            _ => job(0),
+        };
+        // In both phases worker `s < slices` touches only its own
+        // slice's runs, `s * num_keys..(s + 1) * num_keys`.
+        let own = |s: usize| s * num_keys..(s + 1) * num_keys;
+        let runs = StatesPtr(self.runs.as_mut_ptr());
+        per_slice(&|s| {
+            if s < slices {
+                // SAFETY: a dispatch hands every id to exactly one
+                // worker, and the ids pick disjoint ranges of `runs`.
+                let runs = unsafe { runs.partition_slice_mut(own(s)) };
+                count_runs(runs, slice(s).iter().copied(), &key);
+            }
+        });
+        self.end_counting();
+        let runs = StatesPtr(self.runs.as_mut_ptr());
+        let slots = StatesPtr(self.out.spare_capacity_mut().as_mut_ptr());
+        per_slice(&|s| {
+            if s < slices {
+                // SAFETY: as above for the runs. `end_counting`
+                // reserved the total, every run ends at or below it,
+                // and the slices' runs are disjoint, so no two workers
+                // write one slot.
+                unsafe {
+                    let runs = runs.partition_slice_mut(own(s));
+                    place_runs(runs, &slots, slice(s).iter().copied(), &key);
+                }
+            }
+        });
         self.finish()
             .expect("key must map a record to the same key on both passes")
     }
@@ -241,6 +319,48 @@ impl<T: Record> CountingPlacement<T> {
     pub fn into_parts(self) -> (Vec<T>, Vec<usize>) {
         assert_eq!(self.phase, Phase::Placed, "into_parts before finish");
         (self.out, self.offsets)
+    }
+}
+
+/// Counts each record's key into one slice's runs (`runs[key].next`).
+/// Panics on a key outside the slice's runs.
+#[inline]
+fn count_runs<T>(
+    runs: &mut [Run],
+    input: impl IntoIterator<Item = T>,
+    mut key: impl FnMut(&T) -> usize,
+) {
+    for r in input {
+        runs[key(&r)].next += 1;
+    }
+}
+
+/// Places each record at its key's next slot in one slice's runs,
+/// provided that slot is still inside the run. A record past its run's
+/// end is dropped but still advances the run, so
+/// [`CountingPlacement::finish`] sees the run overfull. Panics on a key
+/// outside the slice's runs.
+///
+/// # Safety
+///
+/// Every run's slots must lie inside the allocation behind `slots`,
+/// and no other thread may access them during the call.
+#[inline]
+unsafe fn place_runs<T>(
+    runs: &mut [Run],
+    slots: &StatesPtr<MaybeUninit<T>>,
+    input: impl IntoIterator<Item = T>,
+    mut key: impl FnMut(&T) -> usize,
+) {
+    for r in input {
+        let run = &mut runs[key(&r)];
+        if run.next < run.end {
+            let slot = run.next..run.next + 1;
+            // SAFETY: `next < end`, so the slot is inside the
+            // allocation and this call's alone, per the contract.
+            unsafe { slots.partition_slice_mut(slot)[0].write(r) };
+        }
+        run.next += 1;
     }
 }
 
@@ -332,6 +452,8 @@ pub fn multistage_shuffle<T: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn check_partitioned(buf: &StreamBuffer<u32>, k: usize, key: impl Fn(&u32) -> usize) {
         assert!(buf.num_chunks() >= k);
@@ -410,9 +532,9 @@ mod tests {
         let k = 16usize;
         let key = |r: &u32| (*r % 16) as usize;
         let mut placement = CountingPlacement::default();
-        placement.place_slice(&input, k, key);
+        placement.place_slice(&input, k, None, key);
         let clean_window = xstream_core::alloc_stats::any_allocation_free_window(50, || {
-            placement.place_slice(&input, k, key);
+            placement.place_slice(&input, k, None, key);
         });
         assert!(clean_window, "placement reuse allocated in every window");
         let (placed, offsets) = placement.finish().unwrap();
@@ -422,6 +544,49 @@ mod tests {
                 &placed[offsets[p]..offsets[p + 1]],
                 &in_order[..],
                 "chunk {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_key_that_changes_between_passes_never_writes_outside_its_run() {
+        // The key function answers `r % 8` while counting and 0 while
+        // placing, so every slice pushes all its records at key 0's
+        // run. Serial or sliced, each write must stay inside its own
+        // run and the placement must fail: the slots outside key 0's
+        // run keep the sentinel an earlier placement left there.
+        let n = 10_000usize;
+        let input: Vec<u32> = (0..n as u32).collect();
+        let pool = WorkerPool::new(3);
+        for pool in [None, Some(&pool)] {
+            let mut placement = CountingPlacement::default();
+            placement.place_slice(&vec![u32::MAX; n], 1, None, |_| 0);
+            let calls = AtomicUsize::new(0);
+            let key = |r: &u32| {
+                if calls.fetch_add(1, Ordering::Relaxed) < n {
+                    *r as usize % 8
+                } else {
+                    0
+                }
+            };
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                placement.place_slice(&input, 8, pool, key);
+            }));
+            assert!(outcome.is_err(), "a lying key must fail the placement");
+            assert_eq!(calls.load(Ordering::Relaxed), 2 * n);
+            assert!(
+                placement.out.is_empty(),
+                "a failed placement exposes no records"
+            );
+            assert!(placement.out.capacity() >= n);
+            // SAFETY: the first placement initialized all `n` slots,
+            // and `out` has not reallocated since.
+            let slots = unsafe { std::slice::from_raw_parts(placement.out.as_ptr(), n) };
+            let key0_end = placement.offsets[1];
+            assert!(slots[..key0_end].iter().all(|&r| r != u32::MAX));
+            assert!(
+                slots[key0_end..].iter().all(|&r| r == u32::MAX),
+                "a record was written outside key 0's run"
             );
         }
     }

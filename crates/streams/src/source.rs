@@ -61,8 +61,9 @@ impl EdgeSource for FileSource {
 
     fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) -> Result<()> {
         let mut reader = EdgeFileReader::open(&self.path)?;
-        while let Some(chunk) = reader.next_chunk(self.chunk_edges)? {
-            for e in chunk {
+        let mut chunk = Vec::new();
+        while reader.read_chunk_into(self.chunk_edges, &mut chunk)? {
+            for &e in &chunk {
                 f(e);
             }
         }

@@ -11,7 +11,7 @@ use xstream::core::record::{decode_records, records_as_bytes};
 use xstream::core::{Edge, EngineConfig, Partitioner};
 use xstream::graph::{edgelist::from_pairs, EdgeList};
 use xstream::storage::shuffle::{multistage_shuffle, shuffle, CountingPlacement, MultiStagePlan};
-use xstream::storage::ShuffleScratch;
+use xstream::storage::{ShuffleScratch, WorkerPool};
 
 /// Strategy: a directed graph as (vertex count, edge pairs).
 fn arb_graph(max_v: usize, max_e: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -217,6 +217,40 @@ proptest! {
                     let in_order: Vec<Edge> =
                         input.iter().filter(|e| e.src as usize == v).copied().collect();
                     prop_assert_eq!(run, &in_order[..], "vertex {}", v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_placement_equals_the_serial_one_bit_for_bit(
+        records in vec((any::<u32>(), any::<u32>()), 0..3000),
+        many in 5usize..5000,
+    ) {
+        // Pools of 0..=3 workers cut the input into up to four slices,
+        // fewer when the keys outnumber the records per slice; every
+        // cut must place exactly as the serial placement does. The
+        // payload is any bit pattern (NaN weights included), so compare
+        // bytes.
+        let pools: Vec<WorkerPool> = (0..4).map(WorkerPool::new).collect();
+        for k in [1usize, 4, many] {
+            let all: Vec<Edge> = records
+                .iter()
+                .map(|&(s, x)| Edge::weighted(s % k as u32, x, f32::from_bits(x)))
+                .collect();
+            for len in [0, 1, 3, all.len()] {
+                let input = &all[..len.min(all.len())];
+                let key = |e: &Edge| e.src as usize;
+                let mut serial = CountingPlacement::default();
+                let (want, want_offsets) = serial.place_slice(input, k, None, key);
+                for pool in &pools {
+                    let mut sliced = CountingPlacement::default();
+                    let (got, got_offsets) = sliced.place_slice(input, k, Some(pool), key);
+                    prop_assert_eq!(
+                        records_as_bytes(got), records_as_bytes(want),
+                        "K={}, {} records, {} workers", k, len, pool.workers()
+                    );
+                    prop_assert_eq!(got_offsets, want_offsets);
                 }
             }
         }
