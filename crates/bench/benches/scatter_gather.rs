@@ -6,10 +6,10 @@
 //! constant-volume program (every edge emits an update every
 //! iteration, the worst case for shuffle traffic):
 //!
-//! * `pooled_fused_*` — the production pipeline: iteration-persistent
-//!   [`xstream_storage::ShufflePool`] scratch, scatter fused with the
-//!   first shuffle stage, in-place remaining stages, merge-free
-//!   gather, persistent worker pool.
+//! * `pooled_fused_*` — the production pipeline: the static
+//!   [`xstream_storage::UpdateLayout`] laid out at build, scatter fused
+//!   with the first shuffle stage, per-group remaining stages,
+//!   merge-free gather, persistent worker pool.
 //!
 //! Run with `CRITERION_JSON=<path> cargo bench --bench scatter_gather`
 //! to record the JSON baseline (`BENCH_superstep.json` at the repo

@@ -28,10 +28,9 @@ pub struct Point {
     pub runtime: [Duration; 4],
     /// Wall time of the WCC engine build (`from_graph`).
     pub wcc_build: Duration,
-    /// Peak shuffle-buffer residency of the WCC run, in percent
-    /// (high-water records over held capacity): how tightly the
-    /// adaptive equalization budget sized the pooled buffers to the
-    /// observed steal skew at this thread count.
+    /// Peak update-buffer residency of the WCC run, in percent
+    /// (updates buffered over the update layout's slots): the share
+    /// of the edges that emit in the busiest superstep.
     pub residency_pct: f64,
 }
 
@@ -78,7 +77,7 @@ pub fn run(effort: Effort) -> Vec<Point> {
 }
 
 /// Renders the figure as a table (runtimes, the WCC build time, and
-/// the buffer-residency gauge the adaptive capacity policy exposes).
+/// the update layout's residency gauge).
 pub fn report(effort: Effort) -> String {
     let mut t =
         Table::new(format!("Fig 14: strong scaling, RMAT scale {}", effort.rmat_scale()).as_str())

@@ -231,7 +231,7 @@ fn engine_config(args: &Args) -> Result<EngineConfig, CliError> {
     Ok(cfg)
 }
 
-fn summarize(algo: Algo, extra: &str, stats: &RunStats) -> String {
+fn summarize(algo: Algo, extra: &str, stats: &RunStats, disk: bool) -> String {
     let t = stats.totals();
     let mut s = format!(
         "{algo}: {extra}\niterations: {}, runtime: {:.3}s, edges streamed: {}, \
@@ -243,13 +243,18 @@ fn summarize(algo: Algo, extra: &str, stats: &RunStats) -> String {
         stats.wasted_pct(),
     );
     if t.shuffle_capacity > 0 {
+        // Only the out-of-core engine's buffers adapt; the in-memory
+        // engine's update layout is fixed at build.
+        let sizing = if disk {
+            format!("adaptive budget {} records/slice", t.shuffle_budget)
+        } else {
+            "static update layout".to_string()
+        };
         let _ = writeln!(
             s,
-            "shuffle buffers: {} records capacity (peak residency {:.0}%, \
-             adaptive budget {} records/slice)",
+            "shuffle buffers: {} records capacity (peak residency {:.0}%, {sizing})",
             t.shuffle_capacity,
             t.buffer_residency_pct(),
-            t.shuffle_budget,
         );
     }
     if t.partitions_skipped > 0 || t.partitions_sparse > 0 {
@@ -577,7 +582,8 @@ impl Run<'_> {
             };
         }
         let (answer, stats) = driver(&mut engine, program, &degrees);
-        out.push_str(&summarize(self.algo, &answer, &stats));
+        let disk = matches!(engine, AnyEngine::Disk(_));
+        out.push_str(&summarize(self.algo, &answer, &stats, disk));
         if let AnyEngine::Disk(e) = &engine {
             let io = e.store().accounting().snapshot();
             let _ = writeln!(

@@ -74,6 +74,28 @@ pub fn records_as_bytes_mut<T: Record>(records: &mut [T]) -> &mut [u8] {
     }
 }
 
+/// A vector of `len` all-zero records from `alloc_zeroed`: a large one
+/// maps fresh zero pages, first touched by whoever writes them, instead
+/// of memsetting them here.
+pub fn zeroed_records<T: Record>(len: usize) -> Vec<T> {
+    assert!(mem::size_of::<T>() > 0, "zero-sized record");
+    if len == 0 {
+        return Vec::new();
+    }
+    let layout = std::alloc::Layout::array::<T>(len).expect("record count overflows a layout");
+    // SAFETY: `layout` has nonzero size. The all-zero bit pattern is a
+    // valid `T` (the `Record` contract), so all `len` elements are
+    // initialized; the pointer comes from the global allocator with
+    // exactly the layout `Vec` frees it with (capacity `len`).
+    unsafe {
+        let ptr = std::alloc::alloc_zeroed(layout).cast::<T>();
+        if ptr.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        Vec::from_raw_parts(ptr, len, len)
+    }
+}
+
 /// Reads one record from the front of `buf`.
 ///
 /// # Panics

@@ -45,23 +45,28 @@ pub struct IterationStats {
     /// Memory references into vertex/edge/update arrays (Fig. 21 proxy).
     pub mem_refs: u64,
     /// Heap allocations (including reallocations) performed during the
-    /// iteration, from [`crate::alloc_stats`]. The pooled in-memory
-    /// pipeline drives this to zero from the second iteration onward.
+    /// iteration, from [`crate::alloc_stats`]. The in-memory engine
+    /// keeps it at zero from the first iteration on, the out-of-core
+    /// engine once its pooled buffers are warm.
     pub alloc_count: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
-    /// Adaptive per-slice shuffle capacity budget (records) in force at
-    /// the end of the iteration — the ceiling the engine's capacity
-    /// equalization mirrors bucket high-water marks up to. A *gauge*,
-    /// not a counter: [`merge`](Self::merge) takes the max.
+    /// Shuffle capacity budget (records) in force at the end of the
+    /// iteration. Out of core, the adaptive per-slice ceiling the
+    /// engine's capacity equalization mirrors bucket high-water marks
+    /// up to; in memory, the static update layout's region slots. A
+    /// *gauge*, not a counter: [`merge`](Self::merge) takes the max.
     pub shuffle_budget: u64,
-    /// Total shuffle buffer capacity (records) held across all slices
-    /// after equalization: fan-out buckets plus stage buffers. Gauge
+    /// Total shuffle buffer capacity (records) held at the end of the
+    /// iteration: the out-of-core engine's fan-out buckets across all
+    /// slices after equalization, or the slots of the in-memory
+    /// engine's update layout (regions plus any stage buffer). Gauge
     /// (merged by max).
     pub shuffle_capacity: u64,
-    /// Peak records resident across all shuffle slices during the
-    /// iteration (the high-water mark the adaptive budget is driven
-    /// by). Gauge (merged by max).
+    /// Peak records resident in the shuffle buffers during the
+    /// iteration (out of core, the high-water mark the adaptive budget
+    /// is driven by; in memory, the updates buffered). Gauge (merged
+    /// by max).
     pub shuffle_high_water: u64,
     /// Superstep re-runs forced by transient I/O faults (attempts
     /// beyond the first that were needed to complete the iteration;
@@ -126,10 +131,12 @@ impl IterationStats {
 
     /// Fraction of the held shuffle capacity that was actually resident
     /// at the iteration's peak, as a percentage (the paper-adjacent
-    /// "buffer residency" the adaptive equalization policy optimizes:
-    /// near 100% means the pooled memory is sized to the observed skew,
-    /// far below it means worst-case mirroring is holding pages the
-    /// workload never touches).
+    /// "buffer residency" the out-of-core engine's adaptive
+    /// equalization policy optimizes: near 100% means the pooled memory
+    /// is sized to the observed skew, far below it means worst-case
+    /// mirroring is holding pages the workload never touches; in
+    /// memory, the share of the layout's slots the busiest superstep
+    /// filled).
     #[inline]
     pub fn buffer_residency_pct(&self) -> f64 {
         if self.shuffle_capacity == 0 {

@@ -90,7 +90,7 @@ use xstream_core::{
 use xstream_graph::fileio::EdgeFileReader;
 use xstream_graph::{EdgeList, MirrorMode};
 use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
-use xstream_storage::shuffle::{CountingPlacement, MultiStagePlan};
+use xstream_storage::shuffle::CountingPlacement;
 use xstream_storage::topology::Topology;
 use xstream_storage::{
     AsyncWriter, Manifest, ReadAhead, ShufflePool, ShuffleScratch, StreamEntry, StreamRole,
@@ -304,11 +304,6 @@ pub struct DiskEngine<P: EdgeProgram> {
     /// Whether this superstep spilled updates to the per-partition
     /// files (gather then streams them back).
     spilled_updates: bool,
-    /// Single-stage shuffle plan over the K streaming partitions:
-    /// scatter pushes route straight into per-partition buckets, so
-    /// spills and in-memory gathers read final chunks with no extra
-    /// pass.
-    plan: MultiStagePlan,
     /// Persistent per-device background writer threads with a
     /// recycling buffer pool. Declared before the scratch pools so the
     /// engine's drop joins the writer — draining any zero-copy spill
@@ -767,7 +762,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
             stream_buffer_bytes: buffer_bytes,
             resident_updates: false,
             spilled_updates: false,
-            plan: MultiStagePlan::new(kp, kp),
             writer,
             // Job depth 2 per device: the current stream plus the next
             // one queued for cross-partition read-ahead (§3.3).
@@ -1339,9 +1333,8 @@ impl<P: EdgeProgram> DiskEngine<P> {
         // that owns it, so any bucket growth is first-touched locally.
         // (`drain` is reusable here: the previous superstep's flush —
         // or `recover` — covered every borrowed run.)
-        self.scratch
-            .begin_first_touch(self.plan, self.pool.as_ref());
-        self.drain.begin(self.plan);
+        self.scratch.begin_first_touch(kp, self.pool.as_ref());
+        self.drain.begin(kp);
         self.resident_updates = false;
         let store = &self.store;
         let partitioner = &self.partitioner;
@@ -1352,7 +1345,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let drain = &mut self.drain;
         let spill_mark = &mut self.spill_mark;
         let pool = self.pool.as_ref();
-        let plan = self.plan;
         let edge_names = &self.edge_names;
         let update_names = &self.update_names;
         let frontier = &self.frontier.current;
@@ -1390,7 +1382,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
             writer.wait_until(*spill_mark);
             *blocked_ns += t_io.elapsed().as_nanos() as u64;
             std::mem::swap(scratch, drain);
-            scratch.begin(plan);
+            scratch.begin(kp);
             spill_borrowed(writer, update_names, drain, kp, blocked_ns)?;
             *spill_mark = writer.submitted();
             spilled = true;
@@ -1474,11 +1466,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 // buffer exists either way, so gather reads it in place
                 // — §3.2 optimization 2, generalized to the tail of a
                 // spilling superstep.
-                for i in 0..scratch.num_slices() {
-                    scratch
-                        .slice_mut(i)
-                        .finish(|u| partitioner.partition_of(u.target));
-                }
                 self.resident_updates = true;
             } else {
                 // Forced-spill configuration with everything still

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 
 use crate::edgelist::EdgeList;
 use crate::transform::validate_edge;
-use xstream_core::record::{records_as_bytes, records_as_bytes_mut};
+use xstream_core::record::{records_as_bytes, records_as_bytes_mut, zeroed_records};
 use xstream_core::{Edge, Error, Result, VertexId};
 use xstream_storage::{crc32c, Crc32c, SumSidecar};
 
@@ -195,33 +195,12 @@ const READ_WINDOW_EDGES: usize = 1 << 20;
 pub fn read_edge_file(path: &Path) -> Result<EdgeList> {
     let mut reader = EdgeFileReader::open(path)?;
     let n = reader.num_vertices();
-    let mut edges = zeroed_edges(reader.num_edges());
+    let mut edges = zeroed_records::<Edge>(reader.num_edges());
     for window in edges.chunks_mut(READ_WINDOW_EDGES) {
         reader.fill(window)?;
         window.iter().try_for_each(|e| validate_edge(e, n))?;
     }
     Ok(EdgeList::from_parts_unchecked(n, edges))
-}
-
-/// A vector of `len` all-zero edges from `alloc_zeroed`: a large one
-/// maps fresh zero pages, which the reader then overwrites once,
-/// instead of memsetting them first.
-fn zeroed_edges(len: usize) -> Vec<Edge> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let layout = std::alloc::Layout::array::<Edge>(len).expect("edge count overflows a layout");
-    // SAFETY: `layout` has nonzero size. The all-zero bit pattern is a
-    // valid `Edge` (the `Record` contract), so all `len` elements are
-    // initialized; the pointer comes from the global allocator with
-    // exactly the layout `Vec` frees it with (capacity `len`).
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout).cast::<Edge>();
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(ptr, len, len)
-    }
 }
 
 /// Chunked sequential reader over an edge file.

@@ -1,66 +1,73 @@
 //! The in-memory scatter-gather engine (paper §4), built around a
-//! zero-allocation steady-state pipeline.
+//! static update layout and a zero-allocation superstep.
 //!
-//! One iteration is:
+//! The build groups the edges by source partition and, in one more
+//! parallel pass over them, lays out every update the graph can
+//! produce. Each superstep an edge emits at most one update, to its
+//! destination's partition, so the shuffle's counts are bounded by the
+//! edge list: the K source partitions are cut into
+//! `T = min(K, 4 × threads)` contiguous scatter *tasks*, and each
+//! (task, first radix digit of the destination partition) pair gets an
+//! exact region of one [`UpdateLayout`] buffer of `|E|` slots. One
+//! iteration is then:
 //!
-//! 1. **Scatter + fused first shuffle stage** — threads claim
-//!    streaming partitions from pooled work queues (stealing when
-//!    idle, §4.1), stream the partition's edge chunk sequentially, and
-//!    append each update *directly into the fan-out bucket of its
-//!    first radix digit* inside the thread's
-//!    [`ShuffleScratch`] (the Fig. 7
-//!    slicing: slices never need synchronization). Because scatter
-//!    already routes on the top `fanout_bits` of the partition id, the
-//!    first shuffle stage's counting pass and copy pass over the whole
-//!    update stream disappear — with the common single-stage plan the
-//!    entire shuffle collapses into scatter.
-//! 2. **Shuffle** — each thread finishes the remaining radix passes of
-//!    its own slice *in place*, ping-ponging between the scratch's two
-//!    pooled stage buffers (§4.2).
-//! 3. **Gather** — threads claim partitions again and apply the
-//!    partition's update chunks by iterating every slice's chunk
-//!    directly (one per slice: sequential access plus at most
-//!    `threads` random chunk lookups — no merge copy) to the
-//!    partition's vertex states, which fit in the CPU cache by
-//!    construction.
+//! 1. **Scatter + fused first shuffle stage** — threads claim tasks
+//!    from pooled work queues (stealing when idle, §4.1), stream each
+//!    partition of the task in ascending order — skipping it, or
+//!    scattering only its active vertices' runs, when a tracked
+//!    frontier makes that pay — and write every update straight into
+//!    its region at a cursor checked against the region's end. With
+//!    the common single-stage plan the entire shuffle collapses into
+//!    scatter.
+//! 2. **Shuffle** — a multi-stage plan (§4.2) runs its remaining radix
+//!    passes per digit group over the filled region prefixes, the
+//!    groups spread over the workers.
+//! 3. **Gather** — threads claim partitions again and apply partition
+//!    `q`'s regions `(0, q)` … `(T-1, q)` — or its final chunk under a
+//!    multi-stage plan — to the partition's vertex states, which fit in
+//!    the CPU cache by construction.
 //!
-//! All scratch memory — fan-out buckets, stage buffers, radix count
-//! arrays, work queues, per-worker counters — is owned by the engine
-//! and reused across iterations, and worker threads are parked in a
-//! persistent [`WorkerPool`] rather than respawned per phase. From the
-//! second iteration onward a superstep performs **no heap allocation**
-//! (tracked in [`IterationStats::alloc_count`] via
-//! [`xstream_core::alloc_stats`]). Tests check the pipeline against
-//! the sequential [`xstream_core::OracleEngine`].
+//! Updates reach each vertex in (source partition, edge position)
+//! order whatever the thread count, steal schedule or shuffle plan, so
+//! results are bitwise reproducible. Every buffer — the update layout,
+//! its pass scratch, the work queues — is sized at build and worker
+//! threads are parked in a persistent [`WorkerPool`], so a superstep
+//! performs **no heap allocation**, the first included (tracked
+//! programs size their frontier bitmaps once; see
+//! [`IterationStats::alloc_count`] and [`xstream_core::alloc_stats`]).
+//! Tests check the pipeline against the sequential
+//! [`xstream_core::OracleEngine`].
 
 use std::mem::size_of;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::queue::WorkQueues;
+use parking_lot::Mutex;
 use xstream_core::program::{gather_updates, scatter_edges, TargetedUpdate};
 use xstream_core::{
     alloc_stats, Edge, EdgeProgram, Engine, EngineConfig, FrontierMode, FrontierPair,
     IterationStats, Partitioner, VertexId,
 };
 use xstream_graph::EdgeList;
-use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
+use xstream_storage::pool::{StatesPtr, WorkerPool};
 use xstream_storage::shuffle::{CountingPlacement, MultiStagePlan};
 use xstream_storage::topology::Topology;
-use xstream_storage::{ShufflePool, ShuffleScratch, StreamBuffer};
+use xstream_storage::{StreamBuffer, UpdateLayout};
 
 /// Cache line size in bytes; bounds the multi-stage shuffler fanout
 /// (§4.2).
 const CACHE_LINE: usize = 64;
 
-/// Per-worker phase counters, folded into [`IterationStats`] after
-/// each superstep (kept separate from the shuffle scratch so gather
-/// can mutate its own counters while reading every slice's chunks).
-/// Cache-line aligned: workers increment these once per edge/update,
-/// and without the alignment adjacent workers' counters would share a
-/// line and ping-pong it between cores (false sharing) on the hottest
-/// loops of the pipeline.
+/// Scatter tasks per worker thread: enough for work stealing to even
+/// out skewed partitions, few enough to keep the layout's per-task
+/// regions large.
+const TASKS_PER_THREAD: usize = 4;
+
+/// One worker's phase counters, kept on its stack and folded into the
+/// superstep's totals once per phase.
 #[derive(Debug, Default, Clone, Copy)]
-#[repr(align(64))]
 struct WorkerCounters {
     edges_streamed: u64,
     updates_generated: u64,
@@ -68,6 +75,60 @@ struct WorkerCounters {
     vertices_changed: u64,
     partitions_skipped: u64,
     partitions_sparse: u64,
+}
+
+impl WorkerCounters {
+    fn add(&mut self, o: &Self) {
+        self.edges_streamed += o.edges_streamed;
+        self.updates_generated += o.updates_generated;
+        self.updates_applied += o.updates_applied;
+        self.vertices_changed += o.vertices_changed;
+        self.partitions_skipped += o.partitions_skipped;
+        self.partitions_sparse += o.partitions_sparse;
+    }
+}
+
+/// The source partitions of scatter task `t` of `tasks` over `k`.
+fn task_partitions(t: usize, k: usize, tasks: usize) -> Range<usize> {
+    t * k / tasks..(t + 1) * k / tasks
+}
+
+/// The update layout's region sizes: for every scatter task `t` and
+/// first-stage digit `d`, at `t * plan.fan0() + d`, the number of edges
+/// of `t`'s partitions whose destination partition has digit `d`. Each
+/// task's edges are contiguous in the grouped `edges`, so workers claim
+/// tasks and count each into its own row.
+fn region_counts(
+    edges: &StreamBuffer<Edge>,
+    partitioner: Partitioner,
+    plan: MultiStagePlan,
+    tasks: usize,
+    pool: Option<&WorkerPool>,
+) -> Vec<usize> {
+    let k = partitioner.num_partitions();
+    let fan0 = plan.fan0();
+    let mut counts = vec![0; tasks * fan0];
+    let rows = StatesPtr(counts.as_mut_ptr());
+    let next_task = AtomicUsize::new(0);
+    let job = |_: usize| loop {
+        let t = next_task.fetch_add(1, Ordering::Relaxed);
+        if t >= tasks {
+            break;
+        }
+        // SAFETY: `fetch_add` hands each task to one worker, and the
+        // tasks' rows are disjoint and inside `counts`.
+        let row = unsafe { rows.partition_slice_mut(t * fan0..(t + 1) * fan0) };
+        for p in task_partitions(t, k, tasks) {
+            for e in edges.chunk(p) {
+                row[plan.digit0(partitioner.partition_of(e.dst))] += 1;
+            }
+        }
+    };
+    match pool {
+        Some(pool) => pool.run(&job),
+        None => job(0),
+    }
+    counts
 }
 
 /// The in-memory streaming engine.
@@ -83,11 +144,9 @@ pub struct InMemoryEngine<P: EdgeProgram> {
     /// Parked worker threads (`None` when single-threaded); worker 0
     /// is the calling thread.
     pool: Option<WorkerPool>,
-    /// Iteration-persistent per-worker shuffle scratch (fan-out
-    /// buckets + double stage buffers + count arrays).
-    scratch: ShufflePool<TargetedUpdate<P::Update>>,
-    /// Iteration-persistent per-worker statistics.
-    counters: Vec<WorkerCounters>,
+    /// The static update layout: one exact region per (scatter task,
+    /// first-stage digit), laid out at build.
+    updates: UpdateLayout<TargetedUpdate<P::Update>>,
     /// Pooled work queues, refilled before every phase.
     queues: WorkQueues,
     /// Whether the program opted into frontier tracking
@@ -115,24 +174,27 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
     /// the one-time streaming partitioning of the edge list on it — a
     /// counting placement in per-worker input slices straight from the
     /// borrowed list into the engine's one edge buffer, *not* a sort
-    /// (the paper's key pre-processing advantage, Fig. 18).
+    /// (the paper's key pre-processing advantage, Fig. 18). One more
+    /// parallel pass over the grouped edges sizes the update layout's
+    /// regions.
     pub fn from_graph(graph: &EdgeList, program: &P, config: EngineConfig) -> Self {
         let num_vertices = graph.num_vertices();
         let footprint =
             size_of::<P::State>() + size_of::<Edge>() + size_of::<TargetedUpdate<P::Update>>();
         let k = config.in_memory_partitions(num_vertices, footprint);
         let partitioner = Partitioner::new(num_vertices, k);
+        let k = partitioner.num_partitions();
         let fanout = config
             .shuffle_fanout
             .unwrap_or_else(|| (config.cache_size / CACHE_LINE).next_power_of_two().max(2));
-        let plan = MultiStagePlan::new(partitioner.num_partitions(), fanout);
+        let plan = MultiStagePlan::new(k, fanout);
         let num_edges = graph.num_edges();
         let threads = config.threads.max(1);
+        let tasks = k.min(TASKS_PER_THREAD * threads);
 
-        // Topology-aware placement (Fig. 14): worker tid t — who owns
-        // shuffle slice t for first-touch and equalization — is pinned
-        // to a core/node per `config.pinning`; `plan` is `None` (and
-        // the pool runs unpinned) on single-CPU or affinity-restricted
+        // Topology-aware placement (Fig. 14): worker tid t is pinned to
+        // a core/node per `config.pinning`; `plan` is `None` (and the
+        // pool runs unpinned) on single-CPU or affinity-restricted
         // environments. A planned single-threaded run still holds a
         // 0-worker pool: dispatch stays inline, but the calling thread
         // is pinned (and restored on drop) like any other worker 0.
@@ -152,43 +214,46 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         // — a partition's chunk starts at its first vertex's run.
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
         let mut placement = CountingPlacement::with_capacity(num_edges);
+        if tracked {
+            let src = |e: &Edge| e.src as usize;
+            placement.place_slice(graph.edges(), num_vertices, pool.as_ref(), src);
+        } else {
+            let src = |e: &Edge| partitioner.partition_of(e.src);
+            placement.place_slice(graph.edges(), k, pool.as_ref(), src);
+        }
+        let (data, runs) = placement.into_parts();
         let (edges, run_index) = if tracked {
-            placement.place_slice(graph.edges(), num_vertices, pool.as_ref(), |e| {
-                e.src as usize
-            });
-            let (data, vertex_runs) = placement.into_parts();
             let mut offsets: Vec<usize> = partitioner
                 .iter()
-                .map(|p| vertex_runs[partitioner.range(p).start])
+                .map(|p| runs[partitioner.range(p).start])
                 .collect();
             offsets.push(data.len());
-            let mut run_index = Vec::with_capacity(num_vertices + partitioner.num_partitions());
+            let mut run_index = Vec::with_capacity(num_vertices + k);
             for p in partitioner.iter() {
                 let range = partitioner.range(p);
-                let base = vertex_runs[range.start];
-                run_index.extend(vertex_runs[range.start..=range.end].iter().map(|&o| {
+                let base = runs[range.start];
+                run_index.extend(runs[range.start..=range.end].iter().map(|&o| {
                     u32::try_from(o - base)
                         .unwrap_or_else(|_| panic!("partition {p} holds over u32::MAX edges"))
                 }));
             }
             (StreamBuffer::from_grouped(data, offsets), run_index)
         } else {
-            placement.place_slice(
-                graph.edges(),
-                partitioner.num_partitions(),
-                pool.as_ref(),
-                |e| partitioner.partition_of(e.src),
-            );
-            let (data, offsets) = placement.into_parts();
-            (StreamBuffer::from_grouped(data, offsets), Vec::new())
+            (StreamBuffer::from_grouped(data, runs), Vec::new())
         };
+        let updates = UpdateLayout::new(
+            plan,
+            tasks,
+            region_counts(&edges, partitioner, plan, tasks, pool.as_ref()),
+            threads,
+        );
 
         let states = (0..num_vertices as VertexId)
             .map(|v| program.init(v))
             .collect();
-        let scratch = ShufflePool::new(threads);
-        let counters = vec![WorkerCounters::default(); threads];
-        let queues = WorkQueues::new(std::iter::empty(), threads, config.work_stealing);
+        // Sized for the larger phase, so no superstep grows a queue.
+        let mut queues = WorkQueues::new(std::iter::empty(), threads, config.work_stealing);
+        queues.refill(0..k);
         Self {
             config,
             partitioner,
@@ -197,8 +262,7 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
             edges,
             num_edges,
             pool,
-            scratch,
-            counters,
+            updates,
             queues,
             tracked,
             frontier: FrontierPair::new(),
@@ -265,18 +329,9 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
         let alloc_before = alloc_stats::snapshot();
         let mut stats = IterationStats::default();
         let k = self.partitioner.num_partitions();
-        let threads = self.config.threads.max(1);
-        debug_assert_eq!(self.scratch.num_slices(), threads);
-
-        // Rearm the pooled state (no allocation once warm); each
-        // worker rearms its own slice so any bucket-spine growth is
-        // first-touched — and on NUMA, placed — by its owner.
-        self.scratch
-            .begin_first_touch(self.plan, self.pool.as_ref());
-        for c in &mut self.counters {
-            *c = WorkerCounters::default();
-        }
-        self.queues.refill(0..k);
+        let tasks = self.updates.tasks();
+        let totals = Mutex::new(WorkerCounters::default());
+        self.queues.refill(0..tasks);
 
         // Frontier upkeep (Ligra-hybrid scatter). Gather maintains the
         // next generation incrementally; only after a `vertex_map` (or
@@ -312,91 +367,81 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
             let config = &self.config;
             let frontier = use_frontier.then_some(&self.frontier.current);
             let run_index = &self.run_index;
-            let scratch = PerWorkerPtr(self.scratch.slices_ptr());
-            let counters = PerWorkerPtr(self.counters.as_mut_ptr());
+            let writer = self.updates.writer();
+            let totals = &totals;
             let job = |tid: usize| {
-                // SAFETY: each dispatch runs every tid exactly once and
-                // tid < threads == num_slices == counters.len(), so
-                // these `&mut` borrows are disjoint across workers.
-                let slice: &mut ShuffleScratch<_> = unsafe { scratch.get_mut(tid) };
-                let ctr = unsafe { counters.get_mut(tid) };
-                // Scatter a run of edges; states are shared immutably
-                // in this phase, and each update is routed on the first
-                // radix digit of its destination partition — the fused
-                // first shuffle stage.
-                let mut scatter_run = |run: &[Edge], ctr: &mut WorkerCounters| {
-                    ctr.edges_streamed += run.len() as u64;
-                    ctr.updates_generated +=
-                        scatter_edges(program, states, 0, run.iter().copied(), |u| {
-                            slice.push(u, partitioner.partition_of(u.target))
-                        });
-                };
-                while let Some(p) = queues.pop(tid) {
-                    let chunk = edges.chunk(p);
-                    if let Some(fr) = frontier {
-                        // Empty frontier: the whole partition is dead
-                        // weight — skip its stream entirely.
-                        if fr.active_in(p) == 0 {
-                            ctr.partitions_skipped += 1;
-                            continue;
-                        }
-                        let range = partitioner.range(p);
-                        let offsets = &run_index[range.start + p..=range.end + p];
-                        if config
-                            .sparse_scatter_pays(fr, range.clone(), chunk.len(), |lv| offsets[lv])
-                        {
-                            // Sparse: stream only the active vertices'
-                            // runs of the source-grouped chunk.
-                            ctr.partitions_sparse += 1;
-                            fr.for_each_active_in(range.clone(), |v| {
-                                let lv = v as usize - range.start;
-                                scatter_run(
-                                    &chunk[offsets[lv] as usize..offsets[lv + 1] as usize],
-                                    ctr,
-                                );
-                                true
+                let mut ctr = WorkerCounters::default();
+                while let Some(task) = queues.pop(tid) {
+                    let mut out = writer.task(task);
+                    // Scatter a run of edges; states are shared
+                    // immutably in this phase, and each update goes to
+                    // its first-stage digit's region — the fused first
+                    // shuffle stage.
+                    let mut scatter_run = |run: &[Edge], ctr: &mut WorkerCounters| {
+                        ctr.edges_streamed += run.len() as u64;
+                        ctr.updates_generated +=
+                            scatter_edges(program, states, 0, run.iter().copied(), |u| {
+                                out.push(u, partitioner.partition_of(u.target))
                             });
-                            continue;
+                    };
+                    for p in task_partitions(task, k, tasks) {
+                        let chunk = edges.chunk(p);
+                        if let Some(fr) = frontier {
+                            // Empty frontier: the whole partition is
+                            // dead weight — skip its stream entirely.
+                            if fr.active_in(p) == 0 {
+                                ctr.partitions_skipped += 1;
+                                continue;
+                            }
+                            let range = partitioner.range(p);
+                            let offsets = &run_index[range.start + p..=range.end + p];
+                            if config.sparse_scatter_pays(fr, range.clone(), chunk.len(), |lv| {
+                                offsets[lv]
+                            }) {
+                                // Sparse: stream only the active
+                                // vertices' runs of the source-grouped
+                                // chunk.
+                                ctr.partitions_sparse += 1;
+                                fr.for_each_active_in(range.clone(), |v| {
+                                    let lv = v as usize - range.start;
+                                    scatter_run(
+                                        &chunk[offsets[lv] as usize..offsets[lv + 1] as usize],
+                                        &mut ctr,
+                                    );
+                                    true
+                                });
+                                continue;
+                            }
                         }
+                        scatter_run(chunk, &mut ctr);
                     }
-                    scatter_run(chunk, ctr);
                 }
+                totals.lock().add(&ctr);
             };
             Self::dispatch(self.pool.as_ref(), &job);
         }
         stats.scatter_ns = t.elapsed().as_nanos() as u64;
 
-        // ---- Shuffle: remaining stages, in place, one slice per
-        // worker ----
+        // ---- Shuffle: the remaining stages of a multi-stage plan ----
         let t = Instant::now();
-        {
-            let partitioner = self.partitioner;
-            let scratch = PerWorkerPtr(self.scratch.slices_ptr());
-            let job = |tid: usize| {
-                // SAFETY: as above — one worker per slice.
-                let slice: &mut ShuffleScratch<_> = unsafe { scratch.get_mut(tid) };
-                slice.finish(|u| partitioner.partition_of(u.target));
-            };
-            Self::dispatch(self.pool.as_ref(), &job);
-        }
+        let partitioner = self.partitioner;
+        self.updates
+            .finish(self.pool.as_ref(), &|u| partitioner.partition_of(u.target));
         stats.shuffle_ns = t.elapsed().as_nanos() as u64;
 
-        // ---- Gather: iterate every slice's chunk of each claimed
-        // partition directly (no merged update buffer exists) ----
+        // ---- Gather: each partition's runs in source order ----
         self.queues.refill(0..k);
         let t = Instant::now();
         {
             let states_ptr = StatesPtr(self.states.as_mut_ptr());
             let states_ptr = &states_ptr;
-            let counters = PerWorkerPtr(self.counters.as_mut_ptr());
-            let scratch = &self.scratch;
+            let updates = &self.updates;
             let queues = &self.queues;
             let partitioner = &self.partitioner;
             let next_frontier = use_frontier.then_some(&self.frontier.next);
-            let num_slices = scratch.num_slices();
+            let totals = &totals;
             let job = |tid: usize| {
-                // SAFETY: disjoint per-worker counter element.
-                let ctr = unsafe { counters.get_mut(tid) };
+                let mut ctr = WorkerCounters::default();
                 while let Some(p) = queues.pop(tid) {
                     let range = partitioner.range(p);
                     let base = range.start;
@@ -404,14 +449,15 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
                     // exactly one worker and partition ranges are
                     // disjoint, so this `&mut` slice aliases nothing.
                     let part_states = unsafe { states_ptr.partition_slice_mut(range) };
-                    for s in 0..num_slices {
-                        let run = scratch.slice(s).chunk(p).iter().copied();
+                    for run in updates.runs(p) {
+                        let run = run.iter().copied();
                         let (applied, changed) =
                             gather_updates(program, part_states, base, p, run, next_frontier);
                         ctr.updates_applied += applied;
                         ctr.vertices_changed += changed;
                     }
                 }
+                totals.lock().add(&ctr);
             };
             Self::dispatch(self.pool.as_ref(), &job);
         }
@@ -420,33 +466,18 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
             self.frontier.advance();
         }
 
-        for c in &self.counters {
-            stats.edges_streamed += c.edges_streamed;
-            stats.updates_generated += c.updates_generated;
-            stats.updates_applied += c.updates_applied;
-            stats.vertices_changed += c.vertices_changed;
-            stats.partitions_skipped += c.partitions_skipped;
-            stats.partitions_sparse += c.partitions_sparse;
-        }
-
-        // Propagate every buffer's high-water capacity to all slices:
-        // under work stealing the partition → thread assignment varies
-        // per iteration, and equalization keeps slices from
-        // re-allocating toward capacities a sibling already reached.
-        // The mirrored memory is bounded by the *adaptive* budget (the
-        // pool's `CapacityPolicy`): a decaying envelope of observed
-        // per-slice high-water marks, so skew raises the ceiling
-        // immediately, uniform load keeps it near fair share, and
-        // capacity is shrunk back once skew subsides. Each worker
-        // performs — and first-touches — its own slice's growth, so
-        // the pages land NUMA-local to the (pinned) thread that will
-        // fill them. Counted against this iteration's allocation stats
-        // (it ran within the snapshot window), and free once
-        // converged.
-        let report = self.scratch.equalize_capacity_adaptive(self.pool.as_ref());
-        stats.shuffle_budget = report.budget as u64;
-        stats.shuffle_capacity = report.total_capacity as u64;
-        stats.shuffle_high_water = report.high_water as u64;
+        let c = totals.into_inner();
+        stats.edges_streamed = c.edges_streamed;
+        stats.updates_generated = c.updates_generated;
+        stats.updates_applied = c.updates_applied;
+        stats.vertices_changed = c.vertices_changed;
+        stats.partitions_skipped = c.partitions_skipped;
+        stats.partitions_sparse = c.partitions_sparse;
+        // The layout is static: its region slots are the whole budget.
+        stats.shuffle_budget = self.updates.region_slots() as u64;
+        stats.shuffle_capacity = self.updates.capacity() as u64;
+        // Every generated update was written to the layout.
+        stats.shuffle_high_water = c.updates_generated;
 
         self.fill_derived_stats(&mut stats);
         let alloc = alloc_before.delta(&alloc_stats::snapshot());
@@ -889,8 +920,11 @@ mod tests {
         let program = TrackedBfs::new();
         let mut e = InMemoryEngine::from_graph(&g, &program, engine_cfg(2, 64));
         e.vertex_map(&mut |v, s| *s = if v == 0 { 0 } else { u32::MAX });
-        let warmup = e.scatter_gather(&program);
-        assert!(warmup.alloc_count > 0, "warm-up should allocate the pool");
+        let first = e.scatter_gather(&program);
+        assert!(
+            first.alloc_count > 0,
+            "the first tracked superstep sizes the frontier bitmaps"
+        );
         let clean_window = xstream_core::alloc_stats::any_allocation_free_window(20, || {
             // Re-seed and re-run one superstep per probe: exercises the
             // vertex_map-invalidated rebuild path too.
@@ -902,6 +936,38 @@ mod tests {
             clean_window,
             "tracked steady state allocated in every window"
         );
+    }
+
+    #[test]
+    fn a_forced_multi_stage_plan_runs_its_passes() {
+        // Fanout 2: scatter routes on the top bit of the partition id
+        // and the layout runs the other bits as radix passes into its
+        // stage buffer. An engine that fell back to a single-stage
+        // layout would give the same degrees, so check the layout.
+        let g = generators::erdos_renyi(600, 5000, 17).to_undirected();
+        let cfg = engine_cfg(2, 64).with_shuffle_fanout(2);
+        let mut e = InMemoryEngine::from_graph(&g, &DegreeCount, cfg);
+        let stages = e.plan().stages;
+        assert!(stages >= 3);
+        assert_eq!(e.updates.passes(), stages - 1);
+        let it = e.scatter_gather(&DegreeCount);
+        let m = g.num_edges() as u64;
+        assert_eq!((it.shuffle_budget, it.shuffle_capacity), (m, 2 * m));
+        assert_eq!(it.shuffle_high_water, m);
+        let mut seen = 0;
+        for p in e.partitioner().iter() {
+            assert_eq!(
+                e.updates.runs(p).count(),
+                1,
+                "partition {p}: not one staged chunk"
+            );
+            for u in e.updates.runs(p).flatten() {
+                assert_eq!(e.partitioner().partition_of(u.target), p);
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, m);
+        assert_eq!(e.states(), g.in_degrees());
     }
 
     #[test]

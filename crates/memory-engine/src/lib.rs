@@ -5,8 +5,9 @@
 //! partitions so the vertex data of one partition fits in the cache of
 //! the core processing it, and streams edges/updates from main memory
 //! sequentially. Parallelism comes from processing streaming partitions
-//! concurrently (with work stealing to absorb skew) and from the sliced
-//! parallel multi-stage shuffler of the storage crate.
+//! concurrently (with work stealing to absorb skew), each scatter task
+//! writing its own regions of a static update layout counted at build,
+//! and from the parallel multi-stage shuffler of the storage crate.
 //!
 //! # Examples
 //!

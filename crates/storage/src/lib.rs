@@ -8,9 +8,11 @@
 //! * [`shuffle`] — the in-memory shuffle (§3.1) and the parallel
 //!   multi-stage shuffler (§4.2) that routes records to partitions in
 //!   `ceil(log_F K)` sequential passes,
-//! * [`scratch`] — the iteration-persistent buffer pool behind the
-//!   zero-allocation pipeline: fused first-stage scatter buckets,
-//!   in-place double stage buffers, and pooled count/offset arrays,
+//! * [`scratch`] — the iteration-persistent update buffers behind the
+//!   zero-allocation pipeline: the in-memory engine's static update
+//!   layout (exact scatter regions counted at build, plus the
+//!   multi-stage passes over them) and the out-of-core engine's
+//!   per-worker fan-out buckets with adaptive capacity,
 //! * [`pool`] — the persistent worker pool with allocation-free
 //!   dispatch, shared by the in-memory engine's phase workers and the
 //!   out-of-core engine's per-chunk fan-out (§4.3),
@@ -74,6 +76,9 @@ pub use filestream::{ReadAhead, StreamStore, SumSidecar};
 pub use iostats::{DeviceId, IoAccounting, IoSnapshot};
 pub use manifest::{Manifest, StreamEntry, StreamRole, MANIFEST_NAME};
 pub use pool::{PerWorkerPtr, WorkerPool};
-pub use scratch::{CapacityPolicy, CapacityReport, ShufflePool, ShuffleScratch};
+pub use scratch::{
+    CapacityPolicy, CapacityReport, LayoutWriter, ShufflePool, ShuffleScratch, TaskWriter,
+    UpdateLayout,
+};
 pub use topology::{PinPlan, Topology};
 pub use writer::{AsyncWriter, WriteMark};

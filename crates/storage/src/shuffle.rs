@@ -17,29 +17,29 @@
 //! a time, touching at most `F` output chunks per pass: `ceil(log_F K)`
 //! passes total.
 //!
-//! The multi-stage machinery itself lives in
-//! [`crate::scratch::ShuffleScratch`] and operates *in
-//! place* over pooled double buffers: producers append records directly
-//! into the buckets of the first radix digit (fusing the first stage
-//! into the producer — the engines' scatter phase pays no separate
-//! counting + copy pass for it), and the remaining stages ping-pong
-//! between two iteration-persistent stage buffers. The
+//! The multi-stage passes live in [`crate::scratch::UpdateLayout`]:
+//! producers write records straight into exact regions of the first
+//! radix digit (fusing the first stage into the producer — the
+//! in-memory engine's scatter pays no separate counting + copy pass
+//! for it), and the remaining stages run per digit group, ping-ponging
+//! between the region buffer and one stage buffer. The
 //! [`multistage_shuffle`] function here is the owned-`Vec` convenience
 //! wrapper over that core, kept for ablations and tests.
 //!
 //! Parallelism follows Fig. 7: each thread owns a disjoint *slice* of
 //! the stream buffer with its own index array and shuffles it
 //! independently — zero synchronization until the final barrier. The
-//! engines' per-superstep shuffle slices the update stream that way
-//! (one [`ShuffleScratch`] per worker), and so does the in-memory
-//! engine's build ([`CountingPlacement::place_slice`] on a
-//! [`WorkerPool`]).
+//! in-memory engine's scatter tasks own disjoint regions of its update
+//! layout, the out-of-core engine keeps one
+//! [`ShuffleScratch`](crate::scratch::ShuffleScratch) per worker, and
+//! the in-memory engine's build runs [`CountingPlacement::place_slice`]
+//! in per-worker slices on a [`WorkerPool`].
 
 use std::mem::MaybeUninit;
 
 use crate::buffer::StreamBuffer;
 use crate::pool::{StatesPtr, WorkerPool};
-use crate::scratch::ShuffleScratch;
+use crate::scratch::UpdateLayout;
 use xstream_core::{Error, Record, Result};
 
 /// Single-stage shuffle: routes `input` into `num_chunks` chunks keyed
@@ -398,6 +398,25 @@ impl MultiStagePlan {
         }
     }
 
+    /// Number of first-stage digit groups: the fan-out of the stage
+    /// fused into scatter.
+    #[inline]
+    pub fn fan0(&self) -> usize {
+        self.padded_partitions >> self.shift0()
+    }
+
+    /// First-stage digit of `partition`.
+    #[inline]
+    pub fn digit0(&self, partition: usize) -> usize {
+        partition >> self.shift0()
+    }
+
+    /// Right shift from a partition id to its first-stage digit.
+    #[inline]
+    pub(crate) fn shift0(&self) -> u32 {
+        self.total_bits.saturating_sub(self.fanout_bits)
+    }
+
     /// A plan forcing exactly `stages` passes for `num_partitions`
     /// targets (used by the Fig. 25 stage-count ablation). The fanout is
     /// derived as `ceil(total_bits / stages)` bits.
@@ -422,31 +441,23 @@ impl MultiStagePlan {
 /// Multi-stage shuffle of one slice (paper §4.2): MSB-first radix
 /// passes of `fanout_bits` bits over the partition id.
 ///
-/// Owned-`Vec` convenience wrapper over the in-place
-/// [`crate::scratch::ShuffleScratch`] core: it routes
-/// `input` through a throwaway scratch (first stage fused into the
-/// append loop, remaining stages ping-ponging between the scratch's
-/// double buffers) and copies the result out. Hot paths that shuffle
-/// every iteration should hold a `ShuffleScratch` instead and skip
-/// both the setup allocations and the final copy.
+/// Owned-`Vec` convenience wrapper over the [`UpdateLayout`] core: it
+/// counts `input` into exact regions, lays it out as one task's
+/// regions (the first stage fused into the write loop), frees it, runs
+/// the remaining stages and moves the final buffer out. Hot paths that
+/// shuffle every iteration should hold an `UpdateLayout` instead and
+/// skip the setup allocations.
 ///
 /// `key` must return a partition id below `plan.padded_partitions`.
 pub fn multistage_shuffle<T: Record>(
     input: Vec<T>,
     plan: MultiStagePlan,
-    mut key: impl FnMut(&T) -> usize,
+    key: impl Fn(&T) -> usize + Sync,
 ) -> StreamBuffer<T> {
     if plan.total_bits == 0 {
         return StreamBuffer::single_chunk(input);
     }
-    let mut scratch = ShuffleScratch::new();
-    scratch.begin(plan);
-    for r in input {
-        let p = key(&r);
-        scratch.push(r, p);
-    }
-    scratch.finish(key);
-    scratch.into_stream_buffer()
+    UpdateLayout::of_records(input, plan, key).into_stream_buffer()
 }
 
 #[cfg(test)]

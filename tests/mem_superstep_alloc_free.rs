@@ -5,7 +5,7 @@
 //! sibling test allocating during a measurement window fails it (same
 //! discipline as `alloc_steady_state.rs`).
 
-use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, VertexId};
+use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, OracleEngine, VertexId};
 use xstream::graph::generators;
 use xstream::memory::InMemoryEngine;
 
@@ -39,11 +39,23 @@ fn engine_cfg(threads: usize, partitions: usize) -> EngineConfig {
 #[test]
 fn steady_state_superstep_is_allocation_free() {
     let g = generators::erdos_renyi(2000, 20_000, 13).to_undirected();
+    // Negative control: the counters see the sequential oracle's fresh
+    // update list.
+    let mut oracle = OracleEngine::new(g.num_vertices(), g.edges().to_vec(), &DegreeCount);
+    assert!(
+        oracle.scatter_gather(&DegreeCount).alloc_count > 0,
+        "oracle superstep unexpectedly allocation-free"
+    );
     for threads in [1usize, 2] {
         let mut e = InMemoryEngine::from_graph(&g, &DegreeCount, engine_cfg(threads, 64));
-        // Iteration 1 warms the pool.
-        let warmup = e.scatter_gather(&DegreeCount);
-        assert!(warmup.alloc_count > 0, "warm-up should allocate the pool");
+        // The layout is sized at build: the first superstep is
+        // allocation-free too.
+        let first = e.scatter_gather(&DegreeCount);
+        assert_eq!(
+            first.alloc_count, 0,
+            "threads={threads}: first superstep allocated {} bytes",
+            first.alloc_bytes
+        );
         // Sibling tests share the process-wide counters; accept the
         // first interference-free window.
         let clean_window = xstream::core::alloc_stats::any_allocation_free_window(20, || {

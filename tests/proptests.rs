@@ -8,10 +8,11 @@ use proptest::prelude::*;
 use xstream::algorithms::{bfs, mcst, mis, sssp, wcc};
 use xstream::core::partition::run_offsets;
 use xstream::core::record::{decode_records, records_as_bytes};
-use xstream::core::{Edge, EngineConfig, Partitioner};
+use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, OracleEngine, Partitioner, VertexId};
 use xstream::graph::{edgelist::from_pairs, EdgeList};
+use xstream::memory::InMemoryEngine;
 use xstream::storage::shuffle::{multistage_shuffle, shuffle, CountingPlacement, MultiStagePlan};
-use xstream::storage::{ShuffleScratch, WorkerPool};
+use xstream::storage::{UpdateLayout, WorkerPool};
 
 /// Strategy: a directed graph as (vertex count, edge pairs).
 fn arb_graph(max_v: usize, max_e: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -41,6 +42,52 @@ fn union_find_components(n: usize, pairs: &[(u32, u32)]) -> Vec<u32> {
         }
     }
     (0..n as u32).map(|v| find(&mut parent, v)).collect()
+}
+
+/// A sum program whose scatter declines on some states: every vertex
+/// adds what its in-neighbours send, so a dropped, doubled or misrouted
+/// update changes the states of every later superstep.
+struct NeighbourSum;
+
+impl EdgeProgram for NeighbourSum {
+    type State = u32;
+    type Update = u32;
+
+    fn init(&self, v: VertexId) -> u32 {
+        v
+    }
+
+    fn scatter(&self, s: &u32, e: &Edge) -> Option<u32> {
+        (!s.is_multiple_of(3)).then(|| s.wrapping_mul(31).wrapping_add(e.dst + 1))
+    }
+
+    fn gather(&self, d: &mut u32, u: &u32) -> bool {
+        *d = d.wrapping_add(*u);
+        true
+    }
+}
+
+/// `input` laid out as `tasks` contiguous tasks' updates under `plan`,
+/// keyed by their `src` field, and finished.
+fn layout_tasks(input: &[Edge], plan: MultiStagePlan, tasks: usize) -> UpdateLayout<Edge> {
+    let key = |e: &Edge| e.src as usize;
+    let task = |t: usize| &input[t * input.len() / tasks..(t + 1) * input.len() / tasks];
+    let mut counts = vec![0; tasks * plan.fan0()];
+    for t in 0..tasks {
+        for e in task(t) {
+            counts[t * plan.fan0() + plan.digit0(key(e))] += 1;
+        }
+    }
+    let mut layout = UpdateLayout::new(plan, tasks, counts, 1);
+    {
+        let writer = layout.writer();
+        for t in 0..tasks {
+            let mut out = writer.task(t);
+            task(t).iter().for_each(|e| out.push(*e, key(e)));
+        }
+    }
+    layout.finish(None, &key);
+    layout
 }
 
 /// Reference BFS levels.
@@ -277,26 +324,23 @@ proptest! {
     fn fused_scatter_first_stage_equals_shuffle(
         records in vec((0u32..256, any::<u32>()), 0..2000),
         fanout_bits in 1u32..5,
+        tasks in 1usize..4,
     ) {
-        // The pooled pipeline's fused path: a producer pushes records
-        // one by one into the first-stage buckets (exactly what the
-        // engine's scatter does), the remaining stages run in place.
-        // The result must equal the reference single-pass shuffle for
-        // every fanout.
+        // The engine's fused path: contiguous tasks write their records
+        // one by one into their first-stage regions (exactly what the
+        // engine's scatter does), the remaining stages run per digit
+        // group. The result must equal the reference single-pass
+        // shuffle for every fanout and task count.
         let k = 256usize;
         let input: Vec<Edge> =
             records.iter().map(|&(p, x)| Edge::weighted(p, x, 0.0)).collect();
         let reference = shuffle(&input, k, |e| e.src as usize);
         let plan = MultiStagePlan::new(k, 1 << fanout_bits);
-        let mut scratch = ShuffleScratch::new();
-        scratch.begin(plan);
-        for e in &input {
-            scratch.push(*e, e.src as usize);
-        }
-        scratch.finish(|e| e.src as usize);
-        prop_assert_eq!(scratch.len(), input.len());
+        let layout = layout_tasks(&input, plan, tasks);
+        prop_assert_eq!(layout.len(), input.len());
         for p in 0..k {
-            prop_assert_eq!(reference.chunk(p), scratch.chunk(p), "partition {}", p);
+            let chunk: Vec<Edge> = layout.runs(p).flatten().copied().collect();
+            prop_assert_eq!(reference.chunk(p), &chunk[..], "partition {}", p);
         }
     }
 
@@ -306,28 +350,50 @@ proptest! {
         k in 1usize..64,
     ) {
         // Re-running a differently sized workload through the same
-        // scratch (as the engine does every superstep) must not leak
-        // state from previous rounds.
+        // layout (as the engine does every superstep, when only some
+        // edges emit) must not leak state from previous rounds.
         let input: Vec<Edge> =
             records.iter().map(|&(p, x)| Edge::weighted(p % k as u32, x, 0.0)).collect();
+        let some: Vec<Edge> = input.iter().filter(|e| e.dst % 3 == 0).copied().collect();
         let plan = MultiStagePlan::new(k, 4);
-        let mut scratch = ShuffleScratch::new();
-        // Round 1: garbage workload.
-        scratch.begin(plan);
-        for i in 0..577u32 {
-            scratch.push(Edge::weighted(i % k as u32, i, 1.0), (i % k as u32) as usize);
+        let key = |e: &Edge| e.src as usize;
+        let mut layout = UpdateLayout::of_records(input.clone(), plan, key);
+        for round in [&some, &input, &some] {
+            layout.fill(round, &key);
+            let reference = shuffle(round, k, key);
+            prop_assert_eq!(layout.len(), round.len());
+            for p in 0..k {
+                let chunk: Vec<Edge> = layout.runs(p).flatten().copied().collect();
+                prop_assert_eq!(reference.chunk(p), &chunk[..], "partition {}", p);
+            }
         }
-        scratch.finish(|e| e.src as usize);
-        // Round 2: the real workload must match the reference exactly.
-        scratch.begin(plan);
-        for e in &input {
-            scratch.push(*e, e.src as usize);
-        }
-        scratch.finish(|e| e.src as usize);
-        let reference = shuffle(&input, k, |e| e.src as usize);
-        prop_assert_eq!(scratch.len(), input.len());
-        for p in 0..k {
-            prop_assert_eq!(reference.chunk(p), scratch.chunk(p), "partition {}", p);
+    }
+
+    #[test]
+    fn in_memory_supersteps_match_the_oracle(
+        (n, pairs) in arb_graph(120, 400),
+        threads in 1usize..4,
+        small_fanout in any::<bool>(),
+    ) {
+        // Every counter and the bitwise states of a sum program, three
+        // supersteps deep, at K = 1, 4 and one partition per vertex.
+        let g = from_pairs(n, &pairs);
+        for k in [1usize, 4, n] {
+            let mut cfg = EngineConfig::default().with_threads(threads).with_partitions(k);
+            if small_fanout {
+                cfg = cfg.with_shuffle_fanout(2);
+            }
+            let mut engine = InMemoryEngine::from_graph(&g, &NeighbourSum, cfg);
+            let mut oracle = OracleEngine::new(n, g.edges().to_vec(), &NeighbourSum);
+            for step in 0..3 {
+                let a = engine.scatter_gather(&NeighbourSum);
+                let b = oracle.scatter_gather(&NeighbourSum);
+                let counters = |s: &xstream::core::IterationStats| {
+                    (s.edges_streamed, s.updates_generated, s.updates_applied, s.vertices_changed)
+                };
+                prop_assert_eq!(counters(&a), counters(&b), "K={}, step {}", k, step);
+                prop_assert_eq!(engine.states(), oracle.states(), "K={}, step {}", k, step);
+            }
         }
     }
 
