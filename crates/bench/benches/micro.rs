@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the X-Stream building blocks:
 //! record codec throughput, single- and multi-stage shuffles, the
-//! in-memory engine's scatter-gather superstep, and the sort baselines
-//! it competes against.
+//! build's placement by source vertex, the in-memory engine's
+//! scatter-gather superstep, and the sort baselines it competes
+//! against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -12,7 +13,7 @@ use xstream_core::{Edge, EngineConfig};
 use xstream_graph::datasets::rmat_scale;
 use xstream_graph::sort::{counting_sort_by_source, quicksort_by_source};
 use xstream_graph::Rmat;
-use xstream_storage::shuffle::{multistage_shuffle, shuffle, MultiStagePlan};
+use xstream_storage::shuffle::{multistage_shuffle, shuffle, CountingPlacement, MultiStagePlan};
 
 fn bench_record_codec(c: &mut Criterion) {
     let edges: Vec<Edge> = (0..1_000_000u32)
@@ -56,6 +57,24 @@ fn bench_shuffle(c: &mut Criterion) {
             },
         );
     }
+    // The in-memory build's tracked placement: the edges keyed by
+    // source vertex, |V| = 2^18 keys, which `place_slice` takes in two
+    // cache-bounded levels; the chunked one-level placement beside it.
+    let cache = EngineConfig::default().cache_size;
+    let num_keys = 1usize << 18;
+    let src = |e: &Edge| e.src as usize;
+    let mut placement = CountingPlacement::with_capacity(edges.len());
+    g.bench_function(BenchmarkId::new("place_by_source", "two_level"), |b| {
+        b.iter(|| black_box(placement.place_slice(&edges, num_keys, None, cache, src).1[1]))
+    });
+    g.bench_function(BenchmarkId::new("place_by_source", "one_level"), |b| {
+        b.iter(|| {
+            placement.begin(num_keys);
+            placement.count(edges.iter().copied(), src);
+            placement.place(edges.iter().copied(), src);
+            black_box(placement.finish().expect("a pure key").1[1])
+        })
+    });
     g.finish();
 }
 

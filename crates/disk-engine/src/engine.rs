@@ -583,7 +583,9 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 }
                 num_edges += chunk.len();
                 let (runs, offsets) =
-                    placement.place_slice(&chunk, kp, None, |e| partitioner.partition_of(e.src));
+                    placement.place_slice(&chunk, kp, None, config.cache_size, |e| {
+                        partitioner.partition_of(e.src)
+                    });
                 for p in 0..kp {
                     let run = &runs[offsets[p]..offsets[p + 1]];
                     if run.is_empty() {

@@ -52,13 +52,9 @@ use xstream_core::{
 };
 use xstream_graph::EdgeList;
 use xstream_storage::pool::{StatesPtr, WorkerPool};
-use xstream_storage::shuffle::{CountingPlacement, MultiStagePlan};
+use xstream_storage::shuffle::{CountingPlacement, MultiStagePlan, CACHE_LINE};
 use xstream_storage::topology::Topology;
 use xstream_storage::{StreamBuffer, UpdateLayout};
-
-/// Cache line size in bytes; bounds the multi-stage shuffler fanout
-/// (§4.2).
-const CACHE_LINE: usize = 64;
 
 /// Scatter tasks per worker thread: enough for work stealing to even
 /// out skewed partitions, few enough to keep the layout's per-task
@@ -93,6 +89,32 @@ fn task_partitions(t: usize, k: usize, tasks: usize) -> Range<usize> {
     t * k / tasks..(t + 1) * k / tasks
 }
 
+/// Row lengths up to which [`count_digits`] counts on the stack.
+const STACK_ROW: usize = 64;
+
+/// Adds to `row[d]` the edges whose destination partition has
+/// first-stage digit `d`. Neighbouring tasks' rows share cache lines
+/// when they are short, and workers counting them at once would pass
+/// those lines back and forth on every edge, so a short row is counted
+/// on the stack and added once.
+fn count_digits(row: &mut [usize], edges: &[Edge], plan: MultiStagePlan, partitioner: Partitioner) {
+    let mut stack = [0usize; STACK_ROW];
+    let short = row.len() <= STACK_ROW;
+    let counters = if short {
+        &mut stack[..row.len()]
+    } else {
+        &mut *row
+    };
+    for e in edges {
+        counters[plan.digit0(partitioner.partition_of(e.dst))] += 1;
+    }
+    if short {
+        for (count, add) in row.iter_mut().zip(stack) {
+            *count += add;
+        }
+    }
+}
+
 /// The update layout's region sizes: for every scatter task `t` and
 /// first-stage digit `d`, at `t * plan.fan0() + d`, the number of edges
 /// of `t`'s partitions whose destination partition has digit `d`. Each
@@ -119,9 +141,7 @@ fn region_counts(
         // tasks' rows are disjoint and inside `counts`.
         let row = unsafe { rows.partition_slice_mut(t * fan0..(t + 1) * fan0) };
         for p in task_partitions(t, k, tasks) {
-            for e in edges.chunk(p) {
-                row[plan.digit0(partitioner.partition_of(e.dst))] += 1;
-            }
+            count_digits(row, edges.chunk(p), plan, partitioner);
         }
     };
     match pool {
@@ -174,9 +194,10 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
     /// the one-time streaming partitioning of the edge list on it — a
     /// counting placement in per-worker input slices straight from the
     /// borrowed list into the engine's one edge buffer, *not* a sort
-    /// (the paper's key pre-processing advantage, Fig. 18). One more
-    /// parallel pass over the grouped edges sizes the update layout's
-    /// regions.
+    /// (the paper's key pre-processing advantage, Fig. 18), in two
+    /// cache-bounded levels when the keys outnumber the cache's lines.
+    /// One more parallel pass over the grouped edges sizes the update
+    /// layout's regions.
     pub fn from_graph(graph: &EdgeList, program: &P, config: EngineConfig) -> Self {
         let num_vertices = graph.num_vertices();
         let footprint =
@@ -214,12 +235,13 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         // — a partition's chunk starts at its first vertex's run.
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
         let mut placement = CountingPlacement::with_capacity(num_edges);
+        let (input, pool_ref, cache) = (graph.edges(), pool.as_ref(), config.cache_size);
         if tracked {
             let src = |e: &Edge| e.src as usize;
-            placement.place_slice(graph.edges(), num_vertices, pool.as_ref(), src);
+            placement.place_slice(input, num_vertices, pool_ref, cache, src);
         } else {
             let src = |e: &Edge| partitioner.partition_of(e.src);
-            placement.place_slice(graph.edges(), k, pool.as_ref(), src);
+            placement.place_slice(input, k, pool_ref, cache, src);
         }
         let (data, runs) = placement.into_parts();
         let (edges, run_index) = if tracked {
@@ -776,9 +798,9 @@ mod tests {
     fn build_layout<P: EdgeProgram>(
         g: &EdgeList,
         program: &P,
-        threads: usize,
+        cfg: EngineConfig,
     ) -> (Vec<u8>, Vec<usize>, Vec<u32>) {
-        let e = InMemoryEngine::from_graph(g, program, engine_cfg(threads, 16));
+        let e = InMemoryEngine::from_graph(g, program, cfg);
         let bytes = xstream_core::record::records_as_bytes(e.edges.as_slice()).to_vec();
         let chunk_lens = (0..e.edges.num_chunks())
             .map(|p| e.edges.chunk(p).len())
@@ -791,18 +813,57 @@ mod tests {
         // The placement runs in one input slice per worker; the edge
         // buffer and the run index must not depend on how many.
         let g = generators::preferential_attachment(3000, 6, 21).to_undirected();
-        let dense = build_layout(&g, &MinLabel, 1);
-        let tracked = build_layout(&g, &TrackedBfs::new(), 1);
+        let dense = build_layout(&g, &MinLabel, engine_cfg(1, 16));
+        let tracked = build_layout(&g, &TrackedBfs::new(), engine_cfg(1, 16));
         assert!(dense.2.is_empty());
         assert!(tracked.2.len() > g.num_vertices());
         for threads in [2usize, 4] {
             assert!(
-                build_layout(&g, &MinLabel, threads) == dense,
+                build_layout(&g, &MinLabel, engine_cfg(threads, 16)) == dense,
                 "dense, {threads} threads"
             );
             assert!(
-                build_layout(&g, &TrackedBfs::new(), threads) == tracked,
+                build_layout(&g, &TrackedBfs::new(), engine_cfg(threads, 16)) == tracked,
                 "tracked, {threads} threads"
+            );
+        }
+
+        // A 16 KiB cache has 256 lines, fewer than the 3,000 source
+        // keys, so the tracked placement takes two levels: groups of 32
+        // keys (about 680 edges, half the cache), 94 of them. Its
+        // layout must be the chunked one-level placement's at any
+        // thread count.
+        let src = |e: &Edge| e.src as usize;
+        let mut chunked = CountingPlacement::default();
+        chunked.begin(g.num_vertices());
+        chunked.count(g.edges().iter().copied(), src);
+        chunked.place(g.edges().iter().copied(), src);
+        let (placed, offsets) = chunked.finish().unwrap();
+        let partitioner = Partitioner::new(g.num_vertices(), 16);
+        let chunk_lens: Vec<usize> = partitioner
+            .iter()
+            .map(|p| offsets[partitioner.range(p).end] - offsets[partitioner.range(p).start])
+            .collect();
+        let run_index: Vec<u32> = partitioner
+            .iter()
+            .flat_map(|p| {
+                let range = partitioner.range(p);
+                let base = offsets[range.start];
+                offsets[range.start..=range.end]
+                    .iter()
+                    .map(move |&o| (o - base) as u32)
+            })
+            .collect();
+        let reference = (
+            xstream_core::record::records_as_bytes(placed).to_vec(),
+            chunk_lens,
+            run_index,
+        );
+        for threads in [1usize, 2, 4] {
+            let cfg = engine_cfg(threads, 16).with_cache_size(16 << 10);
+            assert!(
+                build_layout(&g, &TrackedBfs::new(), cfg) == reference,
+                "two-level tracked, {threads} threads"
             );
         }
     }

@@ -26,6 +26,15 @@
 //! [`multistage_shuffle`] function here is the owned-`Vec` convenience
 //! wrapper over that core, kept for ablations and tests.
 //!
+//! The build placement obeys the same rule. Keyed by source vertex it
+//! has |V| keys, far more than the cache has lines, so
+//! [`CountingPlacement::place_slice`] splits such a key space into two
+//! cache-bounded levels: a placement by the key's high bits into
+//! contiguous groups of about half a cache of records each, then each
+//! group copied to a scratch window and placed back by its low bits
+//! (§4.2 with two stages, the second run per group while the group
+//! sits in cache).
+//!
 //! Parallelism follows Fig. 7: each thread owns a disjoint *slice* of
 //! the stream buffer with its own index array and shuffles it
 //! independently — zero synchronization until the final barrier. The
@@ -33,17 +42,26 @@
 //! layout, the out-of-core engine keeps one
 //! [`ShuffleScratch`](crate::scratch::ShuffleScratch) per worker, and
 //! the in-memory engine's build runs [`CountingPlacement::place_slice`]
-//! in per-worker slices on a [`WorkerPool`].
+//! in per-worker slices on a [`WorkerPool`], its second level one group
+//! per worker at a time.
 
-use std::mem::MaybeUninit;
+use std::mem::{size_of, MaybeUninit};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::buffer::StreamBuffer;
 use crate::pool::{StatesPtr, WorkerPool};
 use crate::scratch::UpdateLayout;
 use xstream_core::{Error, Record, Result};
 
+/// Cache line size in bytes. A shuffle or placement pass keeps one
+/// output line open per target, so its fan-out fits the cache while the
+/// targets number at most `cache_size / CACHE_LINE`: §4.2's rule, which
+/// sizes the in-memory engine's shuffle fan-out and splits large
+/// placements into two levels.
+pub const CACHE_LINE: usize = 64;
+
 /// Single-stage shuffle: routes `input` into `num_chunks` chunks keyed
-/// by `key` — a one-shot serial [`CountingPlacement`].
+/// by `key` — a one-shot serial one-level [`CountingPlacement`].
 ///
 /// Records with equal keys keep their relative order (stable).
 ///
@@ -63,7 +81,12 @@ pub fn shuffle<T: Record>(
     key: impl Fn(&T) -> usize + Sync,
 ) -> StreamBuffer<T> {
     let mut placement = CountingPlacement::with_capacity(input.len());
-    placement.place_slice(input, num_chunks.max(1), None, key);
+    placement.begin(num_chunks.max(1));
+    placement.count(input.iter().copied(), &key);
+    placement.place(input.iter().copied(), &key);
+    placement
+        .finish()
+        .expect("key must map a record to the same key on both passes");
     let (data, offsets) = placement.into_parts();
     StreamBuffer::from_grouped(data, offsets)
 }
@@ -76,6 +99,10 @@ pub fn shuffle<T: Record>(
 enum Phase {
     Counting,
     Placing,
+    /// A two-level placement's second level is placing its groups by
+    /// the keys' low bits; stays here if some group's keys differ from
+    /// their count.
+    Regrouping,
     Placed,
 }
 
@@ -96,13 +123,15 @@ struct Run {
 ///
 /// [`place_slice`](Self::place_slice) places a borrowed slice in one
 /// call, on a [`WorkerPool`] one input slice per worker (the paper's
-/// Fig. 7 slicing). The serial chunked phases accept the input in pieces, so a caller
-/// that cannot hold its input twice (the out-of-core engine re-reads a
-/// partition file) streams it once to [`count`](Self::count) and once
-/// more to [`place`](Self::place). The output buffer is owned here —
-/// placement writes into its uninitialized capacity — and keeps its
-/// capacity across [`begin`](Self::begin)s, so one placement can be
-/// reused.
+/// Fig. 7 slicing), in two cache-bounded levels when the keys
+/// outnumber the cache's lines. The serial chunked phases, always one
+/// level, accept the input in pieces, so a caller that cannot hold its
+/// input twice (the out-of-core engine re-reads a partition file)
+/// streams it once to [`count`](Self::count) and once more to
+/// [`place`](Self::place). The output buffer is owned here — placement
+/// writes into its uninitialized capacity — and keeps its capacity
+/// across [`begin`](Self::begin)s, as do the second level's scratch
+/// and tables, so one placement can be reused.
 ///
 /// Every write is checked against its own run's end first, so a key
 /// function that answers differently on the two passes can never write
@@ -126,6 +155,13 @@ pub struct CountingPlacement<T> {
     /// Placed records: length 0 until `finish` has checked that every
     /// slot below the total was written exactly once.
     out: Vec<T>,
+    /// Two levels: the first level's group bounds in `out`.
+    groups: Vec<usize>,
+    /// Two levels: each second-level lane's runs over one group's keys.
+    group_runs: Vec<Run>,
+    /// Two levels: each second-level lane's copy of the group it
+    /// places, in its uninitialized capacity.
+    scratch: Vec<T>,
     phase: Phase,
 }
 
@@ -144,6 +180,9 @@ impl<T: Record> CountingPlacement<T> {
             runs: Vec::new(),
             slices: 1,
             out: Vec::with_capacity(records),
+            groups: Vec::new(),
+            group_runs: Vec::new(),
+            scratch: Vec::new(),
             phase: Phase::Placed,
         }
     }
@@ -227,12 +266,17 @@ impl<T: Record> CountingPlacement<T> {
         if self.phase == Phase::Counting {
             self.end_counting();
         }
+        let overfull = match self.phase {
+            Phase::Placing => self.runs.iter().any(|run| run.next != run.end),
+            Phase::Regrouping => true,
+            Phase::Counting | Phase::Placed => false,
+        };
+        if overfull {
+            return Err(Error::InvalidInput(
+                "counting placement: placed keys differ from the counted ones".into(),
+            ));
+        }
         if self.phase == Phase::Placing {
-            if self.runs.iter().any(|run| run.next != run.end) {
-                return Err(Error::InvalidInput(
-                    "counting placement: placed keys differ from the counted ones".into(),
-                ));
-            }
             // SAFETY: `place_runs` wrote a record to a run's `next`
             // slot only while `next < end`, and advanced `next` for
             // every record, written or not. Every run's `next` started
@@ -252,25 +296,61 @@ impl<T: Record> CountingPlacement<T> {
     /// with their run offsets.
     ///
     /// With a `pool` the input is cut into `pool.workers() + 1`
-    /// contiguous slices — fewer when the input holds fewer than
-    /// `num_keys` records per slice, so the per-slice histograms never
-    /// outgrow the input. Each worker counts its slice into its own
-    /// histogram; one prefix sum over (key, slice) gives every slice a
-    /// disjoint sub-run inside each key's run; each worker places its
-    /// slice there. No synchronization between the two barriers, and
-    /// the output is the serial placement's, bit for bit.
+    /// contiguous slices — fewer when a slice would hold fewer records
+    /// than the pass has keys, so no slice's histogram outgrows its
+    /// input. Each worker counts its slice into its own histogram; one
+    /// prefix sum over (key, slice) gives every slice a disjoint
+    /// sub-run inside each key's run; each worker places its slice
+    /// there. No synchronization between the two barriers.
+    ///
+    /// Keys that outnumber the lines of a `cache_size`-byte cache (the
+    /// in-memory engine's source-vertex keys) make one such pass lose
+    /// its locality: every record lands in a random one of `num_keys`
+    /// open runs. They are placed in two levels instead (§4.2's rule,
+    /// two stages). Level 1 is the pass above keyed by `key >> low`:
+    /// contiguous groups of `2^low` keys, at most the cache's lines of
+    /// them, sized so an average group's records fill half the cache.
+    /// In level 2 the workers claim groups; each copies its group into
+    /// its own scratch window and places it back by the low bits, every
+    /// write inside the group, and writes the group's offsets. Both
+    /// levels are stable, so either way the output is the serial
+    /// one-level placement's, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `key` returns a key outside `0..num_keys`, or a
-    /// different key for the same record on the second pass.
+    /// Panics if `key` returns a key outside `0..num_keys`, or keys on
+    /// a later pass whose counts differ from the first pass's.
     pub fn place_slice(
         &mut self,
         input: &[T],
         num_keys: usize,
         pool: Option<&WorkerPool>,
+        cache_size: usize,
         key: impl Fn(&T) -> usize + Sync,
     ) -> (&[T], &[usize]) {
+        match group_bits(input.len(), num_keys, size_of::<T>(), cache_size) {
+            None => self.place_sliced(input, num_keys, pool, &key),
+            Some(low) => {
+                let group_of = |r: &T| key(r) >> low;
+                self.place_sliced(input, num_keys.div_ceil(1 << low), pool, &group_of);
+                self.finish()
+                    .expect("key must map a record to the same key on both passes");
+                self.regroup(num_keys, low, pool, &key);
+            }
+        }
+        self.finish()
+            .expect("key must map a record to the same key on both passes")
+    }
+
+    /// One sliced count/place pass over `num_keys` keys, up to the
+    /// check in `finish`.
+    fn place_sliced<K: Fn(&T) -> usize + Sync>(
+        &mut self,
+        input: &[T],
+        num_keys: usize,
+        pool: Option<&WorkerPool>,
+        key: &K,
+    ) {
         let lanes = pool.map_or(1, |p| p.workers() + 1);
         let slices = lanes.min(input.len() / num_keys.max(1)).max(1);
         self.begin_sliced(num_keys, slices);
@@ -288,7 +368,7 @@ impl<T: Record> CountingPlacement<T> {
                 // SAFETY: a dispatch hands every id to exactly one
                 // worker, and the ids pick disjoint ranges of `runs`.
                 let runs = unsafe { runs.partition_slice_mut(own(s)) };
-                count_runs(runs, slice(s).iter().copied(), &key);
+                count_runs(runs, slice(s).iter().copied(), key);
             }
         });
         self.end_counting();
@@ -302,12 +382,100 @@ impl<T: Record> CountingPlacement<T> {
                 // write one slot.
                 unsafe {
                     let runs = runs.partition_slice_mut(own(s));
-                    place_runs(runs, &slots, slice(s).iter().copied(), &key);
+                    place_runs(runs, &slots, slice(s).iter().copied(), key);
                 }
             }
         });
-        self.finish()
-            .expect("key must map a record to the same key on both passes")
+    }
+
+    /// The second level of a two-level placement, after the first has
+    /// placed `out` by `key >> low` and left the group bounds in
+    /// `offsets`: the workers claim groups, place each back by its low
+    /// key bits and write its keys' offsets.
+    fn regroup<K: Fn(&T) -> usize + Sync>(
+        &mut self,
+        num_keys: usize,
+        low: u32,
+        pool: Option<&WorkerPool>,
+        key: &K,
+    ) {
+        let total = self.out.len();
+        let width = 1usize << low;
+        self.groups.clear();
+        self.groups.extend_from_slice(&self.offsets);
+        self.offsets.clear();
+        self.offsets.resize(num_keys + 1, total);
+        let num_groups = self.groups.len() - 1;
+        let biggest = self.groups.windows(2).map(|g| g[1] - g[0]).max();
+        let biggest = biggest.unwrap_or(0).max(1);
+        // A lane per worker, each with a window for the biggest group,
+        // but never more scratch than the input: a hot group is placed
+        // by fewer lanes rather than copied once per worker.
+        let lanes = pool.map_or(1, |p| p.workers() + 1);
+        let lanes = lanes.min(num_groups).min(total / biggest).max(1);
+        self.scratch.clear();
+        self.scratch.reserve(lanes * biggest);
+        self.group_runs.clear();
+        self.group_runs.resize(lanes * width, Run::default());
+        // SAFETY: the first level initialized all `total` slots, which
+        // stay initialized: the second level only rewrites them. The
+        // length comes back once every group is exactly full.
+        unsafe { self.out.set_len(0) };
+        self.phase = Phase::Regrouping;
+
+        let next = AtomicUsize::new(0);
+        let overfull = AtomicBool::new(false);
+        let groups = &self.groups;
+        let slots = StatesPtr(self.out.spare_capacity_mut().as_mut_ptr());
+        let windows = StatesPtr(self.scratch.spare_capacity_mut().as_mut_ptr());
+        let runs = StatesPtr(self.group_runs.as_mut_ptr());
+        let offsets = StatesPtr(self.offsets.as_mut_ptr());
+        let job = |lane: usize| {
+            if lane >= lanes {
+                return;
+            }
+            // SAFETY: a dispatch hands every id to exactly one worker,
+            // and the lanes' runs and windows are disjoint ranges
+            // inside `group_runs` and the scratch's capacity.
+            let (runs, window) = unsafe {
+                (
+                    runs.partition_slice_mut(lane * width..(lane + 1) * width),
+                    windows.partition_slice_mut(lane * biggest..(lane + 1) * biggest),
+                )
+            };
+            loop {
+                let g = next.fetch_add(1, Ordering::Relaxed);
+                if g >= num_groups {
+                    break;
+                }
+                let span = groups[g]..groups[g + 1];
+                let keys = g * width..num_keys.min((g + 1) * width);
+                // SAFETY: `fetch_add` hands each group to one worker, so
+                // no other worker touches its slots or its keys'
+                // offsets. The slots are initialized and lie below
+                // `total`, inside `out`; the offsets lie inside
+                // `offsets`; the window holds `biggest` slots.
+                let full = unsafe {
+                    let offsets = offsets.partition_slice_mut(keys.clone());
+                    place_group(&slots, span, window, runs, keys, offsets, key)
+                };
+                if !full {
+                    overfull.store(true, Ordering::Relaxed);
+                }
+            }
+        };
+        match pool {
+            Some(pool) if lanes > 1 => pool.run(&job),
+            _ => job(0),
+        }
+        if !overfull.into_inner() {
+            // SAFETY: every group's runs ended exactly full, so each
+            // group's slots were rewritten with its own records; all
+            // `total` slots were initialized throughout, and `out` did
+            // not reallocate.
+            unsafe { self.out.set_len(total) };
+            self.phase = Phase::Placed;
+        }
     }
 
     /// Consumes a finished placement, returning the placed records and
@@ -320,6 +488,66 @@ impl<T: Record> CountingPlacement<T> {
         assert_eq!(self.phase, Phase::Placed, "into_parts before finish");
         (self.out, self.offsets)
     }
+}
+
+/// log2 of the second-level group width for placing `records` records
+/// of `size` bytes over `num_keys` keys with a `cache_size`-byte cache,
+/// or `None` for one level: the keys fit the cache's lines, or groups
+/// of two keys or more would not fit its scratch half. The width is
+/// capped by the cache's lines, level 2's fan-out.
+fn group_bits(records: usize, num_keys: usize, size: usize, cache_size: usize) -> Option<u32> {
+    let lines = cache_size / CACHE_LINE;
+    if num_keys <= lines || records == 0 {
+        return None;
+    }
+    let per_group = cache_size / 2 / size.max(1);
+    let width = (per_group.saturating_mul(num_keys) / records).min(lines);
+    width.checked_ilog2().filter(|&bits| bits > 0)
+}
+
+/// Places one first-level group back by its keys: copies the group's
+/// slots into `window`, counts the keys into `runs` and writes their
+/// offsets, then places the copy into the group's slots. Returns
+/// whether every run ended exactly full; a key outside `keys` panics.
+///
+/// # Safety
+///
+/// `span` must lie inside the allocation behind `slots` and hold
+/// initialized records, `window` must hold at least `span.len()` slots,
+/// `runs` at least `keys.len()` runs, and no other thread may access
+/// the span's slots during the call.
+unsafe fn place_group<T: Record>(
+    slots: &StatesPtr<MaybeUninit<T>>,
+    span: std::ops::Range<usize>,
+    window: &mut [MaybeUninit<T>],
+    runs: &mut [Run],
+    keys: std::ops::Range<usize>,
+    offsets: &mut [usize],
+    key: impl Fn(&T) -> usize,
+) -> bool {
+    let window = &mut window[..span.len()];
+    // SAFETY: the span's slots are inside the allocation and this
+    // call's alone, per the contract; the borrow ends with the copy.
+    window.copy_from_slice(unsafe { slots.partition_slice_mut(span.clone()) });
+    // SAFETY: the window now holds copies of initialized records.
+    let records = unsafe { &*(window as *const [MaybeUninit<T>] as *const [T]) };
+    let runs = &mut runs[..keys.len()];
+    runs.fill(Run::default());
+    let local = |r: &T| key(r).wrapping_sub(keys.start);
+    count_runs(runs, records.iter().copied(), local);
+    let mut at = span.start;
+    for (run, offset) in runs.iter_mut().zip(offsets) {
+        *offset = at;
+        let count = run.next;
+        run.next = at;
+        at += count;
+        run.end = at;
+    }
+    // SAFETY: the runs tile `span` (their counts sum to its length), so
+    // every write lands in the span, which is this call's alone; the
+    // records are read from the window, not from the span.
+    unsafe { place_runs(runs, slots, records.iter().copied(), local) };
+    runs.iter().all(|run| run.next == run.end)
 }
 
 /// Counts each record's key into one slice's runs (`runs[key].next`).
@@ -464,7 +692,9 @@ pub fn multistage_shuffle<T: Record>(
 mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A cache that keeps the tests' few keys in one level.
+    const CACHE: usize = 2 << 20;
 
     fn check_partitioned(buf: &StreamBuffer<u32>, k: usize, key: impl Fn(&u32) -> usize) {
         assert!(buf.num_chunks() >= k);
@@ -539,23 +769,27 @@ mod tests {
 
     #[test]
     fn placement_reuse_is_stable_and_allocation_free() {
+        // 16 keys take one level; 4096 keys over a 16 KiB cache (256
+        // lines) take two, with 16 groups of 256 keys.
         let input: Vec<u32> = (0..4_000u32).map(|i| i.wrapping_mul(48_271)).collect();
-        let k = 16usize;
-        let key = |r: &u32| (*r % 16) as usize;
-        let mut placement = CountingPlacement::default();
-        placement.place_slice(&input, k, None, key);
-        let clean_window = xstream_core::alloc_stats::any_allocation_free_window(50, || {
-            placement.place_slice(&input, k, None, key);
-        });
-        assert!(clean_window, "placement reuse allocated in every window");
-        let (placed, offsets) = placement.finish().unwrap();
-        for p in 0..k {
-            let in_order: Vec<u32> = input.iter().copied().filter(|r| key(r) == p).collect();
-            assert_eq!(
-                &placed[offsets[p]..offsets[p + 1]],
-                &in_order[..],
-                "chunk {p}"
-            );
+        for (k, cache, groups) in [(16usize, CACHE, 0usize), (4096, 16 << 10, 17)] {
+            let key = |r: &u32| *r as usize % k;
+            let mut placement = CountingPlacement::default();
+            placement.place_slice(&input, k, None, cache, key);
+            assert_eq!(placement.groups.len(), groups, "{k} keys");
+            let clean_window = xstream_core::alloc_stats::any_allocation_free_window(50, || {
+                placement.place_slice(&input, k, None, cache, key);
+            });
+            assert!(clean_window, "placement reuse allocated in every window");
+            let (placed, offsets) = placement.finish().unwrap();
+            for p in 0..k {
+                let in_order: Vec<u32> = input.iter().copied().filter(|r| key(r) == p).collect();
+                assert_eq!(
+                    &placed[offsets[p]..offsets[p + 1]],
+                    &in_order[..],
+                    "{k} keys, chunk {p}"
+                );
+            }
         }
     }
 
@@ -571,7 +805,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         for pool in [None, Some(&pool)] {
             let mut placement = CountingPlacement::default();
-            placement.place_slice(&vec![u32::MAX; n], 1, None, |_| 0);
+            placement.place_slice(&vec![u32::MAX; n], 1, None, CACHE, |_| 0);
             let calls = AtomicUsize::new(0);
             let key = |r: &u32| {
                 if calls.fetch_add(1, Ordering::Relaxed) < n {
@@ -581,7 +815,7 @@ mod tests {
                 }
             };
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                placement.place_slice(&input, 8, pool, key);
+                placement.place_slice(&input, 8, pool, CACHE, key);
             }));
             assert!(outcome.is_err(), "a lying key must fail the placement");
             assert_eq!(calls.load(Ordering::Relaxed), 2 * n);
@@ -599,6 +833,65 @@ mod tests {
                 slots[key0_end..].iter().all(|&r| r == u32::MAX),
                 "a record was written outside key 0's run"
             );
+        }
+
+        // Two levels: 4096 keys over a 16 KiB cache make 16 groups of
+        // 256 keys, and the key passes are level 1's count and place,
+        // then level 2's count and place. A key that turns to 0 on
+        // level 1's place fails level 1 with every write inside group
+        // 0's run. One that turns to its group's first key for level
+        // 2's count or for its place fails level 2 with every write
+        // inside its own group: each group's slots hold only that
+        // group's records.
+        let (k, cache, low) = (4096usize, 16 << 10, 8);
+        let group_of = |r: u32| (r as usize % k) >> low;
+        for lie_from in [n, 2 * n, 3 * n] {
+            for pool in [None, Some(&pool)] {
+                let mut placement = CountingPlacement::default();
+                placement.place_slice(&vec![u32::MAX; n], 1, None, cache, |_| 0);
+                let calls = AtomicUsize::new(0);
+                let key = |r: &u32| {
+                    let truth = *r as usize % k;
+                    match calls.fetch_add(1, Ordering::Relaxed) {
+                        c if !(lie_from..lie_from + n).contains(&c) => truth,
+                        _ if lie_from == n => 0,
+                        _ => truth >> low << low,
+                    }
+                };
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    placement.place_slice(&input, k, pool, cache, key);
+                }));
+                assert!(outcome.is_err(), "lying from call {lie_from}: not failed");
+                assert!(
+                    placement.out.is_empty(),
+                    "a failed placement exposes no records"
+                );
+                assert!(
+                    placement.finish().is_err(),
+                    "a failed placement stays failed"
+                );
+                // SAFETY: the first placement initialized all `n` slots,
+                // and `out` has not reallocated since.
+                let slots = unsafe { std::slice::from_raw_parts(placement.out.as_ptr(), n) };
+                if lie_from == n {
+                    assert_eq!(placement.offsets.len(), 17, "level 1 keys the groups");
+                    let group0_end = placement.offsets[1];
+                    assert!(slots[..group0_end].iter().all(|&r| r != u32::MAX));
+                    assert!(
+                        slots[group0_end..].iter().all(|&r| r == u32::MAX),
+                        "a record was written outside group 0's run"
+                    );
+                } else {
+                    assert_eq!(placement.groups.len(), 17);
+                    for g in 0..16 {
+                        let span = placement.groups[g]..placement.groups[g + 1];
+                        assert!(
+                            slots[span].iter().all(|&r| group_of(r) == g),
+                            "lying from call {lie_from}: a record left group {g}"
+                        );
+                    }
+                }
+            }
         }
     }
 

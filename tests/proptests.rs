@@ -288,11 +288,13 @@ proptest! {
             for len in [0, 1, 3, all.len()] {
                 let input = &all[..len.min(all.len())];
                 let key = |e: &Edge| e.src as usize;
+                let cache = EngineConfig::default().cache_size;
                 let mut serial = CountingPlacement::default();
-                let (want, want_offsets) = serial.place_slice(input, k, None, key);
+                let (want, want_offsets) = serial.place_slice(input, k, None, cache, key);
                 for pool in &pools {
                     let mut sliced = CountingPlacement::default();
-                    let (got, got_offsets) = sliced.place_slice(input, k, Some(pool), key);
+                    let (got, got_offsets) =
+                        sliced.place_slice(input, k, Some(pool), cache, key);
                     prop_assert_eq!(
                         records_as_bytes(got), records_as_bytes(want),
                         "K={}, {} records, {} workers", k, len, pool.workers()
@@ -300,6 +302,47 @@ proptest! {
                     prop_assert_eq!(got_offsets, want_offsets);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn two_level_placement_equals_the_chunked_one_level_one(
+        records in vec((any::<u32>(), any::<u32>()), 0..3000),
+        keys in 1usize..3000,
+        hot in any::<bool>(),
+    ) {
+        // A 4 KiB cache has 64 lines, so more keys than that take two
+        // levels, with groups of up to 64 keys and about 170 records.
+        // Most key counts are no multiple of the group width, few
+        // records over many keys leave groups empty, and a hot key 0
+        // holds more records than a group's budget. Serial or on 1-3
+        // workers, the placement must equal the chunked one-level
+        // placement, bytes and offsets.
+        const CACHE: usize = 4 << 10;
+        let pools: Vec<WorkerPool> = (1..4).map(WorkerPool::new).collect();
+        let input: Vec<Edge> = records
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, x))| {
+                let src = if hot && i % 3 != 0 { 0 } else { s % keys as u32 };
+                Edge::weighted(src, x, f32::from_bits(x))
+            })
+            .collect();
+        let key = |e: &Edge| e.src as usize;
+        let mut chunked = CountingPlacement::default();
+        chunked.begin(keys);
+        chunked.count(input.iter().copied(), key);
+        chunked.place(input.iter().copied(), key);
+        let (want, want_offsets) = chunked.finish().unwrap();
+        for pool in [None].into_iter().chain(pools.iter().map(Some)) {
+            let mut placement = CountingPlacement::default();
+            let (got, got_offsets) = placement.place_slice(&input, keys, pool, CACHE, key);
+            prop_assert_eq!(
+                records_as_bytes(got), records_as_bytes(want),
+                "{} keys, {} records, {} workers",
+                keys, input.len(), pool.map_or(0, WorkerPool::workers)
+            );
+            prop_assert_eq!(got_offsets, want_offsets);
         }
     }
 
