@@ -1,13 +1,16 @@
 //! Criterion micro-benchmarks for the X-Stream building blocks:
 //! record codec throughput, single- and multi-stage shuffles, the
 //! build's placement by source vertex, the in-memory engine's
-//! scatter-gather superstep, and the sort baselines it competes
-//! against.
+//! scatter-gather superstep, the sort baselines it competes
+//! against, and the first touch of a bulk buffer from the system
+//! allocator against the global one, which advises it onto huge pages.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 
 use xstream_algorithms::{pagerank, wcc};
+use xstream_core::alloc_stats::CountingAllocator;
 use xstream_core::record::{decode_records, records_as_bytes};
 use xstream_core::{Edge, EngineConfig};
 use xstream_graph::datasets::rmat_scale;
@@ -128,11 +131,41 @@ fn bench_sort_baselines(c: &mut Criterion) {
     g.finish();
 }
 
+/// Allocates `layout` from `alloc`, writes every byte once (the
+/// first touch that faults its pages in) and frees it.
+fn first_touch(alloc: &impl GlobalAlloc, layout: Layout) -> u8 {
+    // SAFETY: `layout` has nonzero size; the block is written in full
+    // before it is read and freed with the layout it came from.
+    unsafe {
+        let ptr = alloc.alloc(layout);
+        assert!(!ptr.is_null(), "out of memory");
+        std::ptr::write_bytes(ptr, 1, layout.size());
+        let last = ptr.add(layout.size() - 1).read_volatile();
+        alloc.dealloc(ptr, layout);
+        last
+    }
+}
+
+fn bench_bulk_first_touch(c: &mut Criterion) {
+    let layout = Layout::from_size_align(64 << 20, 64).expect("a valid layout");
+    let mut g = c.benchmark_group("bulk");
+    g.sample_size(10);
+    g.throughput(Throughput::Bytes(layout.size() as u64));
+    g.bench_function(BenchmarkId::new("first_touch_64mib", "system"), |b| {
+        b.iter(|| first_touch(&System, layout))
+    });
+    g.bench_function(BenchmarkId::new("first_touch_64mib", "global"), |b| {
+        b.iter(|| first_touch(&CountingAllocator, layout))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_record_codec,
     bench_shuffle,
     bench_scatter_gather,
-    bench_sort_baselines
+    bench_sort_baselines,
+    bench_bulk_first_touch
 );
 criterion_main!(benches);

@@ -14,12 +14,60 @@
 //! The wrapper costs two relaxed atomic increments per allocation —
 //! noise next to the allocator's own bookkeeping — and is therefore
 //! always on for every binary linking `xstream-core`.
+//!
+//! It also asks the kernel for transparent huge pages under every
+//! block of at least [`HUGE_PAGE_THRESHOLD`] bytes: edge vectors,
+//! placement outputs and update layouts are first touched in 2 MiB
+//! faults instead of 4 KiB ones. Where huge pages are off, or on
+//! another OS, the advice is a no-op.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Blocks at least this large are advised onto transparent huge pages.
+///
+/// Eight 2 MiB huge pages. The partial huge page at either end of a
+/// block stays on 4 KiB pages, so at most a quarter of an advised block
+/// does. A smaller threshold also advised the out-of-core engine's
+/// partly filled stream buffers, whose resident size then grows in
+/// 2 MiB steps: a prototype at 2 MiB raised serve-disk peak RSS by up
+/// to 15 MB.
+pub const HUGE_PAGE_THRESHOLD: usize = 16 << 20;
+
+/// The x86-64 and AArch64 (4 KiB base page) transparent huge page.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Advises the whole huge pages inside `[ptr, ptr + size)` onto
+/// transparent huge pages when the block is at least
+/// [`HUGE_PAGE_THRESHOLD`] bytes. Allocates nothing, ignores errors.
+#[inline]
+fn advise_huge_pages(ptr: *mut u8, size: usize) {
+    #[cfg(target_os = "linux")]
+    if size >= HUGE_PAGE_THRESHOLD && !ptr.is_null() {
+        let start = (ptr as usize).saturating_add(HUGE_PAGE - 1) & !(HUGE_PAGE - 1);
+        let end = (ptr as usize).saturating_add(size) & !(HUGE_PAGE - 1);
+        if start < end {
+            // SAFETY: the range lies inside a block the allocator just
+            // handed out and is page-aligned; MADV_HUGEPAGE changes no
+            // contents and no mapping, only how later faults fill it.
+            unsafe { sys::madvise(start as *mut u8, end - start, sys::MADV_HUGEPAGE) };
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = (ptr, size);
+}
+
+#[cfg(target_os = "linux")]
+mod sys {
+    /// `MADV_HUGEPAGE` from `<sys/mman.h>`.
+    pub const MADV_HUGEPAGE: i32 = 14;
+    extern "C" {
+        pub fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+}
 
 /// A [`System`]-backed allocator counting allocations and bytes.
 ///
@@ -28,20 +76,25 @@ static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 pub struct CountingAllocator;
 
 // SAFETY: defers every operation to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are side effects only.
+// `GlobalAlloc` contract; the counters and the huge-page advice are
+// side effects only.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim to the system allocator.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        advise_huge_pages(ptr, layout.size());
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim to the system allocator.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        advise_huge_pages(ptr, layout.size());
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -56,7 +109,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim to the system allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        advise_huge_pages(ptr, new_size);
+        ptr
     }
 }
 

@@ -74,9 +74,12 @@ pub fn records_as_bytes_mut<T: Record>(records: &mut [T]) -> &mut [u8] {
     }
 }
 
-/// A vector of `len` all-zero records from `alloc_zeroed`: a large one
-/// maps fresh zero pages, first touched by whoever writes them, instead
-/// of memsetting them here.
+/// A vector of `len` all-zero records from `alloc_zeroed`, not
+/// memset here: a large one is a fresh mapping that the kernel zeroes
+/// page by page as its first writer faults it in. At
+/// [`HUGE_PAGE_THRESHOLD`](crate::alloc_stats::HUGE_PAGE_THRESHOLD)
+/// bytes and above the allocator advises it onto huge pages, so each
+/// fault zeroes, and places on the writer's NUMA node, 2 MiB at once.
 pub fn zeroed_records<T: Record>(len: usize) -> Vec<T> {
     assert!(mem::size_of::<T>() > 0, "zero-sized record");
     if len == 0 {
