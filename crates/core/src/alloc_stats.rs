@@ -169,6 +169,45 @@ pub fn any_allocation_free_window(attempts: usize, mut f: impl FnMut()) -> bool 
     })
 }
 
+/// Set in the child process [`run_alone`] starts, to the test it runs.
+const RUN_ALONE_VAR: &str = "XSTREAM_RUN_ALONE";
+
+/// Runs one unit test of the current test binary alone, in a child
+/// process, so sibling tests cannot allocate inside its measured
+/// windows.
+///
+/// `module` is the test's `module_path!()` and `test` its function
+/// name. Returns `true` in the child: the caller goes on with its body.
+/// In the parent it re-executes the binary with `--exact` and one test
+/// thread, asserts that the child ran exactly that test and that it
+/// passed, and returns `false`: the caller returns at once.
+///
+/// The counters stay process-wide, so threads the code under test
+/// spawns (I/O threads, worker pools) are still measured in the child.
+pub fn run_alone(module: &str, test: &str) -> bool {
+    // The harness names tests by their path below the crate root.
+    let path = match module.split_once("::") {
+        Some((_, inner)) => format!("{inner}::{test}"),
+        None => test.to_owned(),
+    };
+    if std::env::var_os(RUN_ALONE_VAR).is_some_and(|v| v == path.as_str()) {
+        return true;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([path.as_str(), "--exact", "--test-threads=1"])
+        .env(RUN_ALONE_VAR, &path)
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("test result: ok. 1 passed"),
+        "{path} failed when run alone:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

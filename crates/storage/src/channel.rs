@@ -175,6 +175,12 @@ mod tests {
 
     #[test]
     fn steady_state_push_pop_is_allocation_free() {
+        if !xstream_core::alloc_stats::run_alone(
+            module_path!(),
+            "steady_state_push_pop_is_allocation_free",
+        ) {
+            return;
+        }
         let q = BoundedQueue::new(8);
         // Warm up (Arc and ring already allocated at construction).
         q.push(0u64).unwrap();

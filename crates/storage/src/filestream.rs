@@ -1680,6 +1680,12 @@ mod tests {
 
     #[test]
     fn read_ahead_steady_state_is_allocation_free() {
+        if !xstream_core::alloc_stats::run_alone(
+            module_path!(),
+            "read_ahead_steady_state_is_allocation_free",
+        ) {
+            return;
+        }
         let store = temp_store("readahead_alloc");
         store.append("s", &vec![42u8; 40_000]).unwrap();
         let mut reader = ReadAhead::new(1);

@@ -374,6 +374,12 @@ mod tests {
 
     #[test]
     fn steady_state_dispatch_is_allocation_free() {
+        if !xstream_core::alloc_stats::run_alone(
+            module_path!(),
+            "steady_state_dispatch_is_allocation_free",
+        ) {
+            return;
+        }
         let pool = WorkerPool::new(2);
         let sink = AtomicU64::new(0);
         // Warm up.

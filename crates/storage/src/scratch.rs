@@ -1104,6 +1104,12 @@ mod tests {
 
     #[test]
     fn reuse_is_allocation_free_and_correct() {
+        if !xstream_core::alloc_stats::run_alone(
+            module_path!(),
+            "reuse_is_allocation_free_and_correct",
+        ) {
+            return;
+        }
         let k = 256usize;
         let plan = MultiStagePlan::new(k, 4);
         let key = |r: &u32| (*r as usize) % k;
@@ -1325,6 +1331,12 @@ mod tests {
 
     #[test]
     fn adaptive_equalization_ratchets_capacity_down_after_skew() {
+        if !xstream_core::alloc_stats::run_alone(
+            module_path!(),
+            "adaptive_equalization_ratchets_capacity_down_after_skew",
+        ) {
+            return;
+        }
         let k = 8usize;
         let mut pool: ShufflePool<u32> = ShufflePool::new(4);
         // Skewed superstep: slice 0 buffers everything (extreme steal

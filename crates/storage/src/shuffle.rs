@@ -769,6 +769,12 @@ mod tests {
 
     #[test]
     fn placement_reuse_is_stable_and_allocation_free() {
+        if !xstream_core::alloc_stats::run_alone(
+            module_path!(),
+            "placement_reuse_is_stable_and_allocation_free",
+        ) {
+            return;
+        }
         // 16 keys take one level; 4096 keys over a 16 KiB cache (256
         // lines) take two, with 16 groups of 256 keys.
         let input: Vec<u32> = (0..4_000u32).map(|i| i.wrapping_mul(48_271)).collect();

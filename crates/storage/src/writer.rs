@@ -392,6 +392,10 @@ mod tests {
 
     #[test]
     fn buffers_recycle_through_the_pool() {
+        if !xstream_core::alloc_stats::run_alone(module_path!(), "buffers_recycle_through_the_pool")
+        {
+            return;
+        }
         let store = temp_store("recycle");
         let w = AsyncWriter::new(Arc::clone(&store), 1).unwrap();
         let name: Arc<str> = Arc::from("s");
@@ -430,6 +434,12 @@ mod tests {
 
     #[test]
     fn borrowed_runs_append_without_copying() {
+        if !xstream_core::alloc_stats::run_alone(
+            module_path!(),
+            "borrowed_runs_append_without_copying",
+        ) {
+            return;
+        }
         let store = temp_store("borrowed");
         let w = AsyncWriter::new(Arc::clone(&store), 1).unwrap();
         let name: Arc<str> = Arc::from("s");
