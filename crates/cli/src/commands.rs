@@ -231,7 +231,7 @@ fn engine_config(args: &Args) -> Result<EngineConfig, CliError> {
     Ok(cfg)
 }
 
-fn summarize(algo: Algo, extra: &str, stats: &RunStats, disk: bool) -> String {
+fn summarize(algo: Algo, extra: &str, stats: &RunStats) -> String {
     let t = stats.totals();
     let mut s = format!(
         "{algo}: {extra}\niterations: {}, runtime: {:.3}s, edges streamed: {}, \
@@ -243,16 +243,12 @@ fn summarize(algo: Algo, extra: &str, stats: &RunStats, disk: bool) -> String {
         stats.wasted_pct(),
     );
     if t.shuffle_capacity > 0 {
-        // Only the out-of-core engine's buffers adapt; the in-memory
-        // engine's update layout is fixed at build.
-        let sizing = if disk {
-            format!("adaptive budget {} records/slice", t.shuffle_budget)
-        } else {
-            "static update layout".to_string()
-        };
+        // Both engines size their update buffers at build: the
+        // in-memory engine's update layout, the disk engine's two
+        // output buffers.
         let _ = writeln!(
             s,
-            "shuffle buffers: {} records capacity (peak residency {:.0}%, {sizing})",
+            "shuffle buffers: {} records capacity (peak residency {:.0}%, fixed at build)",
             t.shuffle_capacity,
             t.buffer_residency_pct(),
         );
@@ -582,8 +578,7 @@ impl Run<'_> {
             };
         }
         let (answer, stats) = driver(&mut engine, program, &degrees);
-        let disk = matches!(engine, AnyEngine::Disk(_));
-        out.push_str(&summarize(self.algo, &answer, &stats, disk));
+        out.push_str(&summarize(self.algo, &answer, &stats));
         if let AnyEngine::Disk(e) = &engine {
             let io = e.store().accounting().snapshot();
             let _ = writeln!(

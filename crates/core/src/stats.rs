@@ -51,22 +51,20 @@ pub struct IterationStats {
     pub alloc_count: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
-    /// Shuffle capacity budget (records) in force at the end of the
-    /// iteration. Out of core, the adaptive per-slice ceiling the
-    /// engine's capacity equalization mirrors bucket high-water marks
-    /// up to; in memory, the static update layout's region slots. A
-    /// *gauge*, not a counter: [`merge`](Self::merge) takes the max.
+    /// Shuffle budget (records): out of core, the spill threshold, the
+    /// updates buffered before a spill; in memory, the static update
+    /// layout's region slots. Fixed at build. A *gauge*, not a
+    /// counter: [`merge`](Self::merge) takes the max.
     pub shuffle_budget: u64,
-    /// Total shuffle buffer capacity (records) held at the end of the
-    /// iteration: the out-of-core engine's fan-out buckets across all
-    /// slices after equalization, or the slots of the in-memory
-    /// engine's update layout (regions plus any stage buffer). Gauge
-    /// (merged by max).
+    /// Total shuffle buffer capacity (records), sized at build:
+    /// the records of the out-of-core engine's two output buffers, or
+    /// the slots of the in-memory engine's update layout (regions plus
+    /// any stage buffer). Gauge (merged by max).
     pub shuffle_capacity: u64,
     /// Peak records resident in the shuffle buffers during the
-    /// iteration (out of core, the high-water mark the adaptive budget
-    /// is driven by; in memory, the updates buffered). Gauge (merged
-    /// by max).
+    /// iteration: out of core, the most one output buffer held at a
+    /// spill or at the resident tail; in memory, the updates buffered.
+    /// Gauge (merged by max).
     pub shuffle_high_water: u64,
     /// Superstep re-runs forced by transient I/O faults (attempts
     /// beyond the first that were needed to complete the iteration;
@@ -130,13 +128,10 @@ impl IterationStats {
     }
 
     /// Fraction of the held shuffle capacity that was actually resident
-    /// at the iteration's peak, as a percentage (the paper-adjacent
-    /// "buffer residency" the out-of-core engine's adaptive
-    /// equalization policy optimizes: near 100% means the pooled memory
-    /// is sized to the observed skew, far below it means worst-case
-    /// mirroring is holding pages the workload never touches; in
-    /// memory, the share of the layout's slots the busiest superstep
-    /// filled).
+    /// at the iteration's peak, as a percentage: out of core, the
+    /// fullest spill window over both output buffers (at most about
+    /// 50%, since one buffer drains while the other fills); in memory,
+    /// the share of the layout's slots the busiest superstep filled.
     #[inline]
     pub fn buffer_residency_pct(&self) -> f64 {
         if self.shuffle_capacity == 0 {

@@ -11,19 +11,19 @@
 //!    prefetch distance 1 *and rolls into the next partition's file
 //!    while this one still computes* (§3.3). Every loaded chunk fans
 //!    out to the engine's parked [`WorkerPool`] workers, which append
-//!    updates *directly into per-partition buckets* of their own
-//!    pooled [`ShuffleScratch`] slice (the §4.3 layering of the
-//!    in-memory primitives over loaded disk chunks, with the
-//!    single-stage shuffle fused into scatter). The engine keeps
-//!    **two** such bucket pools — the paper's two output buffers —
-//!    and spills are **zero-copy**: when the filling pool reaches the
-//!    stream-buffer budget the pools swap, and each bucket run of the
-//!    full pool is submitted *by reference* to the persistent
-//!    [`AsyncWriter`] (one writer thread per device), which appends
-//!    straight from the bucket memory while the workers scatter into
-//!    the other pool (§3.3's double-buffered output without the copy).
+//!    updates *directly into per-partition chains* of blocks of an
+//!    [`OutputBuffer`] (the §4.3 layering of the in-memory primitives
+//!    over loaded disk chunks, with the single-stage shuffle fused
+//!    into scatter). The engine keeps **two** such buffers — the
+//!    paper's two output buffers, sized at build — and
+//!    spills are **zero-copy**: when the filling buffer reaches the
+//!    spill threshold the buffers swap, and each run of the full one
+//!    is submitted *by reference* to the persistent [`AsyncWriter`]
+//!    (one writer thread per device), which appends straight from the
+//!    blocks while the workers scatter into the other buffer (§3.3's
+//!    double-buffered output without the copy).
 //! 2. **Gather** — updates generated after the last spill stay
-//!    *resident* in the filling pool and are gathered from memory (a
+//!    *resident* in the filling buffer and are gathered from memory (a
 //!    generalization of §3.2 optimization 2: the tail buffer exists
 //!    either way, so it never pays the disk round trip). Spilled
 //!    partitions gather from their update files; with the vertex
@@ -37,12 +37,12 @@
 //!    state, one partition, one thread, or update files too large for
 //!    the memory gate) streams files through the read-ahead thread
 //!    exactly as the paper describes. Update streams are truncated, not deleted (a TRIM,
-//!    §3.3), so their file handles — and the buffer pools — survive
+//!    §3.3), so their file handles — and the output buffers — survive
 //!    into the next superstep.
 //!
 //! Two §3.2 optimizations are implemented: the vertex array stays in
 //! memory when it fits the budget, and updates skip the disk entirely
-//! (gather reads the scratch buckets directly) when one stream buffer
+//! (gather reads the output buffer directly) when one stream buffer
 //! holds the whole scatter output.
 //!
 //! For programs that opt into [`FrontierMode::Tracked`], the engine
@@ -58,15 +58,17 @@
 //! The dense/sparse switch compares the active edge count against
 //! [`EngineConfig::wants_sparse_scatter`]'s threshold.
 //!
-//! All memory — the two scatter bucket pools, spill byte buffers, read
+//! All memory — the two scatter output buffers, spill byte buffers, read
 //! chunks, vertex decode scratch, gather stream buffers, interned
 //! stream names — is owned by the engine or its per-device I/O threads
 //! and recycled across supersteps; the I/O threads and the worker pool
 //! are spawned once at construction. This holds for on-disk vertex
 //! state too: partition loads decode into pooled scratch
 //! ([`VertexStorage::load_scatter`]) and write-backs truncate + append
-//! through cached handles. Once every pooled buffer has seen its
-//! high-water mark, a superstep performs **no heap allocation** and
+//! through cached handles. The output buffers are sized at build and
+//! never grow; once they and the pooled I/O buffers are allocated and
+//! have seen their
+//! high-water marks, a superstep performs **no heap allocation** and
 //! spawns **no threads** (tracked in [`IterationStats::alloc_count`]
 //! via [`xstream_core::alloc_stats`]). `streaming_ns` counts only the
 //! time the superstep thread was *blocked* on stream I/O (waiting for
@@ -93,8 +95,8 @@ use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
 use xstream_storage::shuffle::CountingPlacement;
 use xstream_storage::topology::Topology;
 use xstream_storage::{
-    AsyncWriter, Manifest, ReadAhead, ShufflePool, ShuffleScratch, StreamEntry, StreamRole,
-    StreamStore, WriteMark, MANIFEST_NAME,
+    AsyncWriter, Manifest, OutputBuffer, ReadAhead, StreamEntry, StreamRole, StreamStore,
+    WriteMark, MANIFEST_NAME,
 };
 
 /// Path-based ingest descriptor: *what* edge file to stream and *how*
@@ -290,7 +292,7 @@ pub struct DiskEngine<P: EdgeProgram> {
     partitioner: Partitioner,
     num_edges: usize,
     vertices: VertexStorage<P::State>,
-    /// Update records buffered across all scratch slices before a
+    /// Update records buffered across all workers' chains before a
     /// spill (§3.4 stream-buffer sizing).
     spill_threshold: usize,
     /// One stream buffer's byte size (`spill_threshold` in bytes);
@@ -298,28 +300,31 @@ pub struct DiskEngine<P: EdgeProgram> {
     /// buffers may claim (the idle output pools' capacity).
     stream_buffer_bytes: usize,
     /// Updates generated after the last spill stayed resident in
-    /// `scratch`; gather reads those buckets in place (the
+    /// `scratch`; gather reads those chains in place (the
     /// generalization of §3.2 optimization 2).
     resident_updates: bool,
     /// Whether this superstep spilled updates to the per-partition
     /// files (gather then streams them back).
     spilled_updates: bool,
     /// Persistent per-device background writer threads with a
-    /// recycling buffer pool. Declared before the scratch pools so the
-    /// engine's drop joins the writer — draining any zero-copy spill
-    /// jobs that still point into the pools — before the pools are
-    /// freed.
+    /// recycling buffer pool. Declared before the output buffers so
+    /// the engine's drop joins the writer — draining any zero-copy
+    /// spill jobs that still point into the buffers — before the
+    /// buffers are freed.
     writer: AsyncWriter,
     /// Persistent per-device read-ahead threads with recycling buffer
     /// pools.
     reader: ReadAhead,
     /// The *filling* half of the double-buffered scatter output
-    /// (§3.3): per-worker fused scatter+shuffle slices.
-    scratch: ShufflePool<TargetedUpdate<P::Update>>,
-    /// The *draining* half: the pool most recently handed to the
+    /// (§3.3): the fused scatter+shuffle writes each worker's updates
+    /// into its chain of blocks for their partition. Both halves are
+    /// sized at build, to hold the spill threshold plus one scatter
+    /// step's updates, and allocated, untouched, by their first write.
+    scratch: OutputBuffer<TargetedUpdate<P::Update>>,
+    /// The *draining* half: the buffer most recently handed to the
     /// writer by a zero-copy spill. Untouched until the barrier
     /// covering that spill (`spill_mark`) has been waited on.
-    drain: ShufflePool<TargetedUpdate<P::Update>>,
+    drain: OutputBuffer<TargetedUpdate<P::Update>>,
     /// Writer barrier token covering the last zero-copy spill's
     /// borrowed runs; `drain` may be reused once `wait_until` passes
     /// it.
@@ -505,8 +510,9 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let threads = config.threads.max(1);
 
         // Topology-aware placement (Fig. 14): one plan drives the
-        // worker pool (worker tid t owns shuffle slice t and gather
-        // lane t — pinning the id pins the slice's node), and the
+        // worker pool (worker tid t owns row t of the output buffers'
+        // chains and gather lane t — pinning the id pins the node that
+        // first touches the blocks it claims), and the
         // per-device reader/writer threads (whole-node sets,
         // round-robined by device). `None` on single-CPU or
         // affinity-restricted environments: everything runs unpinned.
@@ -519,9 +525,9 @@ impl<P: EdgeProgram> DiskEngine<P> {
         // The appends run on the engine's persistent per-device writer
         // threads so reading and shuffling the next input chunk
         // overlaps them (§3.3) — the same writer later serves every
-        // superstep's spills. Depth `threads + 2` lets a zero-copy
-        // spill park one borrowed run per worker slice without
-        // blocking mid-submission.
+        // superstep's spills. Depth `threads + 2` bounds the owned
+        // buffers in flight per device; a spill's borrowed runs queue
+        // without waiting, and the ping-pong barrier bounds them.
         let store = Arc::new(store.with_verify(config.verify_reads));
         let writer = AsyncWriter::new_pinned(Arc::clone(&store), threads + 2, pin_plan.as_ref())?;
         // A reused store directory may carry the previous run's
@@ -606,6 +612,14 @@ impl<P: EdgeProgram> DiskEngine<P> {
             .max(config.io_unit.saturating_mul(kp))
             .max(1 << 20);
         let spill_threshold = (buffer_bytes / usz).max(1024);
+        // The output buffers hold whatever a spill can find in them:
+        // below the threshold before a scatter step, plus the step's
+        // updates — at most one per edge of a read-ahead chunk or of
+        // the sparse scatter's ranged reads (under two I/O units) —
+        // and never more than one superstep's |E|.
+        let step_edges =
+            (store.io_unit() / Edge::SIZE).max(2 * (config.io_unit / Edge::SIZE).max(1));
+        let output_records = (spill_threshold + step_edges).min(num_edges);
 
         // Frontier-tracked programs get sparse-scatter indexes: group
         // each partition's edge file by source vertex with a counting
@@ -769,8 +783,8 @@ impl<P: EdgeProgram> DiskEngine<P> {
             // one queued for cross-partition read-ahead (§3.3).
             reader: ReadAhead::striped_pinned(2, store.num_devices(), pin_plan.as_ref()),
             store,
-            scratch: ShufflePool::new(threads),
-            drain: ShufflePool::new(threads),
+            scratch: OutputBuffer::for_records(threads, kp, output_records),
+            drain: OutputBuffer::for_records(threads, kp, output_records),
             spill_mark,
             pool,
             edge_names,
@@ -1210,18 +1224,8 @@ impl<P: EdgeProgram> DiskEngine<P> {
             self.frontier.advance();
         }
 
-        // Adaptive capacity equalization over both ping-pong pools
-        // (safe here: the pre-gather flush released every zero-copy
-        // borrowed run, and gather is done reading the resident tail).
-        // Each pool's budget tracks its own observed per-slice
-        // high-water marks across spills, mirrors them on the owning
-        // (pinned) workers and shrinks skew-era capacity back once the
-        // decaying envelope moves on.
-        let rep_a = self.scratch.equalize_capacity_adaptive(self.pool.as_ref());
-        let rep_b = self.drain.equalize_capacity_adaptive(self.pool.as_ref());
-        stats.shuffle_budget = rep_a.budget.max(rep_b.budget) as u64;
-        stats.shuffle_capacity = (rep_a.total_capacity + rep_b.total_capacity) as u64;
-        stats.shuffle_high_water = (rep_a.high_water + rep_b.high_water) as u64;
+        stats.shuffle_budget = self.spill_threshold as u64;
+        stats.shuffle_capacity = (self.scratch.capacity() + self.drain.capacity()) as u64;
 
         let io = self.store.accounting().snapshot();
         stats.bytes_read = io.bytes_read() - io_before.bytes_read();
@@ -1331,12 +1335,11 @@ impl<P: EdgeProgram> DiskEngine<P> {
         blocked_ns: &mut u64,
     ) -> Result<()> {
         let kp = self.partitioner.num_partitions();
-        // Rearm both output pools; each slice is rearmed on the worker
-        // that owns it, so any bucket growth is first-touched locally.
-        // (`drain` is reusable here: the previous superstep's flush —
-        // or `recover` — covered every borrowed run.)
-        self.scratch.begin_first_touch(kp, self.pool.as_ref());
-        self.drain.begin(kp);
+        // Rearm both output buffers. (`drain` is reusable here: the
+        // previous superstep's flush — or `recover` — covered every
+        // borrowed run.)
+        self.scratch.rearm();
+        self.drain.rearm();
         self.resident_updates = false;
         let store = &self.store;
         let partitioner = &self.partitioner;
@@ -1361,12 +1364,12 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let mut spilled = false;
 
         // The scatter-then-spill step. Scatters one loaded chunk into
-        // the filling pool; once that pool reaches the stream-buffer
-        // budget, waits out the previous spill's borrowed runs, swaps
-        // the ping-pong pools, rearms the fresh one and hands the full
-        // one's bucket runs to the per-device writer threads by
-        // reference — scatter continues into the fresh pool while the
-        // writer drains the other (§3.3's double-buffered output,
+        // the filling buffer; once that buffer reaches the spill
+        // threshold, waits out the previous spill's borrowed runs,
+        // swaps the ping-pong buffers, rearms the fresh one and hands
+        // the full one's runs to the per-device writer threads by
+        // reference — scatter continues into the fresh buffer while
+        // the writer drains the other (§3.3's double-buffered output,
         // minus the copy).
         let mut scatter_step = |bytes: &[u8],
                                 states: &[P::State],
@@ -1376,15 +1379,17 @@ impl<P: EdgeProgram> DiskEngine<P> {
          -> Result<()> {
             stats.edges_streamed += (bytes.len() / Edge::SIZE) as u64;
             scatter_chunk_pooled(pool, scratch, program, states, base, bytes, partitioner);
-            if scratch.total_len() < spill_threshold {
+            let held = scratch.len();
+            if held < spill_threshold {
                 return Ok(());
             }
-            stats.updates_generated += scratch.total_len() as u64;
+            stats.updates_generated += held as u64;
+            stats.shuffle_high_water = stats.shuffle_high_water.max(held as u64);
             let t_io = Instant::now();
             writer.wait_until(*spill_mark);
             *blocked_ns += t_io.elapsed().as_nanos() as u64;
             std::mem::swap(scratch, drain);
-            scratch.begin(kp);
+            scratch.rearm();
             spill_borrowed(writer, update_names, drain, kp, blocked_ns)?;
             *spill_mark = writer.submitted();
             spilled = true;
@@ -1460,8 +1465,9 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 }
             }
         }
-        let tail = scratch.total_len();
+        let tail = scratch.len();
         stats.updates_generated += tail as u64;
+        stats.shuffle_high_water = stats.shuffle_high_water.max(tail as u64);
         if tail > 0 {
             if spilled || self.config.in_memory_updates {
                 // Updates since the last spill stay resident: the
@@ -1479,7 +1485,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
         self.spilled_updates = spilled;
         // The gather phase must observe every update: drain the writer
         // before leaving the scatter phase. (This also releases every
-        // borrowed bucket run.)
+        // borrowed run.)
         let t_io = Instant::now();
         writer.flush()?;
         *spill_mark = writer.submitted();
@@ -1528,8 +1534,8 @@ impl<P: EdgeProgram> DiskEngine<P> {
     /// Serial gather: one partition at a time on the superstep thread
     /// (the paper's base design), streaming spilled update files
     /// through the read-ahead threads with cross-partition prefetch,
-    /// and applying the resident tail straight from the scratch
-    /// buckets. Handles every storage combination, including on-disk
+    /// and applying the resident tail straight from the output
+    /// buffer. Handles every storage combination, including on-disk
     /// vertex state.
     fn gather_serial(
         &mut self,
@@ -1748,20 +1754,20 @@ impl<P: EdgeProgram> DiskEngine<P> {
     }
 }
 
-/// Applies partition `p`'s resident updates — its bucket in every
-/// scratch slice — to `states`, whose element `i` is vertex `base + i`
-/// (see [`gather_updates`]). Returns `(applied, changed)`.
+/// Applies partition `p`'s resident updates — every worker's chain for
+/// it — to `states`, whose element `i` is vertex `base + i` (see
+/// [`gather_updates`]). Returns `(applied, changed)`.
 fn gather_resident<P: EdgeProgram>(
     program: &P,
     states: &mut [P::State],
     base: usize,
     p: usize,
-    scratch: &ShufflePool<TargetedUpdate<P::Update>>,
+    scratch: &OutputBuffer<TargetedUpdate<P::Update>>,
     next_frontier: Option<&Frontier>,
 ) -> (u64, u64) {
     let (mut applied, mut changed) = (0, 0);
-    for i in 0..scratch.num_slices() {
-        let run = scratch.slice(i).chunk(p).iter().copied();
+    for run in scratch.runs(p) {
+        let run = run.iter().copied();
         let (a, c) = gather_updates(program, states, base, p, run, next_frontier);
         applied += a;
         changed += c;
@@ -1773,14 +1779,14 @@ fn gather_resident<P: EdgeProgram>(
 /// dispatched to the pool (the handshake is cheap but not free).
 const PARALLEL_SCATTER_MIN: usize = 4096;
 
-/// Scatters one decoded edge chunk across the pooled workers, each
-/// appending into the per-partition buckets of its own persistent
-/// scratch slice (the §4.3 layering of the in-memory engine's
+/// Scatters one decoded edge chunk across the pooled workers, worker
+/// `t` taking the `t`-th share of the edges and appending to its own
+/// chains of `scratch` (the §4.3 layering of the in-memory engine's
 /// [`scatter_edges`] over loaded disk chunks, fused with the
 /// single-stage shuffle).
 fn scatter_chunk_pooled<P: EdgeProgram>(
     pool: Option<&WorkerPool>,
-    scratch: &mut ShufflePool<TargetedUpdate<P::Update>>,
+    scratch: &mut OutputBuffer<TargetedUpdate<P::Update>>,
     program: &P,
     states: &[P::State],
     base: usize,
@@ -1791,16 +1797,13 @@ fn scatter_chunk_pooled<P: EdgeProgram>(
     if n_edges == 0 {
         return;
     }
-    let threads = scratch.num_slices();
-    let scratch_ptr = PerWorkerPtr(scratch.slices_ptr());
+    let threads = scratch.workers();
+    let writer = scratch.writer();
     let run = |tid: usize, range: std::ops::Range<usize>| {
-        // SAFETY: each dispatch runs every tid exactly once and
-        // tid < threads == num_slices, so these `&mut` borrows are
-        // disjoint across workers.
-        let slice: &mut ShuffleScratch<_> = unsafe { scratch_ptr.get_mut(tid) };
+        let mut out = writer.worker(tid);
         let sub = &bytes[range.start * Edge::SIZE..range.end * Edge::SIZE];
         scatter_edges(program, states, base, RecordIter::new(sub), |u| {
-            slice.push(u, partitioner.partition_of(u.target))
+            out.push(u, partitioner.partition_of(u.target))
         });
     };
     match pool {
@@ -1839,41 +1842,42 @@ fn push_run(reads: &mut Vec<(u64, u32)>, run: std::ops::Range<u64>, io_cap: usiz
     }
 }
 
-/// Bucket runs below this size are coalesced into one pooled buffer
-/// per partition instead of submitted zero-copy: with many slices and
-/// partitions the per-slice runs can shrink far below the large
-/// sequential writes the paper's I/O model assumes, and the per-append
-/// overhead (syscall + accounting) then outweighs the saved copy.
+/// Runs below this size are coalesced into one pooled buffer per
+/// partition instead of submitted zero-copy: with many workers and
+/// partitions the runs can shrink far below the large sequential
+/// writes the paper's I/O model assumes, and the per-append overhead
+/// (syscall + accounting) then outweighs the saved copy.
 const BORROW_MIN_BYTES: usize = 64 << 10;
 
-/// Zero-copy spill: submits every large bucket run of `full` to the
+/// Zero-copy spill: submits every large run of `full` to the
 /// per-device writer threads *by reference* — no byte buffer, no copy;
-/// the writer appends straight from the bucket memory. Runs smaller
+/// the writer appends straight from the buffer's blocks. Runs smaller
 /// than [`BORROW_MIN_BYTES`] are coalesced per partition into a
 /// recycled buffer first (one large append instead of many small
-/// ones); submission order within each stream is preserved either way.
+/// ones), unless the blocks themselves are that large: then the only
+/// small runs are the chains' partly filled last blocks, at most one
+/// per chain, and a copy of one would queue behind the borrowed runs
+/// and hold the spill until the writer reached it. Submission order
+/// within each stream is preserved either way.
 /// The caller must not mutate `full` until a writer barrier
 /// ([`AsyncWriter::wait_until`] with a [`WriteMark`] taken after this
 /// call, or [`AsyncWriter::flush`]) covers these submissions — the
-/// engine's ping-pong output pools provide exactly that window. Only
+/// engine's ping-pong output buffers provide exactly that window. Only
 /// the time spent *blocked* on writer backpressure counts toward
 /// `blocked_ns`.
 fn spill_borrowed<U: Record>(
     writer: &AsyncWriter,
     names: &[Arc<str>],
-    full: &ShufflePool<TargetedUpdate<U>>,
+    full: &OutputBuffer<TargetedUpdate<U>>,
     kp: usize,
     blocked_ns: &mut u64,
 ) -> Result<()> {
+    let borrow_all = full.block() * size_of::<TargetedUpdate<U>>() >= BORROW_MIN_BYTES;
     for (p, name) in names.iter().enumerate().take(kp) {
         let mut coalesced: Option<Vec<u8>> = None;
-        for i in 0..full.num_slices() {
-            let run = full.slice(i).chunk(p);
-            if run.is_empty() {
-                continue;
-            }
+        for run in full.runs(p) {
             let bytes = records_as_bytes(run);
-            if bytes.len() >= BORROW_MIN_BYTES {
+            if borrow_all || bytes.len() >= BORROW_MIN_BYTES {
                 // Keep the stream's byte order: flush the pending
                 // small-run buffer before this larger run.
                 if let Some(buf) = coalesced.take() {

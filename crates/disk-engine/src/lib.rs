@@ -21,8 +21,9 @@
 //! next partition's file while the current one computes, §3.3), a
 //! persistent writer thread drains spills from a recycling byte-buffer
 //! pool, scatter fans loaded chunks out to a parked
-//! [`xstream_storage::WorkerPool`] whose workers append into pooled
-//! per-partition buckets, and update streams are truncated (a TRIM)
+//! [`xstream_storage::WorkerPool`] whose workers append into
+//! per-partition chains of blocks of two output buffers allocated at
+//! build, and update streams are truncated (a TRIM)
 //! rather than deleted so file handles survive across supersteps. See
 //! [`engine`] for the pipeline walk-through.
 

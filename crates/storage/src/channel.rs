@@ -76,6 +76,19 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
+    /// Enqueues `item` without waiting for space: past the capacity the
+    /// ring grows, allocating. Returns the item back if the queue was
+    /// closed. For producers that bound the queue's length themselves.
+    pub fn push_unbounded(&self, item: T) -> Result<(), T> {
+        let mut state = self.inner.state.lock();
+        if state.closed {
+            return Err(item);
+        }
+        state.buf.push_back(item);
+        self.inner.not_empty.notify_one();
+        Ok(())
+    }
+
     /// Enqueues `item` only if space is immediately available; returns
     /// it back when the queue is full or closed. Used for buffer
     /// recycling, where dropping an over-budget buffer is preferable

@@ -77,8 +77,7 @@ pub use iostats::{DeviceId, IoAccounting, IoSnapshot};
 pub use manifest::{Manifest, StreamEntry, StreamRole, MANIFEST_NAME};
 pub use pool::{PerWorkerPtr, WorkerPool};
 pub use scratch::{
-    CapacityPolicy, CapacityReport, LayoutWriter, ShufflePool, ShuffleScratch, TaskWriter,
-    UpdateLayout,
+    BufferWriter, LayoutWriter, OutputBuffer, TaskWriter, UpdateLayout, WorkerWriter,
 };
 pub use topology::{PinPlan, Topology};
 pub use writer::{AsyncWriter, WriteMark};

@@ -2,10 +2,11 @@
 //! zero-allocation scatter → shuffle → gather pipeline (paper §4.2,
 //! Fig. 7).
 //!
-//! Each engine owns its update buffers and reuses them across
-//! iterations, so allocation and page-fault traffic do not compete
-//! with the memory bandwidth the streaming shuffle is designed to use.
-//! The two engines need different disciplines:
+//! Each engine sizes its update buffers once, at build, allocates them
+//! once and reuses them across iterations, so allocation and
+//! page-fault traffic do not compete with the memory bandwidth the
+//! streaming shuffle is designed to use. Nothing grows, shrinks or is
+//! mirrored. The engines bound their output differently:
 //!
 //! * [`UpdateLayout`] — the in-memory engine's **static update
 //!   layout**. Each superstep an edge emits at most one update, to its
@@ -20,51 +21,31 @@
 //!   `(T-1, q)` in order. A multi-stage plan runs its remaining radix
 //!   passes per digit group over the filled region prefixes,
 //!   ping-ponging between the region buffer and one stage buffer of the
-//!   same size. Nothing grows and nothing is mirrored, every superstep
-//!   is allocation-free from the first, and each chunk holds its
-//!   updates in (source partition, edge position) order whatever the
-//!   thread count, steal schedule or plan.
-//! * [`ShuffleScratch`]/[`ShufflePool`] — the out-of-core engine's
-//!   per-worker fan-out buckets, one per partition. That engine spills
-//!   whenever its buffers reach the memory budget, so the buckets grow
-//!   on demand, and an adaptive [`CapacityPolicy`] mirrors high-water
-//!   marks across worker slices between supersteps; a steady-state
-//!   superstep then performs no heap allocation either (observable
-//!   through [`xstream_core::alloc_stats`]).
+//!   same size. Every superstep is allocation-free from the first, and
+//!   each chunk holds its updates in (source partition, edge position)
+//!   order whatever the thread count, steal schedule or plan.
+//! * [`OutputBuffer`] — the out-of-core engine's **stream buffer**
+//!   (§3.3). That engine spills whenever its output reaches a threshold
+//!   set by the memory budget (§3.4), so the buffer is sized by that
+//!   threshold plus one scatter step's output rather than by the edge
+//!   list. Its first write allocates it, untouched, so the engine's
+//!   build allocates less than its edge file. It is a pool of equal
+//!   blocks. Each (worker, partition) bucket is a chain of blocks: a
+//!   worker writes at its row of cursors, as in the layout, and extends
+//!   a chain by claiming the pool's next free block, one atomic claim
+//!   per block. Partition `p`'s updates read back as worker 0's chain,
+//!   then worker 1's, and so on.
 
 use std::iter;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use crate::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
+use crate::pool::{StatesPtr, WorkerPool};
 use crate::shuffle::MultiStagePlan;
 use crate::StreamBuffer;
 use parking_lot::Mutex;
 use xstream_core::record::zeroed_records;
 use xstream_core::Record;
-
-/// Pre-faults the spare capacity of `v` by writing zero bytes over it,
-/// so the backing pages are first touched — and on a NUMA system,
-/// placed — by the calling thread rather than by whichever thread
-/// happened to trigger the allocation. Sound because the spare region
-/// is allocated-but-uninitialized memory that `Vec` never reads.
-fn prefault_spare<T>(v: &mut Vec<T>) {
-    let len = v.len();
-    let spare = v.capacity() - len;
-    if spare == 0 {
-        return;
-    }
-    // SAFETY: `len..capacity` lies inside the vector's allocation and
-    // holds no initialized `T`s that anyone may read; writing raw
-    // zero bytes there cannot invalidate the vector's state.
-    unsafe {
-        std::ptr::write_bytes(
-            v.as_mut_ptr().add(len).cast::<u8>(),
-            0,
-            spare * std::mem::size_of::<T>(),
-        );
-    }
-}
 
 /// Stable counting sort of one digit group over one radix digit: routes
 /// the records of `pieces`, read back to back, into `fan` sub-chunks of
@@ -593,483 +574,272 @@ fn region_full(partition: usize) -> ! {
     panic!("update region for partition {partition} is full: the layout undercounts its updates")
 }
 
-/// Pooled, reusable fan-out buckets of one worker of the out-of-core
-/// engine: one append bucket per partition.
+/// The partly filled blocks — at most one per (worker, partition) — are
+/// at most this fraction of an [`OutputBuffer`]'s records.
+const PARTIAL_SHARE: usize = 8;
+
+/// The out-of-core engine's stream buffer (see the module docs): a
+/// fixed pool of equal blocks, in which each (worker, partition) bucket
+/// is a chain of blocks.
 #[derive(Debug)]
-pub struct ShuffleScratch<T> {
-    /// One append bucket per partition; capacity persists across
-    /// iterations.
-    buckets: Vec<Vec<T>>,
-    /// Buckets in use since the last `begin`.
-    chunks: usize,
-    /// Total records pushed since the last `begin`.
-    len: usize,
-    /// Max records resident at any `begin` since the last
-    /// [`take_high_water`](Self::take_high_water) (plus the current
-    /// `len`): the fill-level observation the adaptive capacity policy
-    /// is driven by. Maintained off the hot path — `push` never
-    /// touches it.
-    high_water: usize,
-    /// Set by [`take_high_water`](Self::take_high_water), cleared by
-    /// [`begin`](Self::begin): the current `len` has already been
-    /// reported, so the next superstep's first rearm must not fold it
-    /// in again (it would double-count one superstep's demand and
-    /// delay the adaptive budget's decay by a superstep).
-    harvested: bool,
+pub struct OutputBuffer<T> {
+    workers: usize,
+    parts: usize,
+    /// Records per block.
+    block: usize,
+    /// Blocks in the pool; claiming one more panics.
+    blocks: usize,
+    /// Blocks claimed since the last [`rearm`](Self::rearm).
+    claimed: AtomicUsize,
+    /// Write cursor of chain `(w, p)` at `cursor(w, parts) + p`, inside
+    /// the chain's last block; `end == 0` while the chain is empty.
+    cursors: Vec<Cursor>,
+    /// First block of chain `(w, p)` at `w * parts + p`.
+    heads: Vec<usize>,
+    /// The block after block `b` of its chain (set when `b` is full).
+    links: Vec<usize>,
+    /// Whether worker `w`'s row was handed out by the current writer.
+    handed: Vec<AtomicBool>,
+    /// The blocks, allocated zeroed by the first [`writer`](Self::writer)
+    /// (a buffer never written holds none): a block is first touched
+    /// by the worker that claims it.
+    slots: Vec<T>,
 }
 
-impl<T: Record> ShuffleScratch<T> {
-    /// An empty scratch; buckets are grown on first use and then
-    /// retained.
-    pub fn new() -> Self {
+impl<T: Record> OutputBuffer<T> {
+    /// A buffer that holds any `records` updates from `workers` workers
+    /// over `parts` partitions, however they spread. Blocks are cut so
+    /// that the partly filled ones take at most an eighth of `records`:
+    /// the pool holds `records` plus one block per (worker, partition).
+    pub fn for_records(workers: usize, parts: usize, records: usize) -> Self {
+        let chains = workers.max(1) * parts.max(1);
+        let block = (records / (PARTIAL_SHARE * chains)).max(1);
+        Self::new(workers, parts, block, records / block + chains.min(records))
+    }
+
+    /// A buffer of `blocks` blocks of `block` records.
+    pub fn new(workers: usize, parts: usize, block: usize, blocks: usize) -> Self {
+        let (workers, parts, block) = (workers.max(1), parts.max(1), block.max(1));
         Self {
-            buckets: Vec::new(),
-            chunks: 0,
-            len: 0,
-            high_water: 0,
-            harvested: false,
+            workers,
+            parts,
+            block,
+            blocks,
+            claimed: AtomicUsize::new(0),
+            cursors: vec![Cursor::default(); cursor(workers, parts)],
+            heads: vec![0; workers * parts],
+            links: vec![0; blocks],
+            handed: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            slots: Vec::new(),
         }
     }
 
-    /// Rearms the scratch for `chunks` partitions: clears the buckets
-    /// (keeping their capacity). Allocates only when `chunks` grew past
-    /// anything seen before.
-    pub fn begin(&mut self, chunks: usize) {
-        if self.buckets.len() < chunks {
-            self.buckets.resize_with(chunks, Vec::new);
-        }
-        self.chunks = chunks;
-        for b in &mut self.buckets[..chunks] {
-            b.clear();
-        }
-        // A rearm discards the previous fill; fold it into the
-        // high-water mark first (spilling engines rearm mid-superstep,
-        // and those fills are exactly the capacity demand the adaptive
-        // policy must see) — unless that fill was already harvested at
-        // the end of the previous superstep.
-        if !self.harvested {
-            self.high_water = self.high_water.max(self.len);
-        }
-        self.harvested = false;
-        self.len = 0;
-    }
-
-    /// Max records this slice held at any point since the last call
-    /// (including the current fill), resetting the mark. The current
-    /// fill is marked as reported so the next
-    /// [`begin`](Self::begin) does not fold it in a second time.
-    pub fn take_high_water(&mut self) -> usize {
-        let hw = self.high_water.max(self.len);
-        self.high_water = 0;
-        self.harvested = true;
-        hw
-    }
-
-    /// Appends one record addressed at `partition`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is not below the number of buckets ever
-    /// rearmed.
+    /// Number of worker rows.
     #[inline]
-    pub fn push(&mut self, record: T, partition: usize) {
-        debug_assert!(
-            partition < self.chunks,
-            "partition {partition} out of {}",
-            self.chunks
-        );
-        self.buckets[partition].push(record);
-        self.len += 1;
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
-    /// Records pushed since the last [`begin`](Self::begin).
+    /// Records per block.
     #[inline]
+    pub fn block(&self) -> usize {
+        self.block
+    }
+
+    /// Records the pool holds: every block.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.blocks * self.block
+    }
+
+    /// Records pushed since the last [`rearm`](Self::rearm): every
+    /// claimed block but the unwritten rest of each chain's last one.
+    /// Counted from the cursors, so a push updates no counter.
     pub fn len(&self) -> usize {
-        self.len
+        let claimed = self.claimed.load(Ordering::Relaxed).min(self.blocks);
+        let unwritten: usize = (0..self.workers)
+            .flat_map(|w| &self.cursors[cursor(w, self.parts)..][..self.parts])
+            .map(|c| c.end - c.next)
+            .sum();
+        claimed * self.block - unwritten
     }
 
-    /// Whether no records were pushed since the last
-    /// [`begin`](Self::begin).
+    /// Whether no record was pushed since the last rearm.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Number of partition buckets in use.
-    #[inline]
-    pub fn num_chunks(&self) -> usize {
-        self.chunks
+    /// Empties every chain; the next claims take the pool's blocks
+    /// from the first again.
+    pub fn rearm(&mut self) {
+        *self.claimed.get_mut() = 0;
+        self.cursors.fill(Cursor::default());
     }
 
-    /// The records pushed for partition `p` since the last
-    /// [`begin`](Self::begin).
+    /// Returns one dispatch's writer; it hands each worker its row.
+    /// The first call allocates the blocks, untouched.
+    pub fn writer(&mut self) -> BufferWriter<'_, T> {
+        if self.slots.is_empty() {
+            self.slots = zeroed_records(self.capacity());
+        }
+        for handed in &mut self.handed {
+            *handed.get_mut() = false;
+        }
+        BufferWriter {
+            slots: StatesPtr(self.slots.as_mut_ptr()),
+            cursors: StatesPtr(self.cursors.as_mut_ptr()),
+            heads: StatesPtr(self.heads.as_mut_ptr()),
+            links: StatesPtr(self.links.as_mut_ptr()),
+            handed: &self.handed,
+            claimed: &self.claimed,
+            parts: self.parts,
+            block: self.block,
+            blocks: self.blocks,
+        }
+    }
+
+    /// The records pushed for partition `p` since the last rearm, as
+    /// runs of contiguous slots: worker 0's chain, then worker 1's, and
+    /// so on, each in push order.
     ///
     /// # Panics
     ///
-    /// Panics if `p >= num_chunks()`.
-    #[inline]
-    pub fn chunk(&self, p: usize) -> &[T] {
-        &self.buckets[..self.chunks][p]
+    /// Panics if `p` is not below the partition count.
+    pub fn runs(&self, p: usize) -> impl Iterator<Item = &[T]> + '_ {
+        assert!(p < self.parts, "partition {p} out of {}", self.parts);
+        (0..self.workers).flat_map(move |w| self.chain(w, p))
     }
 
-    /// Capacity of bucket `g` (for cross-slice capacity equalization).
-    #[inline]
-    pub fn bucket_capacity(&self, g: usize) -> usize {
-        self.buckets.get(g).map_or(0, Vec::capacity)
-    }
-
-    /// Grows *and shrinks* this slice toward the equalized capacity
-    /// targets: each bucket `g` is reserved up to `targets[g]`
-    /// (first-touch pre-faulting any new pages when `first_touch`, so
-    /// a pinned owning worker places them on its node), and a bucket
-    /// holding more than [`SHRINK_HYSTERESIS`]× its target is shrunk
-    /// back to it — the ratchet-down half of the adaptive policy,
-    /// releasing skew-era pages once the decaying budget has moved on.
-    /// Shrinking never drops below the current fill.
-    pub fn apply_capacity_targets(&mut self, targets: &[usize], first_touch: bool) {
-        for (b, &cap) in self.buckets.iter_mut().zip(targets) {
-            if b.capacity() < cap {
-                b.reserve(cap - b.len());
-                if first_touch {
-                    prefault_spare(b);
-                }
-            } else if b.capacity() > cap.saturating_mul(SHRINK_HYSTERESIS) {
-                b.shrink_to(cap.max(b.len()));
+    /// Chain `(w, p)` as runs: consecutive blocks of the chain that sit
+    /// next to each other in the pool form one run.
+    fn chain(&self, w: usize, p: usize) -> impl Iterator<Item = &[T]> + '_ {
+        let c = self.cursors[cursor(w, self.parts) + p];
+        let last = (c.end / self.block).checked_sub(1);
+        let mut at = last.map(|_| self.heads[w * self.parts + p]);
+        iter::from_fn(move || {
+            let first = at?;
+            let mut b = first;
+            while Some(b) != last && self.links[b] == b + 1 {
+                b += 1;
             }
-        }
-    }
-
-    /// Total records of capacity currently held by this slice — the
-    /// residency denominator.
-    pub fn capacity_records(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum()
-    }
-}
-
-impl<T: Record> Default for ShuffleScratch<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A bucket is shrunk only when its capacity exceeds
-/// this multiple of its target — hysteresis that keeps ordinary
-/// superstep-to-superstep load variance (work stealing moves partitions
-/// between slices every iteration) from turning into a
-/// shrink/re-reserve oscillation, which would break the allocation-free
-/// steady state.
-pub const SHRINK_HYSTERESIS: usize = 2;
-
-/// Adaptive per-slice capacity budget (ROADMAP's "capacity-equalization
-/// policy" item): replaces the static 2×-fair-share budget with
-/// envelopes of the *observed* demand.
-///
-/// Two fast-attack / slow-decay envelopes are maintained over recent
-/// supersteps: the total records buffered per superstep (`demand`) and
-/// the max records any one slice buffered (`peak` — the direct measure
-/// of steal imbalance: under uniform stealing it sits near the fair
-/// share, under skew it approaches the total). The per-slice budget is
-/// the peak envelope plus headroom:
-///
-/// * **skewed** supersteps raise `peak` instantly (fast attack), so
-///   every slice may mirror up to the observed peak at once — the
-///   heavy partition can migrate to any slice next superstep, and
-///   capping below the peak is what caused the old policy's repeated
-///   re-allocation ("ratcheting") on whichever slice inherited it;
-/// * **uniform** supersteps leave `peak ≈ demand / slices`, so the
-///   budget sits near 1.25× fair share — tighter than the old 2×,
-///   avoiding the over-mirror;
-/// * when skew **subsides**, both envelopes decay by
-///   [`CAPACITY_DECAY`] per superstep and the budget ratchets back
-///   down within a few supersteps; the equalization pass then
-///   *shrinks* buckets holding more than [`SHRINK_HYSTERESIS`]× their
-///   target, actually releasing the skew-era memory.
-///
-/// With a steady workload both envelopes converge to the per-superstep
-/// sample, the budget and targets become constants, and the
-/// equalization pass performs no allocation — preserving the pooled
-/// pipeline's zero-allocation steady state (asserted by the alloc
-/// steady-state tests at 1/2/4 threads, pinning on and off).
-#[derive(Debug, Clone)]
-pub struct CapacityPolicy {
-    /// Envelope of total records buffered per superstep.
-    demand: f64,
-    /// Envelope of the max records buffered by any one slice.
-    peak: f64,
-    /// Multiplier over the peak envelope (room for next superstep to
-    /// run slightly hotter than anything in the window).
-    headroom: f64,
-    /// Budget floor in records, so tiny runs never thrash.
-    floor: usize,
-}
-
-/// Per-superstep decay of the demand/peak envelopes: an envelope
-/// halves in ~2 supersteps once the load that set it disappears, so a
-/// transient skew stops holding memory almost immediately while still
-/// bridging the gap between consecutive skewed supersteps.
-pub const CAPACITY_DECAY: f64 = 0.7;
-
-impl CapacityPolicy {
-    /// A fresh policy with the default headroom (1.25×) and floor
-    /// (64 Ki records — the old static policy's floor, kept so small
-    /// runs never thrash).
-    pub fn new() -> Self {
-        Self {
-            demand: 0.0,
-            peak: 0.0,
-            headroom: 1.25,
-            floor: 64 * 1024,
-        }
-    }
-
-    /// Feeds one superstep's observation: `total` records buffered
-    /// across all slices and `peak` records buffered by the fullest
-    /// slice. Fast attack (a new maximum registers immediately), slow
-    /// decay (an old maximum fades by [`CAPACITY_DECAY`] per call).
-    pub fn observe(&mut self, total: usize, peak: usize) {
-        self.demand = (total as f64).max(self.demand * CAPACITY_DECAY);
-        self.peak = (peak as f64).max(self.peak * CAPACITY_DECAY);
-    }
-
-    /// The current per-slice capacity budget in records: the peak
-    /// envelope plus headroom, floored for tiny runs. (No demand cap
-    /// is needed: `observe` is fed `peak <= total` and both envelopes
-    /// decay by the same factor, so `peak <= demand` holds by
-    /// induction — a slice is never budgeted more than everything
-    /// that was in flight.)
-    pub fn budget(&self) -> usize {
-        debug_assert!(self.peak <= self.demand + f64::EPSILON);
-        ((self.peak * self.headroom).ceil() as usize).max(self.floor)
-    }
-
-    /// Observed steal imbalance: the peak envelope over the fair share
-    /// implied by the demand envelope (1.0 = perfectly uniform,
-    /// `num_slices` = one slice buffered everything).
-    pub fn observed_imbalance(&self, num_slices: usize) -> f64 {
-        let fair = self.demand / num_slices.max(1) as f64;
-        if fair <= f64::EPSILON {
-            1.0
-        } else {
-            self.peak / fair
-        }
-    }
-}
-
-impl Default for CapacityPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// What one adaptive equalization pass decided and measured; engines
-/// copy this into the iteration's statistics gauges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CapacityReport {
-    /// Per-slice budget (records) the targets were capped under.
-    pub budget: usize,
-    /// Total capacity (records) held across all slices' fan-out
-    /// buckets afterwards.
-    pub total_capacity: usize,
-    /// Sum of the slices' high-water marks this superstep (the
-    /// residency numerator; an upper bound on the simultaneous peak).
-    pub high_water: usize,
-}
-
-/// The engine-held pool: one [`ShuffleScratch`] per worker thread,
-/// rented out each superstep and retained across iterations.
-#[derive(Debug)]
-pub struct ShufflePool<T> {
-    slices: Vec<ShuffleScratch<T>>,
-    /// Pooled per-bucket capacity targets for the parallel
-    /// equalization pass (grown once, reused every iteration).
-    targets: Vec<usize>,
-    /// The adaptive budget driving
-    /// [`equalize_capacity_adaptive`](Self::equalize_capacity_adaptive).
-    policy: CapacityPolicy,
-}
-
-impl<T: Record> ShufflePool<T> {
-    /// A pool with one scratch per worker.
-    pub fn new(workers: usize) -> Self {
-        let mut slices = Vec::with_capacity(workers.max(1));
-        slices.resize_with(workers.max(1), ShuffleScratch::new);
-        Self {
-            slices,
-            targets: Vec::new(),
-            policy: CapacityPolicy::new(),
-        }
-    }
-
-    /// Number of per-worker slices.
-    #[inline]
-    pub fn num_slices(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Rearms every slice for a superstep over `chunks` partitions.
-    pub fn begin(&mut self, chunks: usize) {
-        for s in &mut self.slices {
-            s.begin(chunks);
-        }
-    }
-
-    /// Rearms every slice for a superstep over `chunks` partitions,
-    /// running each slice's [`begin`](ShuffleScratch::begin) **on the
-    /// worker thread that owns the slice** (worker `i` rearms slice
-    /// `i`; `None` or a too-small pool falls back to the calling
-    /// thread). Any bucket
-    /// spine the rearm grows is thereby allocated and first touched by
-    /// its owning worker — the cheap half of NUMA-aware slice
-    /// placement: all later capacity growth happens on the owning
-    /// worker's `push` path anyway.
-    pub fn begin_first_touch(&mut self, chunks: usize, pool: Option<&WorkerPool>) {
-        for_each_slice_on_owner(&mut self.slices, pool, |_, slice, _| slice.begin(chunks));
-    }
-
-    /// The scratch of worker `i`.
-    #[inline]
-    pub fn slice(&self, i: usize) -> &ShuffleScratch<T> {
-        &self.slices[i]
-    }
-
-    /// Mutable access to the scratch of worker `i`.
-    #[inline]
-    pub fn slice_mut(&mut self, i: usize) -> &mut ShuffleScratch<T> {
-        &mut self.slices[i]
-    }
-
-    /// Raw pointer to the slice array, for an engine that hands
-    /// disjoint `&mut` slices to its pool's workers (see
-    /// `xstream_disk::engine`).
-    pub fn slices_ptr(&mut self) -> *mut ShuffleScratch<T> {
-        self.slices.as_mut_ptr()
-    }
-
-    /// Total records pushed across all slices this superstep.
-    pub fn total_len(&self) -> usize {
-        self.slices.iter().map(|s| s.len()).sum()
-    }
-
-    /// The cross-slice capacity equalization pass: one call per
-    /// superstep, after gather.
-    ///
-    /// Under work stealing the partition → thread assignment changes
-    /// between iterations, so without equalization each slice would
-    /// independently rediscover (and re-allocate toward) the same
-    /// high-water marks whenever a bucket-heavy partition migrates to
-    /// it; this pass makes a capacity reached by *any* slice available
-    /// to *every* slice, bounded by the adaptive budget (this replaced
-    /// an earlier static 2×-fair-share budget).
-    ///
-    /// Harvests every slice's high-water mark (resetting it), feeds the
-    /// total and the per-slice peak into the pool's [`CapacityPolicy`],
-    /// and applies the resulting budget's targets on each slice's
-    /// owning worker (first-touch, NUMA-local when the pool's workers
-    /// are pinned) — growing buckets toward the mirrored high-water
-    /// marks *and shrinking* any bucket more than
-    /// [`SHRINK_HYSTERESIS`]× over its target, so capacity ratchets
-    /// down once skew subsides. Allocation-free at a steady workload
-    /// (the envelopes, budget and targets all converge to constants).
-    ///
-    /// Returns the [`CapacityReport`] the engines expose through
-    /// [`IterationStats`](xstream_core::IterationStats)' shuffle
-    /// gauges.
-    pub fn equalize_capacity_adaptive(&mut self, pool: Option<&WorkerPool>) -> CapacityReport {
-        let mut total_hw = 0usize;
-        let mut peak_hw = 0usize;
-        for s in &mut self.slices {
-            let hw = s.take_high_water();
-            total_hw += hw;
-            peak_hw = peak_hw.max(hw);
-        }
-        self.policy.observe(total_hw, peak_hw);
-        let budget = self.policy.budget();
-        let chunks = self.compute_equalized_targets(budget);
-        let targets = &self.targets[..chunks];
-        for_each_slice_on_owner(&mut self.slices, pool, |_, slice, on_owner| {
-            slice.apply_capacity_targets(targets, on_owner);
-        });
-        let total_capacity = self
-            .slices
-            .iter()
-            .map(ShuffleScratch::capacity_records)
-            .sum();
-        CapacityReport {
-            budget,
-            total_capacity,
-            high_water: total_hw,
-        }
-    }
-
-    /// The equalization policy: fills `self.targets[..chunks]` with
-    /// each bucket's mirrored capacity target (cross-slice high-water
-    /// mark, scaled down proportionally when the total demand exceeds
-    /// `slice_budget`) and returns `chunks`, the bucket count.
-    fn compute_equalized_targets(&mut self, slice_budget: usize) -> usize {
-        let chunks = self
-            .slices
-            .iter()
-            .map(|s| s.num_chunks())
-            .max()
-            .unwrap_or(0);
-        if self.targets.len() < chunks {
-            self.targets.resize(chunks, 0);
-        }
-        let mut demand = 0usize;
-        for g in 0..chunks {
-            let cap = self
-                .slices
-                .iter()
-                .map(|s| s.bucket_capacity(g))
-                .max()
-                .unwrap_or(0);
-            self.targets[g] = cap;
-            demand += cap;
-        }
-        if demand > slice_budget {
-            for t in &mut self.targets[..chunks] {
-                *t = (*t as u128 * slice_budget as u128 / demand.max(1) as u128) as usize;
-            }
-        }
-        chunks
-    }
-}
-
-/// Runs `f(index, slice, on_owner)` for every slice, **on the worker
-/// thread that owns the slice** when `pool` can cover them all
-/// (worker `i` handles slice `i`, so any pages `f` touches are
-/// first-touched — and on a pinned pool, NUMA-placed — by the thread
-/// that fills the slice during scatter). Falls back to the calling
-/// thread with `on_owner = false` when there is no pool or it is too
-/// small. The single home of the owning-worker dispatch's unsafe
-/// reasoning — every per-slice-on-owner operation goes through here.
-fn for_each_slice_on_owner<T: Record>(
-    slices: &mut [ShuffleScratch<T>],
-    pool: Option<&WorkerPool>,
-    f: impl Fn(usize, &mut ShuffleScratch<T>, bool) + Sync,
-) {
-    let n = slices.len();
-    match pool.filter(|p| p.workers() + 1 >= n) {
-        Some(pool) => {
-            let slices = PerWorkerPtr(slices.as_mut_ptr());
-            let job = |tid: usize| {
-                if tid < n {
-                    // SAFETY: each dispatch runs every tid exactly
-                    // once and tid < n, so these `&mut` borrows are
-                    // disjoint across workers.
-                    f(tid, unsafe { slices.get_mut(tid) }, true);
-                }
+            let (end, next) = if Some(b) == last {
+                (c.next, None)
+            } else {
+                ((b + 1) * self.block, Some(self.links[b]))
             };
-            pool.run(&job);
-        }
-        None => {
-            for (i, s) in slices.iter_mut().enumerate() {
-                f(i, s, false);
-            }
+            at = next;
+            Some(&self.slots[first * self.block..end])
+        })
+    }
+}
+
+/// One dispatch's handle on an [`OutputBuffer`]: hands each worker its
+/// row of chains.
+pub struct BufferWriter<'a, T> {
+    slots: StatesPtr<T>,
+    cursors: StatesPtr<Cursor>,
+    heads: StatesPtr<usize>,
+    links: StatesPtr<usize>,
+    handed: &'a [AtomicBool],
+    claimed: &'a AtomicUsize,
+    parts: usize,
+    block: usize,
+    blocks: usize,
+}
+
+impl<T: Record> BufferWriter<'_, T> {
+    /// The writer of worker `w`'s chains, which continue where the
+    /// last dispatch left them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of range or was already handed out by this
+    /// writer.
+    pub fn worker(&self, w: usize) -> WorkerWriter<'_, T> {
+        assert!(
+            !self.handed[w].swap(true, Ordering::Relaxed),
+            "worker {w} handed out twice in one dispatch"
+        );
+        let parts = self.parts;
+        // SAFETY: the claim above hands row `w` out once per writer,
+        // and the rows of both arrays are disjoint and inside them.
+        let (row, heads) = unsafe {
+            let row = cursor(w, parts);
+            (
+                self.cursors.partition_slice_mut(row..row + parts),
+                self.heads.partition_slice_mut(w * parts..(w + 1) * parts),
+            )
+        };
+        WorkerWriter {
+            row,
+            heads,
+            slots: self.slots.0,
+            buffer: self,
         }
     }
 }
 
+/// One worker's scatter output: a write cursor per partition.
+pub struct WorkerWriter<'a, T> {
+    row: &'a mut [Cursor],
+    heads: &'a mut [usize],
+    /// The blocks.
+    slots: *mut T,
+    buffer: &'a BufferWriter<'a, T>,
+}
+
+impl<T: Record> WorkerWriter<'_, T> {
+    /// Appends `record` to this worker's chain for `partition`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before writing, if the pool has no free block left or
+    /// `partition` is not below the partition count.
+    #[inline]
+    pub fn push(&mut self, record: T, partition: usize) {
+        let c = &mut self.row[partition];
+        if c.next == c.end {
+            claim(c, &mut self.heads[partition], self.buffer, partition);
+        }
+        // SAFETY: `next < end`, inside a block this worker claimed: the
+        // pool's claim counter hands out each block once per rearm.
+        unsafe { self.slots.add(c.next).write(record) };
+        c.next += 1;
+    }
+}
+
+/// Extends the chain of cursor `c` and first block `head` by the
+/// pool's next free block. Takes the chain's parts rather than the
+/// writer, so a push loop keeps the writer in registers.
+#[cold]
+#[inline(never)]
+fn claim<T>(c: &mut Cursor, head: &mut usize, buffer: &BufferWriter<'_, T>, partition: usize) {
+    let (block, blocks) = (buffer.block, buffer.blocks);
+    let b = buffer.claimed.fetch_add(1, Ordering::Relaxed);
+    if b >= blocks {
+        pool_full(partition, blocks);
+    }
+    match (c.end / block).checked_sub(1) {
+        // SAFETY: block `prev` is this chain's last, claimed by this
+        // worker alone, and below `blocks`.
+        Some(prev) => unsafe { buffer.links.0.add(prev).write(b) },
+        None => *head = b,
+    }
+    *c = Cursor {
+        next: b * block,
+        end: (b + 1) * block,
+    };
+}
+
+#[cold]
+#[inline(never)]
+fn pool_full(partition: usize, blocks: usize) -> ! {
+    panic!(
+        "output buffer full: no block left of {blocks} for partition {partition}; \
+         the buffer is sized below one scatter step"
+    )
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1124,23 +894,6 @@ mod tests {
             assert_eq!(reference.chunk(p), chunk, "chunk {p}");
         }
         assert!(clean_window, "layout reuse allocated in every window");
-    }
-
-    #[test]
-    fn single_stage_plan_serves_from_buckets() {
-        // The out-of-core engine's buckets, one per partition.
-        let k = 16usize;
-        let input: Vec<u32> = (0..1000).collect();
-        let mut scratch = ShuffleScratch::new();
-        scratch.begin(k);
-        for &r in &input {
-            scratch.push(r, r as usize % k);
-        }
-        let reference = shuffle(&input, k, |r| *r as usize % k);
-        assert_eq!(scratch.num_chunks(), k);
-        for p in 0..k {
-            assert_eq!(reference.chunk(p), scratch.chunk(p), "chunk {p}");
-        }
     }
 
     #[test]
@@ -1290,119 +1043,181 @@ mod tests {
         }
     }
 
+    /// Partition `p`'s records in an output buffer, all chains.
+    fn read(buffer: &OutputBuffer<u32>, p: usize) -> Vec<u32> {
+        buffer.runs(p).flatten().copied().collect()
+    }
+
+    /// Chain `(w, p)` of an output buffer.
+    fn read_chain(buffer: &OutputBuffer<u32>, w: usize, p: usize) -> Vec<u32> {
+        buffer.chain(w, p).flatten().copied().collect()
+    }
+
     #[test]
-    fn pool_hands_out_independent_slices() {
-        let mut pool: ShufflePool<u32> = ShufflePool::new(3);
-        pool.begin(8);
-        for i in 0..3 {
-            let s = pool.slice_mut(i);
-            for v in 0..10u32 {
-                s.push(v + i as u32 * 100, ((v + i as u32) % 8) as usize);
+    fn single_stage_plan_serves_from_buckets() {
+        // The out-of-core engine's chains, one per partition.
+        let k = 16usize;
+        let input: Vec<u32> = (0..1000).collect();
+        let mut buffer = OutputBuffer::for_records(1, k, input.len());
+        {
+            let writer = buffer.writer();
+            let mut worker = writer.worker(0);
+            for &r in &input {
+                worker.push(r, r as usize % k);
             }
         }
-        assert_eq!(pool.total_len(), 30);
-        assert_eq!(pool.slice(1).chunk(1), &[100, 108]);
-    }
-
-    #[test]
-    fn capacity_policy_attacks_fast_and_decays_slow() {
-        let mut p = CapacityPolicy::new();
-        // A skewed superstep registers immediately.
-        p.observe(400_000, 400_000);
-        let skewed = p.budget();
-        assert!(skewed >= 400_000, "budget {skewed} below observed peak");
-        assert!((p.observed_imbalance(4) - 4.0).abs() < 1e-9);
-        // Uniform supersteps decay the envelopes back down.
-        for _ in 0..12 {
-            p.observe(400_000, 100_000);
+        let reference = shuffle(&input, k, |r| *r as usize % k);
+        assert_eq!(buffer.len(), input.len());
+        for p in 0..k {
+            assert_eq!(reference.chunk(p), read(&buffer, p), "chunk {p}");
         }
-        let uniform = p.budget();
-        assert!(
-            uniform < skewed / 2,
-            "budget failed to ratchet down: {uniform} vs {skewed}"
-        );
-        assert!(uniform >= 100_000, "budget fell below live demand");
-        assert!(p.observed_imbalance(4) < 1.5);
-        // The floor holds for tiny runs.
-        let mut tiny = CapacityPolicy::new();
-        tiny.observe(10, 10);
-        assert_eq!(tiny.budget(), 64 * 1024);
     }
 
     #[test]
-    fn adaptive_equalization_ratchets_capacity_down_after_skew() {
+    fn pool_hands_out_independent_slices() {
+        let mut buffer: OutputBuffer<u32> = OutputBuffer::for_records(3, 8, 30);
+        {
+            let writer = buffer.writer();
+            for i in 0..3 {
+                let mut worker = writer.worker(i);
+                for v in 0..10u32 {
+                    worker.push(v + i as u32 * 100, ((v + i as u32) % 8) as usize);
+                }
+            }
+        }
+        assert_eq!(buffer.len(), 30);
+        assert_eq!(read_chain(&buffer, 1, 1), [100, 108]);
+    }
+
+    #[test]
+    fn chains_read_back_in_push_order() {
+        // Two workers push over three dispatches, first all to one
+        // partition, then fanned out uniformly. Each chain holds its
+        // worker's records for its partition in push order, and a
+        // partition reads worker 0's chain, then worker 1's.
+        let (k, n) = (8usize, 6000u32);
+        let pool = WorkerPool::new(1);
+        let record = |w: usize, i: u32| (w as u32) << 16 | i;
+        let keys: [fn(u32) -> usize; 2] = [|_| 3, |r| (r as usize * 5) % 8];
+        for key in keys {
+            let mut buffer = OutputBuffer::for_records(2, k, 2 * n as usize);
+            assert!(buffer.capacity() <= 2 * n as usize * 9 / 8 + 2 * k);
+            for dispatch in 0..3u32 {
+                let writer = buffer.writer();
+                let lo = dispatch * n / 3;
+                pool.run(&|w| {
+                    let mut worker = writer.worker(w);
+                    for i in lo..lo + n / 3 {
+                        worker.push(record(w, i), key(record(w, i)));
+                    }
+                });
+            }
+            assert_eq!(buffer.len(), 2 * n as usize);
+            for p in 0..k {
+                let want = |w| (0..n).map(move |i| record(w, i)).filter(|&r| key(r) == p);
+                for w in 0..2 {
+                    assert_eq!(read_chain(&buffer, w, p), want(w).collect::<Vec<_>>());
+                }
+                assert_eq!(read(&buffer, p), want(0).chain(want(1)).collect::<Vec<_>>());
+            }
+        }
+        // One worker and one partition claim consecutive blocks, which
+        // read back as a single run.
+        let mut buffer = OutputBuffer::new(1, 2, 4, 10);
+        {
+            let writer = buffer.writer();
+            let mut worker = writer.worker(0);
+            (0..37u32).for_each(|r| worker.push(r, 1));
+        }
+        assert_eq!(buffer.runs(1).count(), 1);
+        assert_eq!(read(&buffer, 1), (0..37).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_pool_one_block_short_panics_before_writing_outside_itself() {
+        // Worker w's record i is `(w << 16) | (i + 1)`, keyed to
+        // partition i % 4: each of the 8 chains needs 7 blocks of 16,
+        // and the pool is forged to hold 55 of the 56. Filling it must
+        // panic, serially and with the two workers on two threads;
+        // every slot of the last block must still hold zero, and every
+        // record of the others must sit in its own chain.
+        let (k, workers, n, block) = (4usize, 2usize, 400u32, 16usize);
+        let record = |w: usize, i: u32| (w as u32) << 16 | (i + 1);
+        let key = |r: u32| ((r & 0xffff) - 1) as usize % k;
+        let pool = WorkerPool::new(1);
+        for pool in [None, Some(&pool)] {
+            // The first writer allocates all 56 blocks; the pool then
+            // claims only 55 of them.
+            let mut buffer = OutputBuffer::<u32>::new(workers, k, block, 56);
+            let _ = buffer.writer();
+            buffer.blocks = 55;
+            let outcome = {
+                let writer = buffer.writer();
+                let scatter = |w: usize| {
+                    let mut worker = writer.worker(w);
+                    (0..n).for_each(|i| worker.push(record(w, i), key(record(w, i))));
+                };
+                std::panic::catch_unwind(AssertUnwindSafe(|| match pool {
+                    Some(pool) => pool.run(&scatter),
+                    None => (0..workers).for_each(&scatter),
+                }))
+            };
+            assert!(outcome.is_err(), "a pool one block short must panic");
+            assert!(
+                buffer.slots[55 * block..].iter().all(|&r| r == 0),
+                "a record landed outside the pool"
+            );
+            assert!(
+                (0..55).all(|b| buffer.slots[b * block] != 0),
+                "the pool was not filled before the panic"
+            );
+            let mut held = 0;
+            for w in 0..workers {
+                for p in 0..k {
+                    for r in read_chain(&buffer, w, p) {
+                        assert!(
+                            r >> 16 == w as u32 && key(r) == p,
+                            "chain ({w}, {p}) holds {r:#x}"
+                        );
+                        held += 1;
+                    }
+                }
+            }
+            assert_eq!(held, buffer.len());
+        }
+    }
+
+    #[test]
+    fn a_rearm_reuses_blocks_and_allocates_nothing() {
         if !xstream_core::alloc_stats::run_alone(
             module_path!(),
-            "adaptive_equalization_ratchets_capacity_down_after_skew",
+            "a_rearm_reuses_blocks_and_allocates_nothing",
         ) {
             return;
         }
-        let k = 8usize;
-        let mut pool: ShufflePool<u32> = ShufflePool::new(4);
-        // Skewed superstep: slice 0 buffers everything (extreme steal
-        // imbalance), the others idle.
-        pool.begin(k);
-        for v in 0..300_000u32 {
-            pool.slice_mut(0).push(v, (v % k as u32) as usize);
-        }
-        let skew_report = pool.equalize_capacity_adaptive(None);
-        assert_eq!(skew_report.high_water, 300_000);
-        assert!(skew_report.budget >= 300_000);
-        // The peak was mirrored: every slice can now hold it.
-        assert!(skew_report.total_capacity >= 4 * 300_000);
-
-        // Uniform supersteps: modest, evenly spread load. The budget
-        // decays and capacity is actually released (shrunk), not just
-        // capped.
-        let uniform = |pool: &mut ShufflePool<u32>| {
-            pool.begin(k);
-            for i in 0..4 {
-                for v in 0..10_000u32 {
-                    pool.slice_mut(i).push(v, (v % k as u32) as usize);
-                }
-            }
-            pool.equalize_capacity_adaptive(None)
+        let k = 16usize;
+        let input: Vec<u32> = (0..20_000u32).map(|i| i.wrapping_mul(40_503)).collect();
+        let mut buffer = OutputBuffer::for_records(1, k, input.len());
+        let fill = |buffer: &mut OutputBuffer<u32>| {
+            buffer.rearm();
+            let writer = buffer.writer();
+            let mut worker = writer.worker(0);
+            input.iter().for_each(|&r| worker.push(r, r as usize % k));
         };
-        let mut last = skew_report;
-        for _ in 0..12 {
-            last = uniform(&mut pool);
-        }
-        assert!(
-            last.total_capacity < skew_report.total_capacity / 2,
-            "capacity failed to ratchet down: {} vs skew-era {}",
-            last.total_capacity,
-            skew_report.total_capacity
+        fill(&mut buffer);
+        let clean_window =
+            xstream_core::alloc_stats::any_allocation_free_window(50, || fill(&mut buffer));
+        assert!(clean_window, "a rearm and refill allocated in every window");
+        assert_eq!(buffer.len(), input.len());
+        // The first record's chain starts at the pool's first block again.
+        let first = input[0] as usize % k;
+        assert_eq!(
+            buffer.runs(first).next().unwrap().as_ptr(),
+            buffer.slots.as_ptr()
         );
-        assert_eq!(last.high_water, 40_000);
-
-        // Steady state: one more uniform superstep changes nothing and
-        // allocates nothing.
-        let clean_window = xstream_core::alloc_stats::any_allocation_free_window(20, || {
-            let r = uniform(&mut pool);
-            assert_eq!(r.total_capacity, last.total_capacity);
-        });
-        assert!(clean_window, "steady-state adaptive pass kept allocating");
-    }
-
-    #[test]
-    fn high_water_survives_mid_superstep_rearms() {
-        // Spilling engines call begin() between spills; the mark must
-        // accumulate across them until taken.
-        let mut s: ShuffleScratch<u32> = ShuffleScratch::new();
-        s.begin(4);
-        for v in 0..100u32 {
-            s.push(v, (v % 4) as usize);
+        let reference = shuffle(&input, k, |r| *r as usize % k);
+        for p in 0..k {
+            assert_eq!(reference.chunk(p), read(&buffer, p), "chunk {p}");
         }
-        s.begin(4); // spill rearm
-        for v in 0..40u32 {
-            s.push(v, (v % 4) as usize);
-        }
-        assert_eq!(s.take_high_water(), 100);
-        // Taking resets to the live fill.
-        assert_eq!(s.take_high_water(), 40);
-        // But a harvested fill is not folded in again by the next
-        // superstep's rearm — no cross-superstep double count.
-        s.begin(4);
-        assert_eq!(s.take_high_water(), 0);
     }
 }

@@ -39,9 +39,9 @@
 //! the stream buffer with its own index array and shuffles it
 //! independently — zero synchronization until the final barrier. The
 //! in-memory engine's scatter tasks own disjoint regions of its update
-//! layout, the out-of-core engine keeps one
-//! [`ShuffleScratch`](crate::scratch::ShuffleScratch) per worker, and
-//! the in-memory engine's build runs [`CountingPlacement::place_slice`]
+//! layout, each worker of the out-of-core engine writes its own chains
+//! of an [`OutputBuffer`](crate::scratch::OutputBuffer), and the
+//! in-memory engine's build runs [`CountingPlacement::place_slice`]
 //! in per-worker slices on a [`WorkerPool`], its second level one group
 //! per worker at a time.
 

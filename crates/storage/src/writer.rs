@@ -9,10 +9,15 @@
 //! Fig. 15 layout — edges on one device, updates on another — is
 //! serviced by independent writer threads and a slow or failing device
 //! never stalls appends bound for the other. Each device queue is a
-//! pre-allocated [`BoundedQueue`] with depth-1 backpressure: the
-//! caller can fill the next buffer while the previous one drains, and
-//! submitting a third blocks until *that device* catches up — the
-//! paper's double-buffered output, per device.
+//! [`BoundedQueue`] allocated for `depth` jobs, which grows once if a
+//! spill queues more borrowed runs. Owned buffers get depth-1
+//! backpressure: the caller can fill the next buffer while the
+//! previous one drains, and submitting a third blocks until *that
+//! device* catches up — the paper's double-buffered output, per
+//! device. Borrowed runs never wait for the queue: they hold no writer
+//! memory, and the caller's barrier bounds them, so a spill hands a
+//! whole output buffer over at once and computing goes on into the
+//! other one.
 //!
 //! The writer is *engine-persistent* rather than per-superstep:
 //!
@@ -82,13 +87,19 @@ pub struct WriteMark([u64; MAX_DEVICES]);
 
 struct WriterShared {
     /// Jobs fully processed per device thread (error or not).
-    completed: Mutex<[u64; MAX_DEVICES]>,
+    completed: Mutex<Completed>,
     /// Signalled after every completed job; barriers wait on it.
     drained: Condvar,
     /// First unreported append error of each device since the last
     /// `flush` observed it. Per-device so a failing device drops only
     /// its own work while the others keep writing.
     errors: Vec<Mutex<Option<Error>>>,
+}
+
+/// Jobs a device thread has processed, all and owned ones.
+struct Completed {
+    jobs: [u64; MAX_DEVICES],
+    owned: [u64; MAX_DEVICES],
 }
 
 /// Persistent per-device writer threads over a [`StreamStore`].
@@ -101,14 +112,18 @@ pub struct AsyncWriter {
     /// Per-device jobs submitted from this handle (the writer is
     /// single-producer: one engine thread owns it).
     submitted: Cell<[u64; MAX_DEVICES]>,
+    /// Per-device owned buffers submitted from this handle.
+    owned: Cell<[u64; MAX_DEVICES]>,
+    /// Owned buffers in flight per device before `submit` blocks.
+    depth: u64,
     shared: Arc<WriterShared>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl AsyncWriter {
-    /// Spawns one writer thread per device of `store`; `depth` buffers
-    /// may be in flight *per device* before [`submit`](Self::submit)
-    /// blocks (the paper uses one).
+    /// Spawns one writer thread per device of `store`; `depth` owned
+    /// buffers may be in flight *per device* before
+    /// [`submit`](Self::submit) blocks (the paper uses one).
     pub fn new(store: Arc<StreamStore>, depth: usize) -> Result<Self> {
         Self::new_pinned(store, depth, None)
     }
@@ -132,7 +147,10 @@ impl AsyncWriter {
         // can all return to the pool before the next acquire.
         let recycled: BoundedQueue<Vec<u8>> = BoundedQueue::new(devices * depth + 2);
         let shared = Arc::new(WriterShared {
-            completed: Mutex::new([0; MAX_DEVICES]),
+            completed: Mutex::new(Completed {
+                jobs: [0; MAX_DEVICES],
+                owned: [0; MAX_DEVICES],
+            }),
             drained: Condvar::new(),
             errors: (0..devices).map(|_| Mutex::new(None)).collect(),
         });
@@ -155,6 +173,7 @@ impl AsyncWriter {
                             // work until flush reports it. Other
                             // devices are unaffected.
                             let poisoned = shared.errors[d].lock().is_some();
+                            let owned = matches!(job, Job::Owned(..));
                             match job {
                                 Job::Owned(name, mut buf) => {
                                     if !poisoned {
@@ -180,7 +199,10 @@ impl AsyncWriter {
                                     }
                                 }
                             }
-                            shared.completed.lock()[d] += 1;
+                            let mut completed = shared.completed.lock();
+                            completed.jobs[d] += 1;
+                            completed.owned[d] += u64::from(owned);
+                            drop(completed);
                             shared.drained.notify_all();
                         }
                     })
@@ -192,6 +214,8 @@ impl AsyncWriter {
             recycled,
             store,
             submitted: Cell::new([0; MAX_DEVICES]),
+            owned: Cell::new([0; MAX_DEVICES]),
+            depth: depth as u64,
             shared,
             threads,
         })
@@ -224,21 +248,33 @@ impl AsyncWriter {
         counts[device] += 1;
         self.submitted.set(counts);
         self.jobs[device]
-            .push(job)
+            .push_unbounded(job)
             .map_err(|_| Error::Io(std::io::Error::other("async writer thread terminated")))
     }
 
     /// Queues an append on the stream's device thread; blocks while
-    /// `depth` writes are in flight on that device. The buffer returns
-    /// to the [`acquire`](Self::acquire) pool once written. Append
-    /// errors surface on [`flush`](Self::flush) / [`finish`](Self::finish).
+    /// `depth` owned buffers are in flight on that device. The buffer
+    /// returns to the [`acquire`](Self::acquire) pool once written.
+    /// Append errors surface on [`flush`](Self::flush) /
+    /// [`finish`](Self::finish).
     pub fn submit(&self, name: impl Into<Arc<str>>, bytes: Vec<u8>) -> Result<()> {
         let name = name.into();
-        self.push(self.route(&name), Job::Owned(name, bytes))
+        let device = self.route(&name);
+        let mut owned = self.owned.get();
+        let mut completed = self.shared.completed.lock();
+        while owned[device] - completed.owned[device] >= self.depth {
+            self.shared.drained.wait(&mut completed);
+        }
+        drop(completed);
+        owned[device] += 1;
+        self.owned.set(owned);
+        self.push(device, Job::Owned(name, bytes))
     }
 
     /// Queues a **zero-copy** append of `len` bytes at `ptr` on the
-    /// stream's device thread.
+    /// stream's device thread, without waiting: a borrowed run holds no
+    /// writer memory, and the barrier below bounds how many are
+    /// queued.
     ///
     /// # Safety
     ///
@@ -267,7 +303,7 @@ impl AsyncWriter {
     /// next `flush`.
     pub fn wait_until(&self, mark: WriteMark) {
         let mut completed = self.shared.completed.lock();
-        while completed.iter().zip(mark.0.iter()).any(|(c, m)| c < m) {
+        while completed.jobs.iter().zip(mark.0.iter()).any(|(c, m)| c < m) {
             self.shared.drained.wait(&mut completed);
         }
     }
@@ -429,6 +465,35 @@ mod tests {
         let recycled = w.acquire();
         assert!(recycled.is_empty());
         w.recycle(recycled);
+        w.finish().unwrap();
+    }
+
+    #[test]
+    fn borrowed_runs_queue_past_the_depth_in_order() {
+        // Depth 1 holds back owned buffers only: forty borrowed runs
+        // and four owned buffers, interleaved on one stream, all queue
+        // and land in submission order.
+        let store = temp_store("past_depth");
+        let w = AsyncWriter::new(Arc::clone(&store), 1).unwrap();
+        let name: Arc<str> = Arc::from("s");
+        let runs: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 100 + i as usize]).collect();
+        let mut want = Vec::new();
+        for (i, run) in runs.iter().enumerate() {
+            // SAFETY: `runs` outlives the `flush` barrier below.
+            unsafe {
+                w.submit_borrowed(Arc::clone(&name), run.as_ptr(), run.len())
+                    .unwrap();
+            }
+            want.extend_from_slice(run);
+            if i % 10 == 9 {
+                let mut buf = w.acquire();
+                buf.extend_from_slice(&[0xff; 7]);
+                w.submit(Arc::clone(&name), buf).unwrap();
+                want.extend_from_slice(&[0xff; 7]);
+            }
+        }
+        w.flush().unwrap();
+        assert_eq!(store.read_all("s").unwrap(), want);
         w.finish().unwrap();
     }
 

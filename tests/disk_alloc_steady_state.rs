@@ -53,11 +53,11 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
     // configuration is the fully out-of-core regime: spilled updates
     // *and* per-partition vertex files, loaded into pooled scratch and
     // written back via truncate + append through cached handles. Every
-    // thread count is swept with pinning off *and* on: the adaptive
-    // capacity equalization must converge to zero allocations either
-    // way (on this repo's 1-CPU CI container the pinned runs exercise
-    // the graceful-no-op path; on real hardware they exercise the
-    // pinned first-touch path).
+    // thread count is swept with pinning off *and* on: the engine's
+    // pooled I/O buffers must converge to zero allocations either way
+    // (on a 1-CPU container the pinned runs exercise the graceful-no-op
+    // path; on real hardware they exercise the pinned placement). The
+    // scatter output buffers are sized at build and never grow.
     for (threads, ondisk_vertices, pin) in [
         (1usize, false, PinMode::Off),
         (1, false, PinMode::Cores),
@@ -98,11 +98,10 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
         );
 
         // Buffer → partition assignment in the writer's recycle pool
-        // depends on I/O timing, so capacities converge over a few
-        // supersteps rather than strictly at superstep 2 (and the
-        // adaptive budget may shrink skew-era capacity once while its
-        // envelopes settle). Demand a run of five consecutive
-        // zero-allocation supersteps within a bounded ratchet phase.
+        // depends on I/O timing, so its buffers' capacities converge
+        // over a few supersteps rather than strictly at superstep 2.
+        // Demand a run of five consecutive zero-allocation supersteps
+        // within a bounded warm-up phase.
         let mut consecutive_zero = 0;
         let mut supersteps = 0;
         let mut last = warmup.clone();
@@ -123,8 +122,8 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
             }
             last = it;
         }
-        // In the converged steady state the adaptive gauges are
-        // populated and stable enough to report.
+        // In the converged steady state the capacity gauges are
+        // populated.
         assert!(
             last.shuffle_budget > 0 && last.shuffle_capacity > 0,
             "threads={threads} pin={pin:?}: capacity gauges empty at steady state"

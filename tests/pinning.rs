@@ -135,8 +135,9 @@ fn pinned_wcc_matches_unpinned_on_both_engines() {
 
 #[test]
 fn pinned_runs_report_capacity_gauges() {
-    // The adaptive equalization gauges must be populated with pinning
-    // on (they ride the same per-worker equalization dispatch).
+    // The capacity gauges must be populated with pinning on (the
+    // output buffers' blocks are first touched by the pinned workers
+    // that fill them).
     let g = test_graph().to_undirected();
     let p = wcc::Wcc::new();
     let store = temp_store("gauges");
@@ -146,10 +147,7 @@ fn pinned_runs_report_capacity_gauges() {
     assert!(t.shuffle_capacity > 0, "capacity gauge empty");
     assert!(t.shuffle_high_water > 0, "high-water gauge empty");
     assert!(t.shuffle_budget > 0, "budget gauge empty");
-    // The residency gauge is finite and positive (it may legitimately
-    // exceed 100% transiently: the numerator sums per-slice peaks that
-    // need not be simultaneous, and a shrink can land the same
-    // superstep).
+    // The residency gauge is finite and positive.
     let r = t.buffer_residency_pct();
     assert!(r > 0.0 && r.is_finite(), "residency {r}% out of range");
 }

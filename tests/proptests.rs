@@ -499,6 +499,49 @@ mod disk_engine_props {
             prop_assert_eq!(labels, union_find_components(n, &pairs));
             let _ = std::fs::remove_dir_all(&root);
         }
+
+        #[test]
+        fn disk_supersteps_match_the_oracle(
+            (n, pairs) in arb_graph(120, 400),
+            threads in 1usize..4,
+            in_memory_updates in any::<bool>(),
+        ) {
+            // The disk counterpart of `in_memory_supersteps_match_the_oracle`:
+            // every counter and the bitwise states of a sum program,
+            // three supersteps deep, at K = 1, 4 and one partition per
+            // vertex, with the update streams spilled or kept in memory.
+            let g = from_pairs(n, &pairs);
+            for k in [1usize, 4, n] {
+                let root = std::env::temp_dir().join(format!(
+                    "xstream_prop_disk_oracle_{}_{}_{}_{}_{}",
+                    n, pairs.len(), threads, in_memory_updates, k
+                ));
+                let _ = std::fs::remove_dir_all(&root);
+                let store = StreamStore::new(&root, 1 << 12).expect("store");
+                let cfg = EngineConfig {
+                    in_memory_updates,
+                    ..EngineConfig::default()
+                        .with_memory_budget(1 << 18)
+                        .with_io_unit(1 << 12)
+                        .with_threads(threads)
+                        .with_partitions(k)
+                };
+                let mut engine =
+                    DiskEngine::from_graph(store, &g, &NeighbourSum, cfg).expect("engine");
+                let mut oracle = OracleEngine::new(n, g.edges().to_vec(), &NeighbourSum);
+                for step in 0..3 {
+                    let a = engine.try_scatter_gather(&NeighbourSum).expect("superstep");
+                    let b = oracle.scatter_gather(&NeighbourSum);
+                    let counters = |s: &xstream::core::IterationStats| {
+                        (s.edges_streamed, s.updates_generated, s.updates_applied, s.vertices_changed)
+                    };
+                    prop_assert_eq!(counters(&a), counters(&b), "K={}, step {}", k, step);
+                    prop_assert_eq!(engine.states(), oracle.states(), "K={}, step {}", k, step);
+                }
+                drop(engine);
+                let _ = std::fs::remove_dir_all(&root);
+            }
+        }
     }
 }
 
