@@ -15,41 +15,26 @@
 //! refresh the committed baseline when they are real.
 
 use std::process::ExitCode;
+use xstream_server::json::{self, Json};
 
-/// One `(id, median_ns)` pair from a results file.
-fn parse_medians(json: &str) -> Vec<(String, u64)> {
-    // The vendored criterion writes one object per line with stable
-    // key order; this extracts the two fields of interest without a
-    // JSON dependency, tolerating whitespace variations.
-    let mut out = Vec::new();
-    for obj in json.split('{').skip(1) {
-        let id = match extract_str(obj, "\"id\"") {
-            Some(v) => v,
-            None => continue,
-        };
-        let median = match extract_u64(obj, "\"median_ns\"") {
-            Some(v) => v,
-            None => continue,
-        };
-        out.push((id, median));
-    }
-    out
+/// The `(id, median_ns)` pairs of a results file: a JSON array with
+/// one object per benchmark. Objects lacking either field are skipped.
+fn parse_medians(text: &str) -> Result<Vec<(String, u64)>, String> {
+    let Json::Arr(results) = json::parse(text.as_bytes())? else {
+        return Err("expected a JSON array of results".to_string());
+    };
+    Ok(results
+        .iter()
+        .filter_map(|r| {
+            let id = r.get("id")?.as_str()?;
+            Some((id.to_string(), r.get("median_ns")?.as_u64()?))
+        })
+        .collect())
 }
 
-fn extract_str(obj: &str, key: &str) -> Option<String> {
-    let at = obj.find(key)? + key.len();
-    let rest = &obj[at..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    let close = rest.find('"')?;
-    Some(rest[..close].to_string())
-}
-
-fn extract_u64(obj: &str, key: &str) -> Option<u64> {
-    let at = obj.find(key)? + key.len();
-    let rest = obj[at..].trim_start_matches([':', ' ']);
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+fn load(path: &str) -> Result<Vec<(String, u64)>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_medians(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -58,16 +43,24 @@ fn main() -> ExitCode {
         eprintln!("usage: bench_gate <fresh.json> <baseline.json> [tolerance]");
         return ExitCode::FAILURE;
     }
-    let tolerance: f64 = args
-        .get(3)
-        .map(|t| t.parse().expect("tolerance must be a number"))
-        .unwrap_or(1.5);
-    let fresh_raw = std::fs::read_to_string(&args[1])
-        .unwrap_or_else(|e| panic!("cannot read fresh results {}: {e}", args[1]));
-    let base_raw = std::fs::read_to_string(&args[2])
-        .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", args[2]));
-    let fresh = parse_medians(&fresh_raw);
-    let baseline = parse_medians(&base_raw);
+    let tolerance = match args.get(3).map(|t| t.parse::<f64>()) {
+        None => 1.5,
+        Some(Ok(t)) if t.is_finite() && t > 0.0 => t,
+        Some(_) => {
+            eprintln!(
+                "bench_gate: tolerance must be a positive number, got `{}`",
+                args[3]
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    let (fresh, baseline) = match (load(&args[1]), load(&args[2])) {
+        (Ok(fresh), Ok(baseline)) => (fresh, baseline),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("bench_gate: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if fresh.is_empty() || baseline.is_empty() {
         eprintln!(
             "bench_gate: no parsable results (fresh {}, baseline {})",
@@ -133,7 +126,7 @@ mod tests {
 
     #[test]
     fn parses_ids_and_medians() {
-        let m = parse_medians(SAMPLE);
+        let m = parse_medians(SAMPLE).unwrap();
         assert_eq!(
             m,
             vec![("g/a".to_string(), 100000), ("g/b".to_string(), 200000)]
@@ -142,7 +135,14 @@ mod tests {
 
     #[test]
     fn tolerates_compact_json() {
-        let m = parse_medians(r#"[{"id":"x","median_ns":42}]"#);
+        let m = parse_medians(r#"[{"id":"x","median_ns":42}]"#).unwrap();
         assert_eq!(m, vec![("x".to_string(), 42)]);
+    }
+
+    #[test]
+    fn rejects_a_malformed_file() {
+        // Truncated mid-object, as a killed benchmark run leaves it.
+        assert!(parse_medians(r#"[{"id": "x", "median_ns": 4"#).is_err());
+        assert!(parse_medians(r#"{"id": "x", "median_ns": 4}"#).is_err());
     }
 }

@@ -206,9 +206,6 @@ fn engine_config(args: &Args) -> Result<EngineConfig, CliError> {
     if let Some(map) = args.value("device-map")? {
         cfg = cfg.with_device_map(map);
     }
-    if let Some(mode) = args.value("pin-workers")? {
-        cfg = cfg.with_pinning(mode);
-    }
     if let Some(r) = args.value::<u32>("max-retries")? {
         // N *extra* attempts after the first = N + 1 total.
         cfg = cfg.with_retry(RetryPolicy {
@@ -624,9 +621,7 @@ fn serve_shutdown_flag() -> std::sync::Arc<std::sync::atomic::AtomicBool> {
 
 /// Routes SIGTERM and SIGINT to the serve shutdown flag (graceful
 /// drain + exit 0). Declared directly against libc — the project's
-/// dependency policy admits no signal crates (same precedent as the
-/// `sched_setaffinity` declaration in the storage crate's topology
-/// module).
+/// dependency policy admits no signal crates.
 fn install_serve_signal_handlers() {
     extern "C" fn on_signal(_sig: i32) {
         serve_shutdown_flag().store(true, std::sync::atomic::Ordering::SeqCst);
@@ -1199,52 +1194,6 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         let err = Args::parse("run", &sv(&["wcc", "g", "--no-frontier-skip=yes"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "{err}");
-    }
-
-    #[test]
-    fn pin_workers_flag_accepted_and_validated() {
-        let path = tmpfile("pin.edges");
-        dispatch(&sv(&[
-            "generate",
-            "erdos-renyi",
-            "--vertices",
-            "200",
-            "--edges",
-            "1200",
-            "--undirected",
-            "-o",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // Both spellings work, on both engines; on a restricted
-        // environment pinning is a silent no-op and results match.
-        let baseline = dispatch(&sv(&["run", "wcc", path.to_str().unwrap()])).unwrap();
-        for mode in ["cores", "nodes", "off"] {
-            let out = dispatch(&sv(&[
-                "run",
-                "wcc",
-                path.to_str().unwrap(),
-                &format!("--pin-workers={mode}"),
-                "--threads",
-                "2",
-            ]))
-            .unwrap();
-            // Same component count line regardless of pinning.
-            assert_eq!(
-                out.lines().next(),
-                baseline.lines().next(),
-                "mode {mode}: {out}"
-            );
-        }
-        let err = dispatch(&sv(&[
-            "run",
-            "wcc",
-            path.to_str().unwrap(),
-            "--pin-workers",
-            "sideways",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
     }
 
     /// Whether `section` lists `flag` in its flag column.

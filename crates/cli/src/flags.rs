@@ -145,10 +145,6 @@ pub const FLAGS: &[Flag] = &[
          undirected/bidirectional expansion and degree scans included — and never holds the \
          edge list in memory (§3.2); serve keeps one sub-store per query family under the \
          store directory"),
-    opt("pin-workers", "MODE", ENGINES,
-        "off|cores|nodes: pin pool workers (and the disk engine's per-device I/O threads) \
-         to cores or NUMA nodes so the shuffle slice a worker owns stays node-local (Fig. \
-         14). Default off; silently a no-op on 1-CPU or affinity-restricted environments"),
     opt("partitions", "K", ENGINES,
         "force the streaming partition count instead of the automatic §3.4 / §4 sizing"),
     opt("memory-budget", "SIZE", ENGINES, "out-of-core fast-storage budget M (default 1G)"),

@@ -3,8 +3,7 @@
 //! X-Stream picks the number of streaming partitions automatically from
 //! the size of *fast storage* (CPU cache for the in-memory engine, main
 //! memory for the out-of-core engine) and the per-vertex footprint
-//! (paper §2.4, §3.4, §4). Every knob here has a paper-faithful default
-//! and can be overridden for the ablation experiments (Figs. 24/25).
+//! (paper §2.4, §3.4, §4). The defaults follow the paper.
 
 /// Highest device id a [`DeviceMap`] accepts, matching the storage
 /// layer's per-device accounting capacity (`iostats::MAX_DEVICES`
@@ -98,47 +97,6 @@ impl std::str::FromStr for DeviceMap {
     }
 }
 
-/// Placement policy for the persistent worker pool and the per-device
-/// I/O threads (paper Fig. 14's scaling regime: scatter/shuffle workers
-/// should touch memory on the node that owns it, which requires the
-/// "owning worker" of a shuffle slice to stay on one core/node).
-///
-/// The storage layer discovers the machine topology from
-/// `/sys/devices/system` and degrades gracefully: on a single-CPU or
-/// affinity-restricted environment (containers, cgroup cpusets) every
-/// mode collapses to [`PinMode::Off`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PinMode {
-    /// No pinning; threads float wherever the scheduler puts them.
-    #[default]
-    Off,
-    /// Pin each pool worker to one core (node-major order, so
-    /// consecutive workers — and therefore consecutive shuffle slices
-    /// — share a NUMA node). The strongest placement guarantee: a
-    /// slice's first-touch pages stay on the owning worker's node *and*
-    /// its cache working set stays on one core.
-    Cores,
-    /// Pin each pool worker to the full CPU set of its assigned NUMA
-    /// node. Weaker than [`PinMode::Cores`] (the scheduler may migrate
-    /// within the node) but keeps node-local placement while tolerating
-    /// core oversubscription.
-    Nodes,
-}
-
-impl std::str::FromStr for PinMode {
-    type Err = String;
-
-    /// Parses the CLI form `off`/`cores`/`nodes` (case-insensitive).
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" => Ok(Self::Off),
-            "cores" | "core" => Ok(Self::Cores),
-            "nodes" | "node" | "numa" => Ok(Self::Nodes),
-            _ => Err(format!("expected off|cores|nodes, got `{s}`")),
-        }
-    }
-}
-
 /// Retry budget for transient I/O faults in the out-of-core engine:
 /// a failed superstep is rolled back (`recover()` + vertex-state
 /// restore) and re-run up to `max_attempts` times total, sleeping
@@ -177,11 +135,6 @@ impl RetryPolicy {
 pub struct EngineConfig {
     /// Worker threads for parallel scatter/gather/shuffle.
     pub threads: usize,
-    /// Core/NUMA placement of the worker pool and the per-device I/O
-    /// threads (see [`PinMode`]). `Off` by default: pinning only pays
-    /// on real multi-socket hardware and is a no-op on restricted or
-    /// single-CPU environments either way.
-    pub pinning: PinMode,
     /// Placement of the out-of-core stream families onto storage
     /// devices (Fig. 15). `None` keeps every stream on device 0. Read
     /// where a stream store is opened (`engines::open_store` in the
@@ -259,7 +212,6 @@ impl Default for EngineConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            pinning: PinMode::Off,
             device_map: None,
             cache_size: 2 << 20,
             memory_budget: 1 << 30,
@@ -291,13 +243,6 @@ impl EngineConfig {
     /// Sets the number of worker threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the worker/I/O-thread placement policy (see
-    /// [`Self::pinning`]).
-    pub fn with_pinning(mut self, mode: PinMode) -> Self {
-        self.pinning = mode;
         self
     }
 
@@ -534,18 +479,6 @@ mod tests {
         assert!("edges".parse::<DeviceMap>().is_err());
         // Ids past the storage accounting cap would silently alias.
         assert!("edges=0,updates=4".parse::<DeviceMap>().is_err());
-    }
-
-    #[test]
-    fn pin_mode_parses_cli_forms() {
-        assert_eq!("off".parse(), Ok(PinMode::Off));
-        assert_eq!("Cores".parse(), Ok(PinMode::Cores));
-        assert_eq!("nodes".parse(), Ok(PinMode::Nodes));
-        assert_eq!("numa".parse(), Ok(PinMode::Nodes));
-        assert!("bogus".parse::<PinMode>().is_err());
-        assert_eq!(PinMode::default(), PinMode::Off);
-        let cfg = EngineConfig::default().with_pinning(PinMode::Cores);
-        assert_eq!(cfg.pinning, PinMode::Cores);
     }
 
     #[test]

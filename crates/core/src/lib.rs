@@ -43,7 +43,7 @@ pub mod stats;
 pub mod types;
 
 pub use alloc_stats::AllocSnapshot;
-pub use config::{DeviceMap, EngineConfig, PinMode, RetryPolicy};
+pub use config::{DeviceMap, EngineConfig, RetryPolicy};
 pub use engine::{Engine, Termination};
 pub use error::{Error, Result};
 pub use frontier::{Frontier, FrontierMode, FrontierPair};

@@ -93,7 +93,6 @@ use xstream_graph::fileio::EdgeFileReader;
 use xstream_graph::{EdgeList, MirrorMode};
 use xstream_storage::pool::{PerWorkerPtr, StatesPtr, WorkerPool};
 use xstream_storage::shuffle::CountingPlacement;
-use xstream_storage::topology::Topology;
 use xstream_storage::{
     AsyncWriter, Manifest, OutputBuffer, ReadAhead, StreamEntry, StreamRole, StreamStore,
     WriteMark, MANIFEST_NAME,
@@ -509,17 +508,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let index_names: Vec<Arc<str>> = (0..kp).map(|p| Arc::from(index_stream(p))).collect();
         let threads = config.threads.max(1);
 
-        // Topology-aware placement (Fig. 14): one plan drives the
-        // worker pool (worker tid t owns row t of the output buffers'
-        // chains and gather lane t — pinning the id pins the node that
-        // first touches the blocks it claims), and the
-        // per-device reader/writer threads (whole-node sets,
-        // round-robined by device). `None` on single-CPU or
-        // affinity-restricted environments: everything runs unpinned.
-        let pin_plan = (config.pinning != xstream_core::PinMode::Off)
-            .then(|| Topology::detect().plan(config.pinning, threads))
-            .flatten();
-
         // Pre-processing (§3.2): stream the input, shuffle each loaded
         // chunk in memory, append per-partition runs to the edge files.
         // The appends run on the engine's persistent per-device writer
@@ -529,7 +517,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
         // buffers in flight per device; a spill's borrowed runs queue
         // without waiting, and the ping-pong barrier bounds them.
         let store = Arc::new(store.with_verify(config.verify_reads));
-        let writer = AsyncWriter::new_pinned(Arc::clone(&store), threads + 2, pin_plan.as_ref())?;
+        let writer = AsyncWriter::new(Arc::clone(&store), threads + 2)?;
         // A reused store directory may carry the previous run's
         // manifest; its generation continues and its config pairs are
         // kept so `--resume` can reject changed flags *by name* before
@@ -762,11 +750,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
             program.init(v)
         })?;
 
-        // A planned single-threaded run still holds a 0-worker pool so
-        // the sole scatter/gather thread gets the planned placement —
-        // and the restore-on-drop — like any other worker 0.
-        let pool = (threads > 1 || pin_plan.is_some())
-            .then(|| WorkerPool::new_pinned(threads - 1, pin_plan.as_ref()));
+        let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
         let spill_mark = writer.submitted();
 
         Ok(Self {
@@ -781,7 +765,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
             writer,
             // Job depth 2 per device: the current stream plus the next
             // one queued for cross-partition read-ahead (§3.3).
-            reader: ReadAhead::striped_pinned(2, store.num_devices(), pin_plan.as_ref()),
+            reader: ReadAhead::striped(2, store.num_devices()),
             store,
             scratch: OutputBuffer::for_records(threads, kp, output_records),
             drain: OutputBuffer::for_records(threads, kp, output_records),

@@ -53,7 +53,6 @@ use xstream_core::{
 use xstream_graph::EdgeList;
 use xstream_storage::pool::{StatesPtr, WorkerPool};
 use xstream_storage::shuffle::{CountingPlacement, MultiStagePlan, CACHE_LINE};
-use xstream_storage::topology::Topology;
 use xstream_storage::{StreamBuffer, UpdateLayout};
 
 /// Scatter tasks per worker thread: enough for work stealing to even
@@ -213,17 +212,7 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         let threads = config.threads.max(1);
         let tasks = k.min(TASKS_PER_THREAD * threads);
 
-        // Topology-aware placement (Fig. 14): worker tid t is pinned to
-        // a core/node per `config.pinning`; `plan` is `None` (and the
-        // pool runs unpinned) on single-CPU or affinity-restricted
-        // environments. A planned single-threaded run still holds a
-        // 0-worker pool: dispatch stays inline, but the calling thread
-        // is pinned (and restored on drop) like any other worker 0.
-        let pin_plan = (config.pinning != xstream_core::PinMode::Off)
-            .then(|| Topology::detect().plan(config.pinning, threads))
-            .flatten();
-        let pool = (threads > 1 || pin_plan.is_some())
-            .then(|| WorkerPool::new_pinned(threads - 1, pin_plan.as_ref()));
+        let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
 
         // Group the edges by source partition, each placement counting
         // and placing per-worker input slices on the pool (Fig. 7).

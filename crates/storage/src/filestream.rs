@@ -279,6 +279,23 @@ fn sum_path(root: &Path, name: &str) -> PathBuf {
     root.join(format!("{name}.sum"))
 }
 
+/// Replaces the file at `path` with `bytes`: writes and fsyncs a
+/// `.tmp` sibling, then renames it over `path`. A crash at any point
+/// leaves either the old or the new complete file at `path`; the
+/// rename itself is durable once the directory is fsynced
+/// ([`StreamStore::write_atomic`] does that).
+fn replace_file(path: &Path, bytes: &[u8]) -> Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
+
 /// Loads the checksum state for an existing stream of length `len`:
 /// the persisted sidecar if one exists and describes exactly `len`
 /// bytes (reconstructing the rolling tail state by re-reading the
@@ -851,33 +868,31 @@ impl StreamStore {
         }
     }
 
-    /// Atomically replaces the contents of stream `name` with `bytes`.
+    /// Replaces the contents of stream `name` with `bytes`: a
+    /// [`delete`](Self::delete) followed by an [`append`](Self::append).
     pub fn write_replace(&self, name: &str, bytes: &[u8]) -> Result<()> {
         self.delete(name)?;
         self.append(name, bytes)
     }
 
     /// *Crash-atomically* replaces stream `name` with `bytes`: writes
-    /// a `{name}.tmp` sibling, fsyncs it, then renames it over the
-    /// final path. A crash at any point leaves either the old complete
-    /// contents or the new complete contents — never a torn mix. Used
-    /// by the engine checkpoints; unlike [`Self::write_replace`] this
-    /// always pays an open + fsync, so it is not for per-superstep hot
-    /// paths.
+    /// a `{name}.tmp` sibling, fsyncs it, renames it over the final
+    /// path and fsyncs the directory. A crash at any point leaves
+    /// either the old complete contents or the new complete contents —
+    /// never a torn mix. Used by the engine checkpoints; unlike
+    /// [`Self::write_replace`] this always pays an open + two fsyncs,
+    /// so it is not for per-superstep hot paths.
     pub fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<()> {
         self.inject(name, FaultOp::Write)?;
         let device = (self.device_fn)(name);
-        let final_path = self.path_of(name);
-        let tmp_path = self.root.join(format!("{name}.tmp"));
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
-        // A persisted sidecar describes the replaced contents; drop it
-        // (the in-memory sums below are authoritative until resealed).
+        // A persisted sidecar describes the old contents; drop it before
+        // the rename, so a crash cannot pair it with the new ones (the
+        // in-memory sums below are authoritative until resealed).
         let _ = std::fs::remove_file(sum_path(&self.root, name));
+        replace_file(&self.path_of(name), bytes)?;
+        // Makes this rename durable, and every earlier one in the
+        // store, such as the sidecars sealed before a manifest.
+        File::open(&self.root)?.sync_all()?;
         // Any cached handle now points at the unlinked old inode; drop
         // it so the next access reopens the renamed file.
         let mut files = self.files.lock();
@@ -895,7 +910,10 @@ impl StreamStore {
 
     /// Persists stream `name`'s per-chunk checksums as a `<name>.sum`
     /// sidecar file (write-temp-then-rename, fsynced), making the
-    /// stream verifiable across process restarts and scrubbable.
+    /// stream verifiable across process restarts and scrubbable. The
+    /// rename becomes durable with the next [`Self::write_atomic`],
+    /// whose directory fsync covers it: every caller seals its streams
+    /// before it writes the manifest that records their sidecars.
     /// Returns the CRC32 of the encoded sidecar — the manifest records
     /// it, closing the integrity chain manifest → sidecar → chunks —
     /// or `None` when the stream's sums are untracked (nothing is
@@ -911,13 +929,7 @@ impl StreamStore {
             let _ = std::fs::remove_file(&path);
             return Ok(None);
         };
-        let tmp = self.root.join(format!("{name}.sum.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
+        replace_file(&path, &bytes)?;
         Ok(Some(crc32(&bytes)))
     }
 
@@ -1154,21 +1166,6 @@ impl ReadAhead {
     /// may be queued ahead of the one being read *per device*; sources
     /// route to lane `device % num_devices`.
     pub fn striped(job_depth: usize, num_devices: usize) -> Self {
-        Self::striped_pinned(job_depth, num_devices, None)
-    }
-
-    /// [`striped`](Self::striped) with optional topology-aware
-    /// placement: with a [`PinPlan`](crate::topology::PinPlan), device
-    /// `d`'s prefetch thread pins itself to `plan.io_cpus(d)` — a
-    /// whole NUMA node, round-robined across nodes by device id, so
-    /// the pooled chunk buffers it recycles stay node-local without
-    /// sharing a single core with a compute worker. Best-effort: a
-    /// refused mask leaves the thread floating.
-    pub fn striped_pinned(
-        job_depth: usize,
-        num_devices: usize,
-        plan: Option<&crate::topology::PinPlan>,
-    ) -> Self {
         let job_depth = job_depth.max(1);
         let num_devices = num_devices.clamp(1, crate::iostats::MAX_DEVICES);
         let shared_generation = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -1186,13 +1183,9 @@ impl ReadAhead {
             let data = lane.data.clone();
             let recycled = lane.recycled.clone();
             let shared_generation = Arc::clone(&shared_generation);
-            let cpus: Vec<usize> = plan.map(|p| p.io_cpus(d).to_vec()).unwrap_or_default();
             let thread = std::thread::Builder::new()
                 .name(format!("xstream-io-read-{d}"))
                 .spawn(move || {
-                    if !cpus.is_empty() {
-                        crate::topology::pin_current_thread(&cpus);
-                    }
                     let stale = |gen: u64| {
                         gen < shared_generation.load(std::sync::atomic::Ordering::Relaxed)
                     };
@@ -2143,6 +2136,15 @@ mod tests {
             assert_eq!(store.read_all("cp").unwrap(), vec![5u8; 6000]);
             store.seal_sums("cp").unwrap();
         }
+        // A fresh store loads the resealed sidecar and verifies the new
+        // contents against it; no temp file is left behind.
+        {
+            let store = StreamStore::new(&root, 4096).unwrap();
+            assert!(store.sums_tracked("cp"));
+            assert_eq!(store.read_all("cp").unwrap(), vec![5u8; 6000]);
+        }
+        assert!(!root.join("cp.tmp").exists());
+        assert!(!root.join("cp.sum.tmp").exists());
         // And the resealed sidecar survives a reopen.
         rot_byte(&root, "cp", 10);
         let store = StreamStore::new(&root, 4096).unwrap();

@@ -12,7 +12,7 @@
 //!   zero-allocation pipeline: the in-memory engine's static update
 //!   layout (exact scatter regions counted at build, plus the
 //!   multi-stage passes over them) and the out-of-core engine's
-//!   per-worker fan-out buckets with adaptive capacity,
+//!   fixed output buffers (block pools sized at build),
 //! * [`pool`] — the persistent worker pool with allocation-free
 //!   dispatch, shared by the in-memory engine's phase workers and the
 //!   out-of-core engine's per-chunk fan-out (§4.3),
@@ -43,11 +43,7 @@
 //!   (regenerates the paper's iostat bandwidth plot, Fig. 23),
 //! * [`diskmodel`] — a parametric seek+bandwidth+RAID-0 model
 //!   calibrated against the paper's measured device table (Fig. 11),
-//!   used to evaluate device-level experiments on arbitrary hardware,
-//! * [`topology`] — CPU/NUMA discovery from sysfs and the core/node
-//!   pin plans that make "owning worker" imply "owning node" for the
-//!   shuffle slices (Fig. 14's scaling regime; best-effort, no-op on
-//!   restricted environments).
+//!   used to evaluate device-level experiments on arbitrary hardware.
 
 // Docs are load-bearing in this repo (docs/ARCHITECTURE.md maps the
 // paper onto these items); CI builds rustdoc with `-D warnings`.
@@ -64,7 +60,6 @@ pub mod manifest;
 pub mod pool;
 pub mod scratch;
 pub mod shuffle;
-pub mod topology;
 pub mod writer;
 
 pub use buffer::StreamBuffer;
@@ -79,5 +74,4 @@ pub use pool::{PerWorkerPtr, WorkerPool};
 pub use scratch::{
     BufferWriter, LayoutWriter, OutputBuffer, TaskWriter, UpdateLayout, WorkerWriter,
 };
-pub use topology::{PinPlan, Topology};
 pub use writer::{AsyncWriter, WriteMark};

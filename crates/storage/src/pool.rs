@@ -7,8 +7,8 @@
 //! breaks the zero-steady-state-allocation property the pooled
 //! pipeline aims for (see [`crate::scratch`]). The pool lives here in
 //! the storage crate so both the in-memory engine and the out-of-core
-//! engine (which fans loaded disk chunks out to the same pinned
-//! workers, paper §4.3) share one implementation.
+//! engine (which fans loaded disk chunks out to the same workers,
+//! paper §4.3) share one implementation.
 //!
 //! [`WorkerPool`] spawns its threads once and parks them on a condvar.
 //! [`WorkerPool::run`] publishes a borrowed job closure through a
@@ -18,17 +18,7 @@
 //! Dispatch performs no heap allocation: the job is passed as a raw
 //! wide pointer and the synchronization is a futex-backed mutex +
 //! condvar pair.
-//!
-//! With a [`PinPlan`] ([`WorkerPool::new_pinned`]) every pool thread
-//! pins itself to its planned core/node before parking, and the
-//! *calling* thread — which participates in every dispatch as worker
-//! 0 — is pinned too (its previous affinity is restored when the pool
-//! drops). Shuffle slice `i` is always filled and first-touched by
-//! worker id `i`, so pinning the ids to nodes upgrades PR 3's
-//! "owning worker" first-touch placement into the paper's Fig. 14
-//! "owning node" regime.
 
-use crate::topology::{self, PinPlan};
 use parking_lot::{Condvar, Mutex};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -76,10 +66,6 @@ pub struct WorkerPool {
     handles: Vec<std::thread::JoinHandle<()>>,
     /// Worker ids handed to jobs are `1..=workers`; id 0 is the caller.
     workers: usize,
-    /// The calling thread's affinity before the pool pinned it
-    /// (worker id 0 runs on the caller); restored on drop, but only
-    /// when the drop happens on that same thread.
-    caller_restore: Option<(std::thread::ThreadId, Vec<usize>)>,
 }
 
 impl WorkerPool {
@@ -87,18 +73,6 @@ impl WorkerPool {
     /// `1..=workers` on the pool plus id `0` on the thread calling
     /// [`run`](Self::run).
     pub fn new(workers: usize) -> Self {
-        Self::new_pinned(workers, None)
-    }
-
-    /// [`new`](Self::new) with optional topology-aware placement: with
-    /// a [`PinPlan`], pool worker `tid` pins itself to
-    /// `plan.worker_cpus(tid)` before first parking, and the calling
-    /// thread (worker id 0 of every dispatch) is pinned to
-    /// `plan.worker_cpus(0)` — its previous affinity is captured and
-    /// restored when the pool drops, so engine teardown leaves the
-    /// caller as it found it. Pinning is best-effort: any refused mask
-    /// leaves that thread floating, never fails the pool.
-    pub fn new_pinned(workers: usize, plan: Option<&PinPlan>) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 job: None,
@@ -113,41 +87,16 @@ impl WorkerPool {
         let handles = (1..=workers)
             .map(|tid| {
                 let shared = Arc::clone(&shared);
-                let cpus: Vec<usize> = plan
-                    .map(|p| p.worker_cpus(tid).to_vec())
-                    .unwrap_or_default();
                 std::thread::Builder::new()
                     .name(format!("xstream-worker-{tid}"))
-                    .spawn(move || {
-                        if !cpus.is_empty() {
-                            topology::pin_current_thread(&cpus);
-                        }
-                        worker_loop(&shared, tid)
-                    })
+                    .spawn(move || worker_loop(&shared, tid))
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        // Pin the caller even for a 0-worker pool: a single-threaded
-        // engine holds one of these purely so its (sole) compute
-        // thread gets the planned placement and the restore-on-drop.
-        // If the current affinity cannot be captured, decline to pin
-        // at all — pinning without a restore would leave the
-        // application thread pinned past the engine's lifetime,
-        // breaking the leave-it-as-found contract.
-        let caller_restore = match plan {
-            Some(plan) if !plan.worker_cpus(0).is_empty() => match topology::current_affinity() {
-                Some(previous) if topology::pin_current_thread(plan.worker_cpus(0)) => {
-                    Some((std::thread::current().id(), previous))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
         Self {
             shared,
             handles,
             workers,
-            caller_restore,
         }
     }
 
@@ -217,18 +166,6 @@ impl Drop for WorkerPool {
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
-        }
-        // Give the calling thread its pre-pool affinity back: the
-        // engine borrowed it as worker 0, it does not own it. Only
-        // when the drop runs on that same thread, though — a `Send`
-        // engine dropped elsewhere must not clobber the dropping
-        // thread's affinity with the constructing thread's saved mask
-        // (the constructing thread then simply stays pinned, the
-        // lesser violation).
-        if let Some((thread, previous)) = self.caller_restore.take() {
-            if std::thread::current().id() == thread {
-                topology::pin_current_thread(&previous);
-            }
         }
     }
 }
@@ -394,34 +331,6 @@ mod tests {
             }
         });
         assert!(clean_window, "pool dispatch allocated in every window");
-    }
-
-    #[test]
-    fn pinned_pool_runs_and_restores_caller_affinity() {
-        use crate::topology::{current_affinity, Topology};
-        use xstream_core::PinMode;
-        let before = current_affinity();
-        {
-            // A synthetic two-node topology whose every CPU is id 0 —
-            // the only CPU schedulable on any machine this test runs
-            // on — so a real plan materializes (plan() requires two
-            // schedulable CPUs) and every worker pins to CPU 0. If
-            // even CPU 0 is unschedulable here, pinning refuses
-            // locally and the pool must still run correctly unpinned.
-            let plan = Topology::synthetic(vec![vec![0], vec![0]]).plan(PinMode::Cores, 3);
-            let pool = WorkerPool::new_pinned(2, plan.as_ref());
-            let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-            for _ in 0..20 {
-                pool.run(&|tid| {
-                    hits[tid].fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            for (tid, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 20, "worker {tid}");
-            }
-        }
-        // Dropping the pool must leave the caller's affinity as it was.
-        assert_eq!(current_affinity(), before);
     }
 
     #[test]

@@ -125,21 +125,6 @@ impl AsyncWriter {
     /// buffers may be in flight *per device* before
     /// [`submit`](Self::submit) blocks (the paper uses one).
     pub fn new(store: Arc<StreamStore>, depth: usize) -> Result<Self> {
-        Self::new_pinned(store, depth, None)
-    }
-
-    /// [`new`](Self::new) with optional topology-aware placement: with
-    /// a [`PinPlan`](crate::topology::PinPlan), device `d`'s writer
-    /// thread pins itself to `plan.io_cpus(d)` — a whole NUMA node,
-    /// round-robined across nodes by device id, so its recycled byte
-    /// buffers stay node-local without ever sharing a single core with
-    /// a compute worker. Best-effort: a refused mask leaves the thread
-    /// floating.
-    pub fn new_pinned(
-        store: Arc<StreamStore>,
-        depth: usize,
-        plan: Option<&crate::topology::PinPlan>,
-    ) -> Result<Self> {
         let depth = depth.max(1);
         let devices = store.num_devices().max(1);
         let jobs: Vec<BoundedQueue<Job>> = (0..devices).map(|_| BoundedQueue::new(depth)).collect();
@@ -160,13 +145,9 @@ impl AsyncWriter {
                 let recycled = recycled.clone();
                 let shared = Arc::clone(&shared);
                 let store = Arc::clone(&store);
-                let cpus: Vec<usize> = plan.map(|p| p.io_cpus(d).to_vec()).unwrap_or_default();
                 std::thread::Builder::new()
                     .name(format!("xstream-io-write-{d}"))
                     .spawn(move || {
-                        if !cpus.is_empty() {
-                            crate::topology::pin_current_thread(&cpus);
-                        }
                         while let Some(job) = jobs.pop() {
                             // After a failed append this device's
                             // streams are suspect; drop its further

@@ -10,8 +10,8 @@
 //! spills, writes, gather, truncate) stays off the allocator once the
 //! pools are warm.
 
+use xstream::core::EngineConfig;
 use xstream::core::{Edge, EdgeProgram, Engine, OracleEngine, VertexId};
-use xstream::core::{EngineConfig, PinMode};
 use xstream::disk::DiskEngine;
 use xstream::graph::generators;
 use xstream::storage::StreamStore;
@@ -49,26 +49,16 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
     let root = std::env::temp_dir().join("xstream_disk_alloc_steady");
     let _ = std::fs::remove_dir_all(&root);
 
-    // (threads, vertex state on disk, pinning) — the on-disk-vertices
+    // (threads, vertex state on disk) — the on-disk-vertices
     // configuration is the fully out-of-core regime: spilled updates
     // *and* per-partition vertex files, loaded into pooled scratch and
-    // written back via truncate + append through cached handles. Every
-    // thread count is swept with pinning off *and* on: the engine's
-    // pooled I/O buffers must converge to zero allocations either way
-    // (on a 1-CPU container the pinned runs exercise the graceful-no-op
-    // path; on real hardware they exercise the pinned placement). The
-    // scatter output buffers are sized at build and never grow.
-    for (threads, ondisk_vertices, pin) in [
-        (1usize, false, PinMode::Off),
-        (1, false, PinMode::Cores),
-        (2, false, PinMode::Off),
-        (2, false, PinMode::Cores),
-        (4, false, PinMode::Off),
-        (4, false, PinMode::Cores),
-        (2, true, PinMode::Off),
-    ] {
+    // written back via truncate + append through cached handles. At
+    // every thread count the engine's pooled I/O buffers must converge
+    // to zero allocations. The scatter output buffers are sized at
+    // build and never grow.
+    for (threads, ondisk_vertices) in [(1usize, false), (2, false), (4, false), (2, true)] {
         let store = StreamStore::new(
-            &root.join(format!("t{threads}_v{ondisk_vertices}_p{pin:?}")),
+            &root.join(format!("t{threads}_v{ondisk_vertices}")),
             1 << 13,
         )
         .unwrap();
@@ -83,18 +73,17 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
                 .with_threads(threads)
                 .with_io_unit(1 << 13)
                 .with_memory_budget(1 << 20)
-                .with_pinning(pin)
         };
         let mut engine = DiskEngine::from_graph(store, &g, &MinLabel, cfg).unwrap();
 
         let warmup = engine.try_scatter_gather(&MinLabel).unwrap();
         assert!(
             warmup.alloc_count > 0,
-            "threads={threads} pin={pin:?}: superstep 1 should warm the pools"
+            "threads={threads}: superstep 1 should warm the pools"
         );
         assert!(
             warmup.updates_generated > 0 && warmup.bytes_written > 0,
-            "threads={threads} pin={pin:?}: spill path not exercised"
+            "threads={threads}: spill path not exercised"
         );
 
         // Buffer → partition assignment in the writer's recycle pool
@@ -109,7 +98,7 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
             supersteps += 1;
             assert!(
                 supersteps <= 15,
-                "threads={threads} pin={pin:?}: no allocation-free steady state \
+                "threads={threads}: no allocation-free steady state \
                  within {supersteps} supersteps"
             );
             let it = engine.try_scatter_gather(&MinLabel).unwrap();
@@ -126,7 +115,7 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
         // populated.
         assert!(
             last.shuffle_budget > 0 && last.shuffle_capacity > 0,
-            "threads={threads} pin={pin:?}: capacity gauges empty at steady state"
+            "threads={threads}: capacity gauges empty at steady state"
         );
 
         // Negative control: the sequential oracle allocates a fresh
@@ -135,7 +124,7 @@ fn disk_supersteps_reach_an_allocation_free_steady_state() {
         let oracle_step = oracle.scatter_gather(&MinLabel);
         assert!(
             oracle_step.alloc_count > 0,
-            "threads={threads} pin={pin:?}: oracle superstep unexpectedly \
+            "threads={threads}: oracle superstep unexpectedly \
              allocation-free"
         );
     }

@@ -85,6 +85,11 @@ fn output_buffers_are_fixed_at_build() {
             assert_eq!(it.shuffle_capacity, cap, "threads={threads} step {step}");
             assert!(it.shuffle_high_water >= it.shuffle_budget);
             assert!(it.shuffle_high_water <= cap / 2);
+            let r = it.buffer_residency_pct();
+            assert!(
+                r > 0.0 && r.is_finite(),
+                "threads={threads} step {step}: residency {r}% out of range"
+            );
             assert_eq!(
                 engine.states(),
                 oracle.states(),
