@@ -6,8 +6,8 @@
 //! * `sparse_tail_rmat16_spill` — the hybrid scatter with the active
 //!   set pinned far below the threshold: dead partitions are skipped
 //!   (no read-ahead, no edge pass), the one live partition is
-//!   scattered through its source-sorted `index.{p}` stream with
-//!   pooled ranged reads. This is the regime the paper concedes in
+//!   scattered from its source-grouped edge file through the resident
+//!   run-offset index with pooled ranged reads. This is the regime the paper concedes in
 //!   §6.3: the cost is O(frontier), not O(|E|).
 //! * `dense_tail_rmat16_spill` — the identical superstep with
 //!   `frontier_skip` off: every partition streams every edge, the

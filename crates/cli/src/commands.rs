@@ -707,8 +707,8 @@ fn serve_until(
 // ------------------------------------------------------------------- scrub
 
 /// `xstream scrub <STORE>` — verify every durable stream of
-/// a partition store against its manifest; with `--repair`, rebuild
-/// derived streams and quarantine stale ones.
+/// a partition store against its manifest; with `--repair`, rewrite
+/// rotted sidecars over intact streams and quarantine stale streams.
 ///
 /// Detect-only scrub of a damaged store is an *error* (nonzero exit),
 /// so CI and scripts can gate on it; a repair that resolves everything
@@ -751,13 +751,12 @@ pub fn scrub(args: &Args) -> Result<String, CliError> {
             Verdict::SidecarRotted => "stream intact, checksum sidecar rotted".to_string(),
             Verdict::Corrupt { detail } => format!("CORRUPT: {detail}"),
             Verdict::Missing => "MISSING".to_string(),
-            Verdict::NeedsRebuild => "flagged for rebuild".to_string(),
+            Verdict::NeedsRebuild => "flagged corrupt by a resume".to_string(),
             Verdict::Unlisted => "not in manifest (stale)".to_string(),
             Verdict::Unverified => "unverified (per-run stream)".to_string(),
         };
         let action = match sr.action {
             Action::None => "",
-            Action::Rebuilt => " -> rebuilt",
             Action::SidecarRewritten => " -> sidecar rewritten",
             Action::Quarantined => " -> quarantined",
             Action::Unrepairable => " -> UNREPAIRABLE (primary data; re-ingest required)",
@@ -1413,8 +1412,9 @@ mod tests {
         .unwrap();
         let store = std::env::temp_dir().join("xstream_cli_tests_scrub");
         let _ = std::fs::remove_dir_all(&store);
-        // BFS tracks its frontier, so the build seals sparse-scatter
-        // index streams into the manifest alongside edges/checkpoints.
+        // BFS tracks its frontier; its build groups the edge files by
+        // source and keeps the run offsets in memory, so the store
+        // holds edge streams and checkpoints and no index stream.
         let out = dispatch(&sv(&[
             "run",
             "bfs",
@@ -1444,9 +1444,16 @@ mod tests {
         };
         let out = scrub(&[]).unwrap();
         assert!(out.contains("store is clean"), "{out}");
+        assert!(!out.contains("index."), "{out}");
+        let names: Vec<String> = std::fs::read_dir(&store)
+            .unwrap()
+            .map(|d| d.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(!names.iter().any(|n| n.starts_with("index.")), "{names:?}");
 
-        // Rot one byte of a derived index stream: detect-only scrub
-        // fails (nonzero exit for CI gates) and points at --repair.
+        // Rot one byte of an edge stream's checksum sidecar (the 24-byte
+        // header is followed by the chunk CRCs): detect-only scrub fails
+        // (nonzero exit for CI gates) and points at --repair.
         let rot = |name: &str, at: u64| {
             use std::io::{Read, Seek, SeekFrom, Write};
             let mut f = std::fs::OpenOptions::new()
@@ -1460,18 +1467,17 @@ mod tests {
             f.seek(SeekFrom::Start(at)).unwrap();
             f.write_all(&[b[0] ^ 0xff]).unwrap();
         };
-        rot("index.2", 40);
+        rot("edges.2.sum", 25);
         let err = scrub(&[]).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("index.2"), "{msg}");
-        assert!(msg.contains("CORRUPT"), "{msg}");
+        assert!(msg.contains("edges.2"), "{msg}");
+        assert!(msg.contains("sidecar rotted"), "{msg}");
         assert!(msg.contains("--repair"), "{msg}");
 
-        // --repair rebuilds the index from its verified edge stream
-        // and re-seals the manifest; the store is clean again and the
-        // repaired store still runs (resume included).
+        // --repair rewrites the sidecar from the intact stream and
+        // re-seals the manifest; the store is clean again.
         let out = scrub(&["--repair"]).unwrap();
-        assert!(out.contains("rebuilt"), "{out}");
+        assert!(out.contains("sidecar rewritten"), "{out}");
         assert!(out.contains("all damage repaired"), "{out}");
         let out = scrub(&[]).unwrap();
         assert!(out.contains("store is clean"), "{out}");

@@ -206,9 +206,9 @@ pub const FLAGS: &[Flag] = &[
         "semi-streaming (1 pass, O(V) memory) or W-Stream (bounded passes; default semi)"),
     opt("capacity", "N", &["components"], "wstream only: per-pass edge memory (default 65536)"),
     switch("repair", &["scrub"],
-        "rebuild what is derivable (sparse-scatter indexes from their verified edge streams, \
-         rotted sidecars over intact streams) and quarantine the rest (*.quarantined, never \
-         deleted); re-seals the manifest"),
+        "rewrite rotted checksum sidecars over intact streams and quarantine stale or rotted \
+         checkpoints and leftover streams (*.quarantined, never deleted); re-seals the \
+         manifest"),
 ];
 
 /// The command named `name`.

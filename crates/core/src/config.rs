@@ -346,23 +346,25 @@ impl EngineConfig {
     /// The hybrid switch for one partition, shared by both engines:
     /// sums the out-degrees of `frontier`'s active vertices in `range`
     /// and applies [`Self::wants_sparse_scatter`] against the
-    /// partition's `total_edges`. `offset(lv)` reads the partition's
-    /// run-offset index (see [`crate::partition::run_offsets`]) at
-    /// local vertex `lv`. Stops summing as soon as the partition is
-    /// proven dense: the predicate is monotone in the active edge count.
+    /// partition's total edges. `offsets` is the partition's run-offset
+    /// index: `range.len() + 1` record offsets into its source-grouped
+    /// edges, so local vertex `lv`'s edges are
+    /// `offsets[lv]..offsets[lv + 1]` and the last entry is the total.
+    /// Stops summing as soon as the partition is proven dense: the
+    /// predicate is monotone in the active edge count.
     pub fn sparse_scatter_pays(
         &self,
         frontier: &crate::frontier::Frontier,
         range: core::ops::Range<usize>,
-        total_edges: usize,
-        offset: impl Fn(usize) -> u32,
+        offsets: &[u32],
     ) -> bool {
         let base = range.start;
+        let total_edges = offsets[range.len()] as usize;
         let mut active_edges = 0usize;
         let mut sparse = self.wants_sparse_scatter(0, total_edges);
         frontier.for_each_active_in(range, |v| {
             let lv = v as usize - base;
-            active_edges += (offset(lv + 1) - offset(lv)) as usize;
+            active_edges += (offsets[lv + 1] - offsets[lv]) as usize;
             sparse = self.wants_sparse_scatter(active_edges, total_edges);
             sparse
         });

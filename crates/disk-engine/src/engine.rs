@@ -52,9 +52,11 @@
 //! read-ahead — whether to **skip** it outright (no active sources:
 //! zero I/O), stream it **densely** as above, or run an **index-based
 //! sparse scatter** (Ligra's hybrid, applied to streams): ingest
-//! groups each partition's edge file by source vertex and writes a
-//! per-vertex run-offset index (`index.p`), so a sparse partition
-//! issues pooled ranged reads of just the active vertices' edge runs.
+//! groups each partition's edge file by source vertex and keeps the
+//! per-vertex run offsets in memory next to the vertex array (§3.2
+//! keeps vertex-side arrays resident and streams only edges and
+//! updates), so a sparse partition issues pooled ranged reads of just
+//! the active vertices' edge runs.
 //! The dense/sparse switch compares the active edge count against
 //! [`EngineConfig::wants_sparse_scatter`]'s threshold.
 //!
@@ -84,7 +86,7 @@ use std::time::Instant;
 
 use crate::vertices::VertexStorage;
 use xstream_core::program::{gather_updates, scatter_edges, TargetedUpdate};
-use xstream_core::record::{read_record, records_as_bytes, RecordIter};
+use xstream_core::record::{records_as_bytes, RecordIter};
 use xstream_core::{
     alloc_stats, Edge, EdgeProgram, Engine, EngineConfig, Error, Frontier, FrontierMode,
     FrontierPair, IterationStats, Partitioner, Record, Result, VertexId,
@@ -195,22 +197,13 @@ pub fn update_stream(p: usize) -> String {
     format!("updates.{p}")
 }
 
-/// Name of the sparse-scatter index stream of partition `p`: one
-/// native-endian `u32` edge-record offset per local vertex plus a
-/// trailing total, so vertex `v`'s edge run in the (source-grouped)
-/// edge file is `offsets[lv] .. offsets[lv + 1]`.
-pub fn index_stream(p: usize) -> String {
-    format!("index.{p}")
-}
-
 /// The engine-config `(flag, value)` pairs that decide the on-disk
 /// layout and the semantics of a resumed run. Recorded in the store
 /// manifest and folded into the checkpoint fingerprint, so `--resume`
 /// under a changed flag fails with a message *naming* the flag instead
 /// of silently restarting (or worse, resuming wrong).
-/// The non-flag `vertices` entry records the graph shape so `xstream
-/// scrub --repair` can reconstruct the partitioner (and thus rebuild an
-/// index stream) from the manifest alone.
+/// The non-flag `vertices` entry records the graph shape, so a resume
+/// over a different graph is named too; it is part of the fingerprint.
 fn layout_flags(config: &EngineConfig, kp: usize, num_vertices: usize) -> Vec<(String, String)> {
     vec![
         ("vertices".into(), num_vertices.to_string()),
@@ -383,25 +376,29 @@ pub struct DiskEngine<P: EdgeProgram> {
     /// from a `needs_scatter` state scan.
     frontier_valid: bool,
     /// Per partition: whether ingest grouped its edge file by source
-    /// and wrote an `index.p` run-offset stream. Partitions too large
-    /// to group within the stream-buffer budget stay in ingest order
-    /// and always scatter densely.
+    /// and filled its slice of `run_index`. Partitions too large to
+    /// group within the stream-buffer budget stay in ingest order and
+    /// always scatter densely; so does every partition when vertex
+    /// state is on disk.
     sparse_indexed: Vec<bool>,
-    /// Interned index stream names.
-    index_names: Vec<Arc<str>>,
+    /// Every partition's run-offset index back to back, in the memory
+    /// engine's layout: partition `p`'s `range.len() + 1` offsets into
+    /// its source-grouped edge file start at `range.start + p`, so
+    /// local vertex `lv`'s edges are records
+    /// `offsets[lv]..offsets[lv + 1]`. Resident beside the in-memory
+    /// vertex array; empty for dense programs and for on-disk vertex
+    /// state.
+    run_index: Vec<u32>,
     /// Pooled per-partition scatter mode of the running superstep.
     modes: Vec<u8>,
-    /// Pooled byte buffer for index-stream loads.
-    index_buf: Vec<u8>,
     /// Pooled merged `(byte offset, byte length)` ranges of the active
     /// vertices' edge runs in the partition being sparsely scattered.
     run_ranges: Vec<(u64, u32)>,
     /// Pooled assembly buffer the sparse ranged reads append into.
     run_buf: Vec<u8>,
-    /// The sealed store manifest: written after ingest/index-build,
-    /// updated at checkpoint time, and amended when the engine degrades
-    /// around detected corruption (flagging streams for `scrub
-    /// --repair`).
+    /// The sealed store manifest: written after ingest, updated at
+    /// checkpoint time, and amended when a checkpoint slot reads back
+    /// corrupt (flagging it for `scrub --repair`).
     manifest: Manifest,
     /// The `(flag, value)` config pairs the store's *previous* manifest
     /// recorded, if any — `resume_from_checkpoint` validates this run's
@@ -505,7 +502,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let kp = partitioner.num_partitions();
         let edge_names: Vec<Arc<str>> = (0..kp).map(|p| Arc::from(edge_stream(p))).collect();
         let update_names: Vec<Arc<str>> = (0..kp).map(|p| Arc::from(update_stream(p))).collect();
-        let index_names: Vec<Arc<str>> = (0..kp).map(|p| Arc::from(index_stream(p))).collect();
         let threads = config.threads.max(1);
 
         // Pre-processing (§3.2): stream the input, shuffle each loaded
@@ -552,11 +548,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
         // must *replace* them, or re-ingest would double every edge.
         // (Checkpoint streams are deliberately left alone: resume reads
         // them after the rebuild.)
-        for name in edge_names
-            .iter()
-            .chain(update_names.iter())
-            .chain(index_names.iter())
-        {
+        for name in edge_names.iter().chain(update_names.iter()) {
             store.truncate(name)?;
         }
         let mut num_edges = 0usize;
@@ -609,18 +601,25 @@ impl<P: EdgeProgram> DiskEngine<P> {
             (store.io_unit() / Edge::SIZE).max(2 * (config.io_unit / Edge::SIZE).max(1));
         let output_records = (spill_threshold + step_edges).min(num_edges);
 
+        let in_memory_vertices =
+            config.keep_vertices_in_memory && state_bytes <= config.memory_budget / 2;
+
         // Frontier-tracked programs get sparse-scatter indexes: group
         // each partition's edge file by source vertex with a counting
         // placement keyed by source (a second, bounded streaming pass:
-        // count on one chunked read, place on another) and write the
-        // per-vertex run offsets next to it. Within a run, edges keep
-        // their ingest order. Partitions whose edge file exceeds the
-        // stream-buffer budget keep their ingest order and always
+        // count on one chunked read, place on another) and keep the
+        // per-vertex run offsets in `run_index`. Within a run, edges
+        // keep their ingest order. Partitions whose edge file exceeds
+        // the stream-buffer budget keep their ingest order and always
         // scatter densely; a frontier can still *skip* them when they
-        // have no active sources.
+        // have no active sources. The index costs 4(|V| + K) bytes, so
+        // it is built only beside a resident vertex array: next to one
+        // that did not fit the budget it would break §3.4's
+        // `N/K + 5SK <= M`, and every partition scatters densely.
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
         let mut sparse_indexed = vec![false; kp];
-        if tracked {
+        let mut run_index: Vec<u32> = Vec::new();
+        if tracked && in_memory_vertices {
             // One placement buffer reserved once for the largest
             // eligible partition, fed through a small chunk buffer —
             // never the raw bytes and the decoded edges side by side,
@@ -637,13 +636,14 @@ impl<P: EdgeProgram> DiskEngine<P> {
             let mut placement = CountingPlacement::<Edge>::with_capacity(max_records);
             let chunk_cap = (config.io_unit / Edge::SIZE).max(1) * Edge::SIZE;
             let mut chunk: Vec<u8> = Vec::with_capacity(chunk_cap);
-            let mut index: Vec<u32> = Vec::new();
+            run_index.reserve_exact(num_vertices + kp);
             for p in 0..kp {
                 let blen = store.len(&edge_names[p]) as usize;
+                let range = partitioner.range(p);
                 if !eligible(blen) {
+                    run_index.resize(run_index.len() + range.len() + 1, 0);
                     continue;
                 }
-                let range = partitioner.range(p);
                 let mut stray = None;
                 let mut key = |e: &Edge| {
                     let lv = (e.src as usize).wrapping_sub(range.start);
@@ -689,9 +689,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 store.truncate(&edge_names[p])?;
                 store.append(&edge_names[p], records_as_bytes(edges))?;
                 // Offsets fit u32: `eligible` caps the partition's edges.
-                index.clear();
-                index.extend(offsets.iter().map(|&o| o as u32));
-                store.append(&index_names[p], records_as_bytes(&index))?;
+                run_index.extend(offsets.iter().map(|&o| o as u32));
                 sparse_indexed[p] = true;
             }
         }
@@ -712,7 +710,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
         };
         let durable = (0..kp)
             .map(edge_stream)
-            .chain((0..kp).filter(|&p| sparse_indexed[p]).map(index_stream))
             .chain((0..2).map(|s| format!("checkpoint.{s}")));
         for name in durable {
             let len = store.len(&name);
@@ -732,11 +729,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
         store.write_atomic(MANIFEST_NAME, &manifest.encode())?;
 
         let sparse_any = sparse_indexed.iter().any(|&b| b);
-        let max_index_bytes = (0..kp)
-            .filter(|&p| sparse_indexed[p])
-            .map(|p| (partitioner.range(p).len() + 1) * 4)
-            .max()
-            .unwrap_or(0);
         let max_range_len = (0..kp)
             .filter(|&p| sparse_indexed[p])
             .map(|p| partitioner.range(p).len())
@@ -744,8 +736,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
             .unwrap_or(0);
         let run_io_cap = (config.io_unit / Edge::SIZE).max(1) * Edge::SIZE;
 
-        let in_memory_vertices =
-            config.keep_vertices_in_memory && state_bytes <= config.memory_budget / 2;
         let vertices = VertexStorage::initialize(&store, &partitioner, in_memory_vertices, |v| {
             program.init(v)
         })?;
@@ -785,13 +775,12 @@ impl<P: EdgeProgram> DiskEngine<P> {
             frontier: FrontierPair::new(),
             frontier_valid: false,
             sparse_indexed,
-            index_names,
+            run_index,
             modes: vec![MODE_DENSE; kp],
             // Sparse-scatter pools are warmed here, at build time:
             // sparse mode typically kicks in *late* (once the frontier
             // has collapsed), and a first-use allocation then would
             // break the steady-state alloc-free guarantee.
-            index_buf: Vec::with_capacity(if sparse_any { max_index_bytes } else { 0 }),
             run_ranges: Vec::with_capacity(if sparse_any { max_range_len } else { 0 }),
             run_buf: Vec::with_capacity(if sparse_any { 2 * run_io_cap } else { 0 }),
             manifest,
@@ -867,31 +856,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
     fn write_manifest(&self) -> Result<()> {
         self.store
             .write_atomic(MANIFEST_NAME, &self.manifest.encode())
-    }
-
-    /// Records in the manifest that partition `p`'s sparse-scatter
-    /// index is corrupt and must be rebuilt (`scrub --repair` does).
-    /// Best-effort: a manifest-write failure is reported, not fatal —
-    /// the run already degraded to dense scatter and stays correct.
-    fn flag_index_rebuild(&mut self, p: usize) {
-        let name = index_stream(p);
-        match self.manifest.entry_mut(&name) {
-            Some(e) => e.needs_rebuild = true,
-            None => {
-                let len = self.store.len(&name);
-                self.manifest.upsert(StreamEntry {
-                    name: name.clone(),
-                    role: StreamRole::Index,
-                    len,
-                    sum_crc: 0,
-                    has_sums: false,
-                    needs_rebuild: true,
-                });
-            }
-        }
-        if let Err(e) = self.write_manifest() {
-            eprintln!("warning: could not flag {name} for rebuild in the manifest: {e}");
-        }
     }
 
     /// Supersteps this engine has completed (restored ones included
@@ -1089,9 +1053,8 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 Ok(mut stats) => {
                     stats.io_retries = (attempts - 1) as u64;
                     // Verification counters span the whole loop, so a
-                    // corruption detected by a *failed* attempt (e.g.
-                    // the index degrade below) still shows up in the
-                    // successful iteration's stats.
+                    // corruption detected by a *failed* attempt still
+                    // shows up in the successful iteration's stats.
                     let v1 = self.store.accounting().snapshot();
                     stats.chunks_verified =
                         v1.chunks_verified.saturating_sub(verify0.chunks_verified);
@@ -1103,45 +1066,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 Err(e) => {
                     // Whatever happens next, leave the streams usable.
                     self.recover()?;
-                    // A corrupt sparse-scatter *index* is survivable:
-                    // the edge stream it indexes is separately
-                    // checksummed and intact, so the partition drops to
-                    // dense scatter for the rest of the run, the
-                    // manifest flags the index for `scrub --repair`,
-                    // and the superstep re-runs — without consuming the
-                    // transient-retry budget (rot is not transient; the
-                    // degrade removes the read that failed). Bounded:
-                    // each partition can degrade at most once.
-                    if let Error::Corrupt { stream, .. } = &e {
-                        if let Some(p) = stream
-                            .strip_prefix("index.")
-                            .and_then(|s| s.parse::<usize>().ok())
-                        {
-                            if self.sparse_indexed.get(p).copied().unwrap_or(false) {
-                                let rolled_back = if can_snapshot {
-                                    let states =
-                                        self.vertices.in_memory_mut().expect("checked above");
-                                    states.copy_from_slice(&self.vertex_snapshot);
-                                    true
-                                } else {
-                                    // Index reads happen during scatter,
-                                    // before gather mutates state — so a
-                                    // clean `gather_dirty` means nothing
-                                    // to roll back.
-                                    !self.gather_dirty
-                                };
-                                if rolled_back {
-                                    eprintln!(
-                                        "warning: {e}; partition {p} degrades to dense scatter"
-                                    );
-                                    self.sparse_indexed[p] = false;
-                                    self.flag_index_rebuild(p);
-                                    attempts -= 1;
-                                    continue;
-                                }
-                            }
-                        }
-                    }
                     if !e.is_transient() {
                         return Err(e);
                     }
@@ -1259,7 +1183,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
         self.frontier.next.clear();
         stats.frontier_density = self.frontier.current.density();
         for p in self.partitioner.iter() {
-            self.modes[p] = self.partition_mode(p)?;
+            self.modes[p] = self.partition_mode(p);
         }
         Ok(true)
     }
@@ -1268,43 +1192,25 @@ impl<P: EdgeProgram> DiskEngine<P> {
     /// skip it with no active sources (or no edges), go sparse when its
     /// run-offset index says the active vertices' runs are few enough,
     /// stream it densely otherwise.
-    fn partition_mode(&mut self, p: usize) -> Result<u8> {
+    fn partition_mode(&self, p: usize) -> u8 {
         if self.frontier.current.active_in(p) == 0 {
-            return Ok(MODE_SKIP);
+            return MODE_SKIP;
         }
         if !self.sparse_indexed[p] {
-            return Ok(MODE_DENSE);
-        }
-        if let Err(e) = self
-            .store
-            .read_all_into(&self.index_names[p], &mut self.index_buf)
-        {
-            if !matches!(e, Error::Corrupt { .. }) {
-                return Err(e);
-            }
-            // Graceful degradation: a rotted index must not kill the
-            // run. The edge stream is separately checksummed and
-            // intact, so this partition scatters densely from now on
-            // and the manifest flags the index for `scrub --repair`.
-            eprintln!("warning: {e}; partition {p} degrades to dense scatter");
-            self.sparse_indexed[p] = false;
-            self.flag_index_rebuild(p);
-            return Ok(MODE_DENSE);
+            return MODE_DENSE;
         }
         let range = self.partitioner.range(p);
-        let index = self.index_buf.as_slice();
-        let offset = |lv: usize| read_record::<u32>(&index[lv * 4..]);
-        let total = offset(range.len()) as usize;
-        Ok(if total == 0 {
+        let offsets = &self.run_index[range.start + p..=range.end + p];
+        if offsets[range.len()] == 0 {
             MODE_SKIP
         } else if self
             .config
-            .sparse_scatter_pays(&self.frontier.current, range, total, offset)
+            .sparse_scatter_pays(&self.frontier.current, range, offsets)
         {
             MODE_SPARSE
         } else {
             MODE_DENSE
-        })
+        }
     }
 
     /// Scatter phase: the merged scatter + fused shuffle of Fig. 6.
@@ -1337,7 +1243,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let edge_names = &self.edge_names;
         let update_names = &self.update_names;
         let frontier = &self.frontier.current;
-        let index_buf = &mut self.index_buf;
+        let run_index = &self.run_index;
         let run_ranges = &mut self.run_ranges;
         let run_buf = &mut self.run_buf;
         let spill_threshold = self.spill_threshold;
@@ -1402,15 +1308,11 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 MODE_SPARSE => {
                     stats.partitions_sparse += 1;
                     let states = vertices.load_scatter(store, partitioner, s)?;
-                    // Re-load the run-offset index (the planning pass's
-                    // pooled buffer has been reused since) and merge the
-                    // active vertices' edge runs into ranged reads.
-                    store.read_all_into(&self.index_names[s], index_buf)?;
-                    let index = index_buf.as_slice();
-                    // Byte offset of local vertex `lv`'s run in the edge file.
-                    let run_at = |lv: usize| {
-                        u64::from(read_record::<u32>(&index[lv * 4..])) * Edge::SIZE as u64
-                    };
+                    // Merge the active vertices' edge runs into ranged
+                    // reads; `run_at` is local vertex `lv`'s byte offset
+                    // in the edge file.
+                    let offsets = &run_index[base + s..=range.end + s];
+                    let run_at = |lv: usize| u64::from(offsets[lv]) * Edge::SIZE as u64;
                     run_ranges.clear();
                     frontier.for_each_active_in(range, |v| {
                         let lv = v as usize - base;

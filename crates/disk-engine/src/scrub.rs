@@ -17,17 +17,13 @@
 //!
 //! With `repair`, detected damage is dispatched by stream role:
 //!
-//! * **Derived streams are rebuilt.** A rotted or `needs_rebuild`
-//!   sparse-scatter index is recomputed from its partition's edge
-//!   stream (which must itself verify — the index is a pure function of
-//!   it) using the partitioner reconstructed from the manifest's
-//!   recorded `vertices` / `--partitions` config. A rotted sidecar over
-//!   an intact stream (proven by re-deriving the sidecar and matching
-//!   its CRC against the manifest) is simply rewritten.
-//! * **Stale streams are quarantined.** A rotted checkpoint slot, or an
-//!   unlisted non-empty update/unknown stream left by a killed run, is
-//!   renamed to `<name>.quarantined` and dropped from the manifest —
-//!   never silently deleted.
+//! * **Rotted sidecars are rewritten.** A rotted sidecar over an intact
+//!   stream (proven by re-deriving the sidecar and matching its CRC
+//!   against the manifest) is rewritten from the stream bytes.
+//! * **Stale streams are quarantined.** A rotted or flagged checkpoint
+//!   slot, or an unlisted non-empty stream left by a killed run or an
+//!   older build, is renamed to `<name>.quarantined` and dropped from
+//!   the manifest — never silently deleted.
 //! * **Primary data is not guessed at.** A rotted edge stream is
 //!   reported as unrepairable; rebuilding it would require the original
 //!   input.
@@ -40,9 +36,7 @@ use std::io::Read as _;
 use std::path::Path;
 
 use crate::checkpoint::frame_is_valid;
-use xstream_core::partition::run_offsets;
-use xstream_core::record::{records_as_bytes, RecordIter};
-use xstream_core::{Edge, Error, Partitioner, Record, Result};
+use xstream_core::{Error, Result};
 use xstream_storage::{
     crc32, crc32c, Manifest, StreamRole, StreamStore, SumSidecar, MANIFEST_NAME,
 };
@@ -64,8 +58,8 @@ pub enum Verdict {
     },
     /// Listed in the manifest but absent on disk.
     Missing,
-    /// The manifest flagged this stream for rebuild (a mid-run
-    /// degradation already consumed the corruption).
+    /// The manifest flagged this stream as damaged (a resume already
+    /// read the checkpoint slot back corrupt and fell back).
     NeedsRebuild,
     /// Present on disk but not listed in the manifest (stale output of
     /// a killed run, or foreign).
@@ -80,8 +74,6 @@ pub enum Verdict {
 pub enum Action {
     /// Nothing needed.
     None,
-    /// Derived stream recomputed from its verified source.
-    Rebuilt,
     /// Sidecar rewritten over an intact stream.
     SidecarRewritten,
     /// Renamed to `<name>.quarantined` and dropped from the manifest.
@@ -139,10 +131,7 @@ impl ScrubReport {
         !self.manifest_ok
             || self.streams.iter().any(|s| {
                 !matches!(s.verdict, Verdict::Intact | Verdict::Unverified)
-                    && !matches!(
-                        s.action,
-                        Action::Rebuilt | Action::SidecarRewritten | Action::Quarantined
-                    )
+                    && !matches!(s.action, Action::SidecarRewritten | Action::Quarantined)
             })
     }
 }
@@ -201,38 +190,8 @@ fn write_sidecar(root: &Path, name: &str, sidecar: &SumSidecar) -> Result<u32> {
     Ok(crc32(&encoded))
 }
 
-/// Rebuilds the sparse-scatter index of partition `p` from its (already
-/// verified) edge stream with the engine's own index builder,
-/// [`run_offsets`]. Returns the new index bytes.
-fn rebuild_index(edges_bytes: &[u8], partitioner: &Partitioner, p: usize) -> Result<Vec<u8>> {
-    if !edges_bytes.len().is_multiple_of(Edge::SIZE) {
-        return Err(Error::Config(format!(
-            "edges.{p} length {} is not a whole number of edge records",
-            edges_bytes.len()
-        )));
-    }
-    let mut offsets = Vec::new();
-    run_offsets(
-        RecordIter::<Edge>::new(edges_bytes),
-        partitioner.range(p),
-        &mut offsets,
-    )
-    .map_err(|e| Error::Config(format!("edges.{p}: {e}; cannot derive an index from it")))?;
-    Ok(records_as_bytes(&offsets).to_vec())
-}
-
-/// The partitioner the manifest describes. `Partitioner::new` is a
-/// fixed point of its own `(num_vertices, num_partitions)` output, so
-/// feeding the recorded actual partition count back in reconstructs
-/// the exact vertex ranges.
-fn manifest_partitioner(manifest: &Manifest) -> Option<Partitioner> {
-    let nv: usize = manifest.config_value("vertices")?.parse().ok()?;
-    let kp: usize = manifest.config_value("--partitions")?.parse().ok()?;
-    Some(Partitioner::new(nv, kp))
-}
-
 /// Scrubs the store rooted at `root` against its manifest; with
-/// `repair`, rebuilds/quarantines what the verdicts allow and re-seals
+/// `repair`, rewrites/quarantines what the verdicts allow and re-seals
 /// the manifest under a bumped generation.
 ///
 /// Returns an error only for environmental failures (the root is not a
@@ -338,9 +297,8 @@ pub fn scrub(root: &Path, repair: bool) -> Result<ScrubReport> {
         let len = fs::metadata(root.join(&name)).map(|m| m.len()).unwrap_or(0);
         // Per-run vertex state and zero-length streams are expected
         // residue of a healthy run, not damage: the store creates every
-        // registered stream's file up front, so e.g. a dense-only
-        // partition leaves an empty `index.p` behind and an untracked
-        // program leaves all of them.
+        // registered stream's file up front, so e.g. an update stream
+        // of a superstep that never spilled stays empty.
         let verdict = if matches!(role, StreamRole::Vertices) || len == 0 {
             Verdict::Unverified
         } else {
@@ -374,33 +332,17 @@ pub fn scrub(root: &Path, repair: bool) -> Result<ScrubReport> {
     }
 
     // ---- Pass 2: repair ----
-    // Index rebuilds need the partitioner and a store handle whose I/O
-    // unit matches the sealed chunking (so the re-sealed sidecar lines
-    // up with what the engine will verify against).
-    let partitioner = manifest_partitioner(&manifest);
-    let store = StreamStore::new(root, io_unit as usize)?.with_verify(false);
     let mut dirty = false;
-
-    // Edge-stream health gates index rebuilds; collect it first.
-    let edges_ok = |streams: &[StreamReport], p: usize| {
-        streams
-            .iter()
-            .any(|s| s.name == format!("edges.{p}") && s.verdict == Verdict::Intact)
-    };
-
-    for i in 0..streams.len() {
-        let (name, role, verdict) = {
-            let s = &streams[i];
-            (s.name.clone(), s.role, s.verdict.clone())
-        };
-        let action = match (&verdict, role) {
+    for s in &mut streams {
+        let name = s.name.as_str();
+        s.action = match (&s.verdict, s.role) {
             (Verdict::Intact | Verdict::Unverified, _) => Action::None,
 
             // Intact stream, rotted sidecar: rewrite it.
             (Verdict::SidecarRotted, _) => {
-                let bytes = fs::read(root.join(&name)).map_err(Error::Io)?;
-                let crc = write_sidecar(root, &name, &SumSidecar::of_bytes(io_unit, &bytes))?;
-                if let Some(e) = manifest.entry_mut(&name) {
+                let bytes = fs::read(root.join(name)).map_err(Error::Io)?;
+                let crc = write_sidecar(root, name, &SumSidecar::of_bytes(io_unit, &bytes))?;
+                if let Some(e) = manifest.entry_mut(name) {
                     e.sum_crc = crc;
                     e.has_sums = true;
                 }
@@ -408,41 +350,12 @@ pub fn scrub(root: &Path, repair: bool) -> Result<ScrubReport> {
                 Action::SidecarRewritten
             }
 
-            // Derived index: rebuild from the verified edge stream.
-            (
-                Verdict::Corrupt { .. } | Verdict::Missing | Verdict::NeedsRebuild,
-                StreamRole::Index,
-            ) => {
-                let p: Option<usize> = name.strip_prefix("index.").and_then(|s| s.parse().ok());
-                match (p, &partitioner) {
-                    (Some(p), Some(part)) if edges_ok(&streams, p) => {
-                        let edges_bytes =
-                            fs::read(root.join(format!("edges.{p}"))).map_err(Error::Io)?;
-                        let index_bytes = rebuild_index(&edges_bytes, part, p)?;
-                        if store.exists(&name) {
-                            store.delete(&name)?;
-                        }
-                        store.append(&name, &index_bytes)?;
-                        let sealed = store.seal_sums(&name)?;
-                        if let Some(e) = manifest.entry_mut(&name) {
-                            e.len = index_bytes.len() as u64;
-                            e.sum_crc = sealed.unwrap_or(0);
-                            e.has_sums = sealed.is_some();
-                            e.needs_rebuild = false;
-                        }
-                        dirty = true;
-                        Action::Rebuilt
-                    }
-                    _ => Action::Unrepairable,
-                }
-            }
-
             // Primary data: nothing to rebuild it from.
             (Verdict::Corrupt { .. } | Verdict::Missing, StreamRole::Edges) => Action::Unrepairable,
 
             // A listed stream that vanished: drop the dangling entry.
             (Verdict::Missing, _) => {
-                manifest.remove(&name);
+                manifest.remove(name);
                 dirty = true;
                 Action::Quarantined
             }
@@ -451,24 +364,25 @@ pub fn scrub(root: &Path, repair: bool) -> Result<ScrubReport> {
             // streams: quarantine and delist (resume falls back to the
             // other slot or a fresh run).
             (Verdict::Corrupt { .. } | Verdict::NeedsRebuild, _) => {
-                quarantine(root, &name)?;
-                manifest.remove(&name);
+                quarantine(root, name)?;
+                manifest.remove(name);
                 dirty = true;
                 Action::Quarantined
             }
 
             // Stale residue of a killed run.
             (Verdict::Unlisted, _) => {
-                quarantine(root, &name)?;
+                quarantine(root, name)?;
                 Action::Quarantined
             }
         };
-        streams[i].action = action;
     }
 
     if dirty {
         manifest.generation += 1;
-        store.write_atomic(MANIFEST_NAME, &manifest.encode())?;
+        StreamStore::new(root, io_unit as usize)?
+            .with_verify(false)
+            .write_atomic(MANIFEST_NAME, &manifest.encode())?;
     }
 
     Ok(ScrubReport {
@@ -527,10 +441,10 @@ fn list_streams(root: &Path) -> Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xstream_core::{EdgeProgram, Engine, EngineConfig, FrontierMode, VertexId};
+    use xstream_core::{Edge, EdgeProgram, Engine, EngineConfig, FrontierMode, VertexId};
 
-    /// Tracked so the build pass writes sparse-scatter index streams —
-    /// scrub's rebuild path needs them to exist.
+    /// Tracked, so the build groups its edge files for the sparse
+    /// scatter; the grouping must leave no stream beside them.
     struct MinLabel;
     impl EdgeProgram for MinLabel {
         type State = u32;
@@ -638,33 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn rotted_index_is_rebuilt_from_edges() {
-        let root = temp_root("rotindex");
-        sealed_store(&root);
-        let index = "index.0";
-        assert!(root.join(index).exists(), "expected a sparse index");
-        rot_byte(&root, index, 4);
-        // Detected without repair...
-        let report = scrub(&root, false).unwrap();
-        let s = report.streams.iter().find(|s| s.name == index).unwrap();
-        assert!(matches!(s.verdict, Verdict::Corrupt { .. }));
-        assert_eq!(s.action, Action::RepairNeeded);
-        // ...rebuilt with repair...
-        let before = fs::read(root.join(index)).unwrap();
-        let report = scrub(&root, true).unwrap();
-        let s = report.streams.iter().find(|s| s.name == index).unwrap();
-        assert_eq!(s.action, Action::Rebuilt);
-        assert!(report.repaired);
-        let after = fs::read(root.join(index)).unwrap();
-        assert_eq!(before.len(), after.len());
-        assert_ne!(before, after, "the rotted byte must be healed");
-        // ...and the store is manifest-valid again.
-        let report = scrub(&root, false).unwrap();
-        assert!(report.is_clean(), "{report:#?}");
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn rotted_sidecar_over_intact_stream_is_rewritten_not_quarantined() {
         let root = temp_root("rotsidecar");
         sealed_store(&root);
@@ -707,15 +594,17 @@ mod tests {
         let root = temp_root("staleupd");
         sealed_store(&root);
         fs::write(root.join("updates.0"), b"leftover spill bytes").unwrap();
+        // An `index.p` file of an older build's sparse-scatter index is
+        // residue of the same kind.
+        fs::write(root.join("index.0"), [0u8; 16]).unwrap();
         let report = scrub(&root, true).unwrap();
-        let upd = report
-            .streams
-            .iter()
-            .find(|s| s.name == "updates.0")
-            .unwrap();
-        assert_eq!(upd.verdict, Verdict::Unlisted);
-        assert_eq!(upd.action, Action::Quarantined);
-        assert!(root.join("updates.0.quarantined").exists());
+        for name in ["updates.0", "index.0"] {
+            let s = report.streams.iter().find(|s| s.name == name).unwrap();
+            assert_eq!(s.verdict, Verdict::Unlisted, "{name}");
+            assert_eq!(s.action, Action::Quarantined, "{name}");
+            assert!(root.join(format!("{name}.quarantined")).exists());
+        }
+        assert!(!report.has_unresolved_damage(), "{report:#?}");
         for s in report
             .streams
             .iter()
@@ -730,48 +619,43 @@ mod tests {
     #[test]
     fn empty_unlisted_streams_are_placeholders_not_damage() {
         // The engine registers every stream name up front, which
-        // creates the file: a dense-only partition leaves a zero-length
-        // `index.p` behind, and an untracked program leaves all of
-        // them. Scrub must not read those as stale damage.
-        let root = temp_root("emptyidx");
+        // creates the file: an update stream of a partition that never
+        // spilled stays zero-length. Scrub must not read that as stale
+        // damage.
+        let root = temp_root("emptyupd");
         sealed_store(&root);
-        fs::write(root.join("index.7"), b"").unwrap();
+        fs::write(root.join("updates.7"), b"").unwrap();
         let report = scrub(&root, false).unwrap();
         assert!(report.is_clean(), "{report:#?}");
-        let s = report.streams.iter().find(|s| s.name == "index.7").unwrap();
+        let s = report
+            .streams
+            .iter()
+            .find(|s| s.name == "updates.7")
+            .unwrap();
         assert_eq!(s.verdict, Verdict::Unverified);
         let report = scrub(&root, true).unwrap();
         assert!(report.is_clean(), "{report:#?}");
         assert!(
-            root.join("index.7").exists(),
+            root.join("updates.7").exists(),
             "repair must leave the placeholder alone"
         );
         fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn rebuilt_index_matches_the_original_bit_for_bit() {
-        let root = temp_root("bitexact");
+    fn a_tracked_build_leaves_only_edge_streams_and_checkpoints_listed() {
+        let root = temp_root("listed");
         sealed_store(&root);
-        let original = fs::read(root.join("index.0")).unwrap();
-        rot_byte(&root, "index.0", 8);
-        scrub(&root, true).unwrap();
-        let rebuilt = fs::read(root.join("index.0")).unwrap();
-        assert_eq!(original, rebuilt);
+        let manifest = Manifest::decode(&fs::read(root.join(MANIFEST_NAME)).unwrap()).unwrap();
+        for e in &manifest.entries {
+            assert!(
+                matches!(e.role, StreamRole::Edges | StreamRole::Checkpoint),
+                "unexpected manifest entry {e:?}"
+            );
+        }
+        let names = list_streams(&root).unwrap();
+        assert!(names.iter().any(|n| n.starts_with("edges.")));
+        assert!(!names.iter().any(|n| n.starts_with("index.")), "{names:?}");
         fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn rebuild_index_rejects_ungrouped_edges() {
-        let part = Partitioner::new(8, 1);
-        let edges = [Edge::new(3, 0), Edge::new(1, 0)];
-        let bytes = records_as_bytes(&edges);
-        assert!(rebuild_index(bytes, &part, 0).is_err());
-        // Grouped input round-trips.
-        let edges = [Edge::new(1, 0), Edge::new(1, 2), Edge::new(3, 0)];
-        let bytes = records_as_bytes(&edges);
-        let index = rebuild_index(bytes, &part, 0).unwrap();
-        let offsets: Vec<u32> = RecordIter::<u32>::new(&index).collect();
-        assert_eq!(offsets, vec![0, 0, 2, 2, 3, 3, 3, 3, 3]);
     }
 }

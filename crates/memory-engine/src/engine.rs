@@ -406,9 +406,7 @@ impl<P: EdgeProgram> Engine<P> for InMemoryEngine<P> {
                             }
                             let range = partitioner.range(p);
                             let offsets = &run_index[range.start + p..=range.end + p];
-                            if config.sparse_scatter_pays(fr, range.clone(), chunk.len(), |lv| {
-                                offsets[lv]
-                            }) {
+                            if config.sparse_scatter_pays(fr, range.clone(), offsets) {
                                 // Sparse: stream only the active
                                 // vertices' runs of the source-grouped
                                 // chunk.

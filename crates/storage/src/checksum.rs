@@ -1,17 +1,17 @@
-//! CRC32 (IEEE 802.3 polynomial) over byte slices and streams.
+//! CRC32 over byte slices and streams.
 //!
 //! The checkpoint frames written by the out-of-core engine end with a
 //! CRC32 of everything before it, so a torn or bit-rotted checkpoint is
 //! rejected at resume time instead of silently corrupting vertex state.
-//! PR 8 extended the same primitive to every durable stream: `.sum`
-//! sidecars carry one CRC32 per I/O-unit chunk and the read paths
-//! verify them on the fly, so the module now also exposes a streaming
-//! [`Crc32`] whose state can roll across arbitrarily-sized reads.
+//! Every durable stream is covered too: `.sum` sidecars carry one CRC
+//! per I/O-unit chunk and the read paths verify them on the fly, with
+//! a streaming [`Crc32c`] whose state can roll across arbitrarily-sized
+//! reads.
 //!
 //! Hand-rolled to keep the no-new-crates precedent. Two polynomials:
-//! the IEEE one for the small framed records (checkpoint frames, the
-//! manifest, sidecar files), and the Castagnoli one ([`crc32c`] /
-//! [`Crc32c`]) for the per-chunk stream sums — CRC-32C is what SSE4.2's
+//! the IEEE one ([`crc32`]) for the small framed records (checkpoint
+//! frames, the manifest, sidecar files), and the Castagnoli one
+//! ([`crc32c`] / [`Crc32c`]) for the per-chunk stream sums — CRC-32C is what SSE4.2's
 //! `crc32` instruction computes, so the hot verify-every-read path runs
 //! at memory speed on x86-64 (runtime-detected; elsewhere both fall
 //! back to the same slicing-by-8 kernel, eight 256-entry tables built
@@ -119,47 +119,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     update_raw(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
-/// Streaming CRC32 state: feed bytes in any-sized pieces with
-/// [`update`](Self::update), read the digest-so-far with
-/// [`value`](Self::value). `Crc32::new().update(a).value()` equals
-/// `crc32(a)`, and feeding a buffer in two halves equals feeding it
-/// whole — which is what lets the read paths verify fixed-size sum
-/// chunks while reading in unrelated (record-aligned) chunk sizes.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Fresh state (digest of the empty string is 0).
-    pub fn new() -> Self {
-        Self { state: 0xFFFF_FFFF }
-    }
-
-    /// Folds `bytes` into the running state.
-    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        self.state = update_raw(self.state, bytes);
-        self
-    }
-
-    /// The CRC32 of everything fed so far. Non-destructive: more bytes
-    /// may be fed afterwards.
-    pub fn value(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-
-    /// Resets to the fresh state (reusable without reallocation).
-    pub fn reset(&mut self) {
-        self.state = 0xFFFF_FFFF;
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// CRC-32C (Castagnoli) of `bytes`, conventional init/final XOR —
 /// matches iSCSI, ext4 metadata, and the SSE4.2 `crc32` instruction.
 /// The polynomial behind every per-chunk stream sum: the verify-on-read
@@ -169,9 +128,13 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     update_raw_c(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
-/// Streaming CRC-32C state — the [`Crc32`] API over the Castagnoli
-/// polynomial (hardware-accelerated where available). Feeding a buffer
-/// in any split equals feeding it whole.
+/// Streaming CRC-32C state (hardware-accelerated where available):
+/// feed bytes in any-sized pieces with [`update`](Self::update), read
+/// the digest-so-far with [`value`](Self::value).
+/// `Crc32c::new().update(a).value()` equals `crc32c(a)`, and feeding a
+/// buffer in any split equals feeding it whole — which is what lets the
+/// read paths verify fixed-size sum chunks while reading in unrelated
+/// (record-aligned) chunk sizes.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32c {
     state: u32,
@@ -231,26 +194,15 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_one_shot_at_every_split() {
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
-        let whole = crc32(&data);
-        for split in 0..data.len() {
-            let mut s = Crc32::new();
-            s.update(&data[..split]).update(&data[split..]);
-            assert_eq!(s.value(), whole, "split at {split}");
-        }
-    }
-
-    #[test]
     fn streaming_value_is_non_destructive_and_reset_works() {
-        let mut s = Crc32::new();
+        let mut s = Crc32c::new();
         s.update(b"1234");
-        let _mid = s.value();
+        assert_eq!(s.value(), crc32c(b"1234"));
         s.update(b"56789");
-        assert_eq!(s.value(), 0xCBF4_3926);
+        assert_eq!(s.value(), 0xE306_9283);
         s.reset();
         s.update(b"123456789");
-        assert_eq!(s.value(), 0xCBF4_3926);
+        assert_eq!(s.value(), 0xE306_9283);
     }
 
     #[test]

@@ -32,9 +32,11 @@
 //!   ([`FaultPlan`]) threaded through every stream operation, so the
 //!   engines' retry and checkpoint/resume paths can be exercised
 //!   reproducibly; a disabled plan costs one `Option` check per op,
-//! * [`checksum`] — a hand-rolled slicing-by-8 CRC32 (IEEE) with a
-//!   streaming state, framing the engine checkpoints against torn
-//!   writes and every durable stream's `.sum` sidecar against rot,
+//! * [`checksum`] — hand-rolled CRC32s: IEEE ([`crc32`]) framing the
+//!   engine checkpoints, the manifest and the sidecar files against
+//!   torn writes, and CRC-32C ([`crc32c`], with a streaming state and
+//!   the SSE4.2 instruction where present) covering every chunk of
+//!   every durable stream against rot,
 //! * [`manifest`] — the self-validating store `MANIFEST`: generation,
 //!   graph/config fingerprint, per-stream roles/lengths/sidecar CRCs;
 //!   sealed at ingest and checkpoint time, validated on open and
@@ -64,7 +66,7 @@ pub mod writer;
 
 pub use buffer::StreamBuffer;
 pub use channel::BoundedQueue;
-pub use checksum::{crc32, crc32c, Crc32, Crc32c};
+pub use checksum::{crc32, crc32c, Crc32c};
 pub use diskmodel::DiskModel;
 pub use faults::{FaultKind, FaultOp, FaultOutcome, FaultPlan, FaultSpec};
 pub use filestream::{ReadAhead, StreamStore, SumSidecar};

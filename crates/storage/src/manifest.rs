@@ -10,7 +10,7 @@
 //! `.sum` sidecar — closing the integrity chain
 //! *manifest → sidecar → per-chunk CRCs → bytes*.
 //!
-//! The engine seals a manifest after ingest/index-build, re-seals it
+//! The engine seals a manifest after ingest, re-seals it
 //! at every checkpoint, and validates it on open and `--resume`;
 //! `xstream scrub` streams the whole store against it. The frame is
 //! self-validating (trailing CRC32 over everything before it) and is
@@ -37,21 +37,20 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 pub const MANIFEST_MAGIC: [u8; 4] = *b"XSMF";
 
 /// Current manifest format version; older versions are rejected, not
-/// migrated (the engine then re-seals from scratch).
-pub const MANIFEST_VERSION: u32 = 1;
+/// migrated (the engine then re-seals from scratch). Version 2 dropped
+/// the sparse-scatter index streams, which the engine now keeps in
+/// memory.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// What a durable stream is *for* — which decides whether `scrub
-/// --repair` can rebuild it (index, sidecars), must quarantine it
-/// (updates, checkpoints: transient by design), or must give up
-/// (edges: the source of truth).
+/// --repair` must quarantine it (updates, checkpoints: transient by
+/// design) or must give up (edges: the source of truth). A rotted
+/// sidecar over an intact stream is rewritten whatever the role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamRole {
     /// An ingested edge file partition (`edges.{p}`) — the source of
     /// truth; unrepairable if corrupt.
     Edges,
-    /// A source-sorted index (`index.{p}`) — derived from its edge
-    /// partition, rebuildable.
-    Index,
     /// Persistent vertex state (`vertices.{p}`).
     Vertices,
     /// An inter-superstep update stream (`updates.{p}`) — transient,
@@ -68,7 +67,6 @@ impl StreamRole {
     fn to_byte(self) -> u8 {
         match self {
             StreamRole::Edges => 0,
-            StreamRole::Index => 1,
             StreamRole::Vertices => 2,
             StreamRole::Update => 3,
             StreamRole::Checkpoint => 4,
@@ -79,7 +77,6 @@ impl StreamRole {
     fn from_byte(b: u8) -> Option<Self> {
         Some(match b {
             0 => StreamRole::Edges,
-            1 => StreamRole::Index,
             2 => StreamRole::Vertices,
             3 => StreamRole::Update,
             4 => StreamRole::Checkpoint,
@@ -92,8 +89,6 @@ impl StreamRole {
     pub fn of_stream(name: &str) -> Self {
         if name.starts_with("edges.") {
             StreamRole::Edges
-        } else if name.starts_with("index.") {
-            StreamRole::Index
         } else if name.starts_with("vertices.") {
             StreamRole::Vertices
         } else if name.starts_with("updates.") {
@@ -120,9 +115,9 @@ pub struct StreamEntry {
     pub sum_crc: u32,
     /// Whether a `.sum` sidecar was sealed for this stream.
     pub has_sums: bool,
-    /// Set when the engine detected corruption mid-run and degraded
-    /// (e.g. a corrupt index partition served dense) — `scrub
-    /// --repair` rebuilds flagged streams.
+    /// Set when a resume read this checkpoint slot back corrupt and
+    /// fell back to the other slot; `scrub --repair` quarantines
+    /// flagged slots.
     pub needs_rebuild: bool,
 }
 
@@ -313,8 +308,8 @@ mod tests {
                     needs_rebuild: false,
                 },
                 StreamEntry {
-                    name: "index.0".into(),
-                    role: StreamRole::Index,
+                    name: "checkpoint.1".into(),
+                    role: StreamRole::Checkpoint,
                     len: 128,
                     sum_crc: 0,
                     has_sums: false,
@@ -351,6 +346,16 @@ mod tests {
     }
 
     #[test]
+    fn an_older_version_is_rejected() {
+        let mut bytes = sample().encode();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        assert!(Manifest::decode(&bytes).is_none());
+    }
+
+    #[test]
     fn truncation_is_rejected() {
         let bytes = sample().encode();
         for cut in 0..bytes.len() {
@@ -371,8 +376,8 @@ mod tests {
         });
         assert_eq!(m.entries.len(), 2);
         assert_eq!(m.entry("edges.0").unwrap().len, 9999);
-        m.remove("index.0");
-        assert!(m.entry("index.0").is_none());
+        m.remove("checkpoint.1");
+        assert!(m.entry("checkpoint.1").is_none());
         m.upsert(StreamEntry {
             name: "checkpoint.0".into(),
             role: StreamRole::Checkpoint,
@@ -387,7 +392,6 @@ mod tests {
     #[test]
     fn role_classification_by_name() {
         assert_eq!(StreamRole::of_stream("edges.7"), StreamRole::Edges);
-        assert_eq!(StreamRole::of_stream("index.0"), StreamRole::Index);
         assert_eq!(StreamRole::of_stream("vertices.1"), StreamRole::Vertices);
         assert_eq!(StreamRole::of_stream("updates.3"), StreamRole::Update);
         assert_eq!(

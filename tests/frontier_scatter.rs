@@ -11,10 +11,9 @@
 //! fallback all compose with the pooled out-of-core pipeline.
 
 use xstream::algorithms::{bfs, pagerank_delta, sssp};
-use xstream::core::partition::run_offsets;
 use xstream::core::record::{decode_records, Record};
-use xstream::core::{Edge, EngineConfig};
-use xstream::disk::engine::{edge_stream, index_stream};
+use xstream::core::{Edge, EngineConfig, OracleEngine};
+use xstream::disk::engine::edge_stream;
 use xstream::disk::DiskEngine;
 use xstream::graph::{generators, EdgeList};
 use xstream::memory::InMemoryEngine;
@@ -219,25 +218,22 @@ fn bfs_tail_supersteps_stream_an_order_of_magnitude_fewer_edges() {
 fn chunked_index_build_matches_each_edge_file() {
     // An I/O unit far below one partition's edge file makes the tracked
     // build's count and place passes each read the file in several
-    // chunks.
+    // chunks, and the sparse scatter's ranged reads span several runs.
     let io_unit = 512;
     let g = generators::erdos_renyi(600, 3000, 13);
     let root = std::env::temp_dir().join("xstream_frontier_chunked_index");
     let _ = std::fs::remove_dir_all(&root);
     let store = StreamStore::new(&root, io_unit).expect("store");
-    let cfg = spill_cfg().with_io_unit(io_unit);
-    let e = DiskEngine::from_graph(store, &g, &bfs::Bfs::new(), cfg).expect("engine");
-    let (store, part) = (e.store(), e.partitioner());
+    let cfg = spill_cfg().with_io_unit(io_unit).with_frontier_threshold(0);
+    let p = bfs::Bfs::new();
+    let mut e = DiskEngine::from_graph(store, &g, &p, cfg).expect("engine");
+    let (store, part) = (e.store(), *e.partitioner());
     for p in part.iter() {
         let edges: Vec<Edge> = decode_records(&store.read_all(&edge_stream(p)).expect("edges"));
         assert!(
             edges.len() * Edge::SIZE > 4 * io_unit,
             "partition {p} fits in too few reads"
         );
-        let index: Vec<u32> = decode_records(&store.read_all(&index_stream(p)).expect("index"));
-        let mut want = Vec::new();
-        run_offsets(edges.iter().copied(), part.range(p), &mut want).expect("source-grouped");
-        assert_eq!(index, want, "partition {p}: index.p");
         // Within a run, edges keep their input order: the file is the
         // partition's input edges, stably grouped by source.
         let mut expect: Vec<Edge> = g
@@ -249,6 +245,34 @@ fn chunked_index_build_matches_each_edge_file() {
         expect.sort_by_key(|e| e.src);
         assert_eq!(edges, expect, "partition {p}: edges.p");
     }
+    // The run offsets stay in memory: no index stream on disk, none in
+    // the manifest.
+    let on_disk: Vec<String> = std::fs::read_dir(&root)
+        .expect("store dir")
+        .map(|d| d.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    assert!(
+        !on_disk.iter().any(|n| n.starts_with("index.")),
+        "{on_disk:?}"
+    );
+    assert!(
+        !e.manifest()
+            .entries
+            .iter()
+            .any(|s| s.name.starts_with("index.")),
+        "{:?}",
+        e.manifest()
+    );
+    // Forced sparse, every active partition scatters from the resident
+    // offsets through ranged reads; the levels are the literal §2
+    // loop's, bitwise.
+    let (levels, stats) = bfs::run(&mut e, &p, 7);
+    assert!(
+        stats.totals().partitions_sparse > 0,
+        "the sparse path was never taken"
+    );
+    let mut oracle = OracleEngine::new(g.num_vertices(), g.edges().to_vec(), &p);
+    assert_eq!(levels, bfs::run(&mut oracle, &p, 7).0);
     drop(e);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -6,7 +6,6 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use xstream::algorithms::{bfs, mcst, mis, sssp, wcc};
-use xstream::core::partition::run_offsets;
 use xstream::core::record::{decode_records, records_as_bytes};
 use xstream::core::{Edge, EdgeProgram, Engine, EngineConfig, OracleEngine, Partitioner, VertexId};
 use xstream::graph::{edgelist::from_pairs, EdgeList};
@@ -253,10 +252,12 @@ proptest! {
 
                 let mut sorted = edges.clone();
                 sorted.sort_unstable_by_key(|e| e.src);
-                let mut want = Vec::new();
-                run_offsets(sorted.iter().copied(), range.clone(), &mut want).unwrap();
-                let got: Vec<u32> = offsets.iter().map(|&o| o as u32).collect();
-                prop_assert_eq!(got, want, "K={}, partition {}", k, p);
+                let want: Vec<usize> = range
+                    .clone()
+                    .chain([range.end])
+                    .map(|v| sorted.partition_point(|e| (e.src as usize) < v))
+                    .collect();
+                prop_assert_eq!(offsets, &want[..], "K={}, partition {}", k, p);
 
                 for v in range.clone() {
                     let lv = v - range.start;
