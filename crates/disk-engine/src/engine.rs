@@ -607,21 +607,24 @@ impl<P: EdgeProgram> DiskEngine<P> {
         // Frontier-tracked programs get sparse-scatter indexes: group
         // each partition's edge file by source vertex with a counting
         // placement keyed by source (a second, bounded streaming pass:
-        // count on one chunked read, place on another) and keep the
-        // per-vertex run offsets in `run_index`. Within a run, edges
-        // keep their ingest order. Partitions whose edge file exceeds
-        // the stream-buffer budget keep their ingest order and always
-        // scatter densely; a frontier can still *skip* them when they
-        // have no active sources. The index costs 4(|V| + K) bytes, so
+        // count on one read-ahead stream of the file, place on another)
+        // and keep the per-vertex run offsets in `run_index`. Within a
+        // run, edges keep their ingest order. Partitions whose edge file
+        // exceeds the stream-buffer budget keep their ingest order and
+        // always scatter densely; a frontier can still *skip* them when
+        // they have no active sources. The index costs 4(|V| + K) bytes, so
         // it is built only beside a resident vertex array: next to one
         // that did not fit the budget it would break §3.4's
         // `N/K + 5SK <= M`, and every partition scatters densely.
         let tracked = program.frontier_mode() == FrontierMode::Tracked;
+        // Job depth 2 per device: the current stream plus the next one
+        // queued for cross-partition read-ahead (§3.3).
+        let mut reader = ReadAhead::striped(2, store.num_devices());
         let mut sparse_indexed = vec![false; kp];
         let mut run_index: Vec<u32> = Vec::new();
         if tracked && in_memory_vertices {
             // One placement buffer reserved once for the largest
-            // eligible partition, fed through a small chunk buffer —
+            // eligible partition, fed in the reader's I/O-unit chunks —
             // never the raw bytes and the decoded edges side by side,
             // so the pass stays well under one partition-file of
             // cumulative allocation (the out-of-core ingest bound).
@@ -634,8 +637,6 @@ impl<P: EdgeProgram> DiskEngine<P> {
                 .unwrap_or(0)
                 / Edge::SIZE;
             let mut placement = CountingPlacement::<Edge>::with_capacity(max_records);
-            let chunk_cap = (config.io_unit / Edge::SIZE).max(1) * Edge::SIZE;
-            let mut chunk: Vec<u8> = Vec::with_capacity(chunk_cap);
             run_index.reserve_exact(num_vertices + kp);
             for p in 0..kp {
                 let blen = store.len(&edge_names[p]) as usize;
@@ -655,26 +656,20 @@ impl<P: EdgeProgram> DiskEngine<P> {
                     }
                 };
                 placement.begin(range.len());
+                // Both passes are ordinary verified stream reads; the
+                // place pass is queued behind the count pass, so the
+                // reader prefetches it while counting finishes.
+                for _ in 0..2 {
+                    reader.begin(store.read_source(&edge_names[p], Edge::SIZE)?)?;
+                }
                 for placing in [false, true] {
-                    let mut off = 0usize;
-                    while off < blen {
-                        chunk.clear();
-                        let want = chunk_cap.min(blen - off);
-                        let n =
-                            store.read_range_into(&edge_names[p], off as u64, want, &mut chunk)?;
-                        if n == 0 {
-                            return Err(Error::InvalidInput(format!(
-                                "{}: ended at byte {off} of {blen}",
-                                edge_names[p]
-                            )));
-                        }
-                        let records = RecordIter::<Edge>::new(&chunk[..n]);
+                    while let Some(chunk) = reader.next_chunk()? {
+                        let records = RecordIter::<Edge>::new(chunk);
                         if placing {
                             placement.place(records, &mut key);
                         } else {
                             placement.count(records, &mut key);
                         }
-                        off += n;
                     }
                 }
                 if let Some(src) = stray {
@@ -753,9 +748,7 @@ impl<P: EdgeProgram> DiskEngine<P> {
             resident_updates: false,
             spilled_updates: false,
             writer,
-            // Job depth 2 per device: the current stream plus the next
-            // one queued for cross-partition read-ahead (§3.3).
-            reader: ReadAhead::striped(2, store.num_devices()),
+            reader,
             store,
             scratch: OutputBuffer::for_records(threads, kp, output_records),
             drain: OutputBuffer::for_records(threads, kp, output_records),
@@ -986,14 +979,13 @@ impl<P: EdgeProgram> DiskEngine<P> {
         let Some((step, states, aux)) = best else {
             return Ok(None);
         };
-        if let Some(mem) = self.vertices.in_memory_mut() {
-            mem.copy_from_slice(&states);
-        } else {
-            for p in self.partitioner.iter() {
-                let range = self.partitioner.range(p);
-                self.vertices
-                    .store_back(&self.store, &self.partitioner, p, &states[range])?;
-            }
+        for p in self.partitioner.iter() {
+            let range = self.partitioner.range(p);
+            self.vertices
+                .update_partition(&self.store, &self.partitioner, p, |s| {
+                    s.copy_from_slice(&states[range]);
+                    Ok(true)
+                })?;
         }
         // Restore the checkpointed active set, if the frame carried
         // one. A frame without it (dense program, or a checkpoint from
@@ -1882,7 +1874,7 @@ impl<P: EdgeProgram> Engine<P> for DiskEngine<P> {
         for p in self.partitioner.iter() {
             let states = self
                 .vertices
-                .load(&self.store, &self.partitioner, p)
+                .load_scatter(&self.store, &self.partitioner, p)
                 .expect("vertex load failed");
             let base = self.partitioner.range(p).start;
             for (i, s) in states.iter().enumerate() {

@@ -38,7 +38,7 @@ use std::path::Path;
 use crate::checkpoint::frame_is_valid;
 use xstream_core::{Error, Result};
 use xstream_storage::{
-    crc32, crc32c, Manifest, StreamRole, StreamStore, SumSidecar, MANIFEST_NAME,
+    crc32, crc32c, replace_file, Manifest, StreamRole, StreamStore, SumSidecar, MANIFEST_NAME,
 };
 
 /// What scrub concluded about one stream.
@@ -179,14 +179,12 @@ fn quarantine(root: &Path, name: &str) -> Result<()> {
     Ok(())
 }
 
-/// Writes a sidecar file atomically (temp + rename), mirroring how the
-/// store seals one.
+/// Writes a sidecar file through the store's durable replace (fsynced
+/// temp + rename), as the store seals one; the manifest write's
+/// directory fsync then makes the rename durable.
 fn write_sidecar(root: &Path, name: &str, sidecar: &SumSidecar) -> Result<u32> {
     let encoded = sidecar.encode();
-    let tmp = root.join(format!("{name}.sum.tmp"));
-    let dst = root.join(format!("{name}.sum"));
-    fs::write(&tmp, &encoded).map_err(Error::Io)?;
-    fs::rename(&tmp, &dst).map_err(Error::Io)?;
+    replace_file(&root.join(format!("{name}.sum")), &encoded)?;
     Ok(crc32(&encoded))
 }
 

@@ -13,7 +13,7 @@
 //! engine's zero-allocation steady state) and decodes into pooled
 //! scratch buffers for the on-disk case.
 
-use xstream_core::record::{decode_records, records_as_bytes, RecordIter};
+use xstream_core::record::{records_as_bytes, RecordIter};
 use xstream_core::{Partitioner, Record, Result, VertexId};
 use xstream_storage::StreamStore;
 
@@ -57,7 +57,8 @@ impl<S: Record> VertexStorage<S> {
         let names: Vec<String> = partitioner.iter().map(vertex_stream).collect();
         for p in partitioner.iter() {
             let states: Vec<S> = partitioner.range(p).map(|v| init(v as VertexId)).collect();
-            store.write_replace(&names[p], records_as_bytes(&states))?;
+            store.truncate(&names[p])?;
+            store.append(&names[p], records_as_bytes(&states))?;
         }
         Ok(VertexStorage::OnDisk {
             scratch: Vec::new(),
@@ -66,32 +67,9 @@ impl<S: Record> VertexStorage<S> {
         })
     }
 
-    /// Loads the states of partition `p` for reading (scatter).
-    ///
-    /// Prefer [`Self::load_scatter`] on hot paths — this variant
-    /// allocates a fresh decode vector in the on-disk case.
-    pub fn load(
-        &self,
-        store: &StreamStore,
-        partitioner: &Partitioner,
-        p: usize,
-    ) -> Result<PartitionStates<'_, S>> {
-        match self {
-            VertexStorage::InMemory(states) => {
-                let range = partitioner.range(p);
-                Ok(PartitionStates::Borrowed(&states[range]))
-            }
-            VertexStorage::OnDisk { names, .. } => {
-                let bytes = store.read_all(&names[p])?;
-                Ok(PartitionStates::Owned(decode_records(&bytes)))
-            }
-        }
-    }
-
-    /// Loads the states of partition `p` for reading (scatter),
-    /// decoding on-disk partitions into the pooled scratch — the
-    /// allocation-free variant of [`Self::load`] used by the superstep
-    /// hot path.
+    /// Loads the states of partition `p` for reading: borrowed from
+    /// the in-memory array, or decoded from the partition's file into
+    /// the pooled scratch (allocation-free once warm).
     pub fn load_scatter(
         &mut self,
         store: &StreamStore,
@@ -158,59 +136,17 @@ impl<S: Record> VertexStorage<S> {
         }
     }
 
-    /// Writes mutated partition states back (a copy into the in-memory
-    /// array under optimization 1; a file replace otherwise).
-    pub fn store_back(
+    /// Reads back the complete state vector in vertex order.
+    pub fn collect_all(
         &mut self,
         store: &StreamStore,
         partitioner: &Partitioner,
-        p: usize,
-        states: &[S],
-    ) -> Result<()> {
-        match self {
-            VertexStorage::InMemory(all) => {
-                let range = partitioner.range(p);
-                all[range].copy_from_slice(states);
-                Ok(())
-            }
-            VertexStorage::OnDisk { names, .. } => {
-                store.write_replace(&names[p], records_as_bytes(states))
-            }
+    ) -> Result<Vec<S>> {
+        let mut out = Vec::with_capacity(partitioner.num_vertices());
+        for p in partitioner.iter() {
+            out.extend_from_slice(self.load_scatter(store, partitioner, p)?);
         }
-    }
-
-    /// Reads back the complete state vector in vertex order.
-    pub fn collect_all(&self, store: &StreamStore, partitioner: &Partitioner) -> Result<Vec<S>> {
-        match self {
-            VertexStorage::InMemory(states) => Ok(states.clone()),
-            VertexStorage::OnDisk { names, .. } => {
-                let mut out = Vec::with_capacity(partitioner.num_vertices());
-                for p in partitioner.iter() {
-                    let bytes = store.read_all(&names[p])?;
-                    out.extend(decode_records::<S>(&bytes));
-                }
-                Ok(out)
-            }
-        }
-    }
-}
-
-/// Partition states loaded for the scatter phase.
-pub enum PartitionStates<'a, S> {
-    /// Borrowed directly from the in-memory array.
-    Borrowed(&'a [S]),
-    /// Decoded from the partition's vertex file.
-    Owned(Vec<S>),
-}
-
-impl<S> std::ops::Deref for PartitionStates<'_, S> {
-    type Target = [S];
-
-    fn deref(&self) -> &[S] {
-        match self {
-            PartitionStates::Borrowed(s) => s,
-            PartitionStates::Owned(v) => v,
-        }
+        Ok(out)
     }
 }
 
@@ -224,6 +160,22 @@ mod tests {
         StreamStore::new(&root, 4096).unwrap()
     }
 
+    /// Sets every state of partition `p` to `states` through the one
+    /// write path, `update_partition`.
+    fn store_states<S: Record>(
+        vs: &mut VertexStorage<S>,
+        st: &StreamStore,
+        part: &Partitioner,
+        p: usize,
+        states: &[S],
+    ) {
+        vs.update_partition(st, part, p, |s| {
+            s.copy_from_slice(states);
+            Ok(true)
+        })
+        .unwrap();
+    }
+
     #[test]
     fn on_disk_roundtrip() {
         let st = store("ondisk");
@@ -234,10 +186,10 @@ mod tests {
         assert_eq!(all[10], 30);
         // Mutate one partition.
         let p = part.partition_of(10);
-        let mut states = vs.load(&st, &part, p).unwrap().to_vec();
+        let mut states = vs.load_scatter(&st, &part, p).unwrap().to_vec();
         let local = 10 - part.range(p).start;
         states[local] = 999;
-        vs.store_back(&st, &part, p, &states).unwrap();
+        store_states(&mut vs, &st, &part, p, &states);
         let all = vs.collect_all(&st, &part).unwrap();
         assert_eq!(all[10], 999);
         st.destroy().unwrap();
@@ -250,12 +202,12 @@ mod tests {
         let mut a = VertexStorage::<u32>::initialize(&st, &part, true, |v| v * v).unwrap();
         let mut b = VertexStorage::<u32>::initialize(&st, &part, false, |v| v * v).unwrap();
         for p in part.iter() {
-            let sa = a.load(&st, &part, p).unwrap().to_vec();
-            let sb = b.load(&st, &part, p).unwrap().to_vec();
+            let sa = a.load_scatter(&st, &part, p).unwrap().to_vec();
+            let sb = b.load_scatter(&st, &part, p).unwrap().to_vec();
             assert_eq!(sa, sb);
             let bumped: Vec<u32> = sa.iter().map(|x| x + 1).collect();
-            a.store_back(&st, &part, p, &bumped).unwrap();
-            b.store_back(&st, &part, p, &bumped).unwrap();
+            store_states(&mut a, &st, &part, p, &bumped);
+            store_states(&mut b, &st, &part, p, &bumped);
         }
         assert_eq!(
             a.collect_all(&st, &part).unwrap(),
@@ -330,10 +282,10 @@ mod tests {
     fn load_borrows_in_memory() {
         let st = store("borrow");
         let part = Partitioner::new(16, 2);
-        let vs = VertexStorage::<u32>::initialize(&st, &part, true, |v| v).unwrap();
-        let loaded = vs.load(&st, &part, 1).unwrap();
+        let mut vs = VertexStorage::<u32>::initialize(&st, &part, true, |v| v).unwrap();
+        let loaded = vs.load_scatter(&st, &part, 1).unwrap();
         assert_eq!(
-            &*loaded,
+            loaded,
             &(part.range(1).map(|v| v as u32).collect::<Vec<_>>())[..]
         );
         st.destroy().unwrap();

@@ -39,7 +39,7 @@ use crate::edgelist::EdgeList;
 use crate::transform::validate_edge;
 use xstream_core::record::{records_as_bytes, records_as_bytes_mut, zeroed_records};
 use xstream_core::{Edge, Error, Result, VertexId};
-use xstream_storage::{crc32c, Crc32c, SumSidecar};
+use xstream_storage::{crc32c, replace_file, Crc32c, SumSidecar};
 
 /// Magic bytes identifying an X-Stream edge file.
 pub const MAGIC: &[u8; 8] = b"XSTREAM1";
@@ -454,13 +454,10 @@ impl EdgeFileWriter {
         file.write_all(&(self.num_edges as u64).to_le_bytes())?;
         file.sync_data()?;
         // Mirror the header rewrite into the buffered first chunk, then
-        // seal the sidecar (temp + rename, like the store does).
+        // seal the sidecar through the store's durable replace.
         self.sums.first[8..16].copy_from_slice(&(n as u64).to_le_bytes());
         self.sums.first[16..24].copy_from_slice(&(self.num_edges as u64).to_le_bytes());
-        let sidecar = self.sums.finish();
-        let tmp = self.sum_path.with_extension("sum.tmp");
-        std::fs::write(&tmp, sidecar.encode())?;
-        std::fs::rename(&tmp, &self.sum_path)?;
+        replace_file(&self.sum_path, &self.sums.finish().encode())?;
         Ok((n, self.num_edges))
     }
 }

@@ -292,11 +292,6 @@ impl<P: EdgeProgram> InMemoryEngine<P> {
         &self.plan
     }
 
-    /// Immutable view of all vertex states.
-    pub fn state_slice(&self) -> &[P::State] {
-        &self.states
-    }
-
     /// Runs `job(tid)` for every worker id: on the pool when
     /// multi-threaded, inline when single-threaded (avoiding even the
     /// dispatch handshake in the paper's single-thread baselines).

@@ -159,25 +159,6 @@ impl DiskModel {
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
         Duration::from_secs_f64(max)
     }
-
-    /// Like [`replay`](Self::replay) but returns the per-device busy
-    /// times (used to report utilization).
-    pub fn replay_per_device(&self, trace: &[IoEvent]) -> [Duration; MAX_DEVICES] {
-        let mut busy = [0f64; MAX_DEVICES];
-        let mut last: [Option<(u32, u64)>; MAX_DEVICES] = [None; MAX_DEVICES];
-        for e in trace {
-            let d = e.device as usize % MAX_DEVICES;
-            match e.kind {
-                IoKind::Trim => last[d] = None,
-                IoKind::Read | IoKind::Write => {
-                    let seq = last[d] == Some((e.file, e.offset));
-                    busy[d] += self.op_time(e.bytes, e.kind == IoKind::Write, seq);
-                    last[d] = Some((e.file, e.offset + e.bytes));
-                }
-            }
-        }
-        busy.map(Duration::from_secs_f64)
-    }
 }
 
 /// Measured RAM bandwidth table rows for Fig. 11 (filled by the

@@ -28,7 +28,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// The I/O operation class a [`FaultSpec`] intercepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// Stream reads: `read_all_into` and the read-ahead prefetch.
+    /// Stream reads: one consult per I/O-unit piece of every
+    /// `StreamStore` read (whole-stream, ranged and read-ahead alike
+    /// go through one fill routine).
     Read,
     /// Stream appends, including the async writer's device threads
     /// (which go through `StreamStore::append`).
@@ -168,11 +170,6 @@ impl FaultPlan {
     /// Stops firing (and counting) without resetting spec state.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the plan is currently armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
     }
 
     /// Number of specs that have fired so far.

@@ -26,24 +26,30 @@
 //!   not portable to containers and is documented as a substitution in
 //!   DESIGN.md.)
 //!
-//! Every read goes through one of four methods, all checksum-verified
-//! and fault-injectable: [`StreamStore::read_all`] /
+//! Every read is one of four methods — [`StreamStore::read_all`] /
 //! [`StreamStore::read_all_into`] (whole stream),
 //! [`StreamStore::read_source`] + [`ReadAhead`] (sequential chunks)
-//! and [`StreamStore::read_range_into`] (positioned).
+//! and [`StreamStore::read_range_into`] (positioned) — and all of them
+//! share one fault-aware fill routine and one rolling verifier. The
+//! fill routine consults the fault plan once per I/O-unit piece,
+//! completes a short read, retries `EINTR` and charges the bytes to
+//! the accounting; a stream whose file ends before its recorded
+//! length is an error that names it, verification on or off.
 //!
 //! # Stream integrity (PR 8)
 //!
 //! Every append rolls a CRC-32C per I/O-unit-sized chunk into the
-//! stream's in-memory [`SumSidecar`]-shaped state, and the sequential
-//! read paths ([`ReadAhead`], [`StreamStore::read_all_into`]) verify
-//! each chunk as it streams back, surfacing
-//! [`Error::Corrupt`] — a *permanent* error, so retry loops fail
-//! fast on rot instead of re-reading it.
-//! Ranged reads ([`StreamStore::read_range_into`]) verify every
-//! sum-chunk fully covered by the requested range (sub-chunk reads of
-//! the sparse scatter stay cheap; full-coverage verification is
-//! `xstream scrub`'s job). [`StreamStore::seal_sums`] persists the
+//! stream's in-memory [`SumSidecar`]-shaped state, and every read
+//! rolls the bytes it returns against that state before exposing
+//! them, surfacing [`Error::Corrupt`] — a *permanent* error, so retry
+//! loops fail fast on rot instead of re-reading it. The verifier
+//! starts at the first sum-chunk boundary at or after the read's
+//! offset and checks every sum chunk the read covers whole, plus the
+//! trailing partial chunk when the read reaches the stream's end. A
+//! whole-stream or sequential read therefore verifies every chunk;
+//! the sparse scatter's sub-chunk ranged reads verify nothing and
+//! stay cheap (full coverage is `xstream scrub`'s job).
+//! [`StreamStore::seal_sums`] persists the
 //! state as a `<stream>.sum` sidecar file which is reloaded when a
 //! later process reopens the stream — that is what makes a store
 //! scrubabble and a resume verified end-to-end. Chunk sums are
@@ -284,7 +290,7 @@ fn sum_path(root: &Path, name: &str) -> PathBuf {
 /// leaves either the old or the new complete file at `path`; the
 /// rename itself is durable once the directory is fsynced
 /// ([`StreamStore::write_atomic`] does that).
-fn replace_file(path: &Path, bytes: &[u8]) -> Result<()> {
+pub fn replace_file(path: &Path, bytes: &[u8]) -> Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     {
@@ -294,6 +300,54 @@ fn replace_file(path: &Path, bytes: &[u8]) -> Result<()> {
     }
     std::fs::rename(&tmp, path)?;
     Ok(())
+}
+
+/// The one read routine under every stream read: fills `buf` from
+/// `offset` of `file` and returns the bytes read, short only at end of
+/// file. `faults` (plan, stream name) is consulted once for the whole
+/// piece: an injected short read caps the first `pread` at half the
+/// piece and the loop completes it, an injected bit flip corrupts the
+/// first byte afterwards, an injected error is returned. `EINTR` is
+/// retried. The bytes read are charged to `charge` (accounting,
+/// device, stream id) when given.
+fn fill(
+    file: &File,
+    buf: &mut [u8],
+    offset: u64,
+    faults: Option<(&FaultPlan, &str)>,
+    charge: Option<(&IoAccounting, DeviceId, u32)>,
+) -> Result<usize> {
+    let mut cap = buf.len();
+    let mut flip = false;
+    if let Some((plan, name)) = faults {
+        match plan.check(name, FaultOp::Read) {
+            FaultOutcome::Pass => {}
+            FaultOutcome::ShortRead => cap = (buf.len() / 2).max(1),
+            FaultOutcome::BitFlip => flip = true,
+            FaultOutcome::Error(e) => return Err(Error::Io(e)),
+        }
+    }
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        let end = buf.len().min(filled.saturating_add(cap));
+        cap = usize::MAX;
+        match pread(file, &mut buf[filled..end], offset + filled as u64) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(Error::Io(e)),
+        }
+    }
+    if filled > 0 {
+        if flip {
+            // The syscall "succeeded"; corrupt the payload after the fact.
+            buf[0] ^= 0x01;
+        }
+        if let Some((accounting, device, id)) = charge {
+            accounting.record_read(device, id, offset, filled as u64);
+        }
+    }
+    Ok(filled)
 }
 
 /// Loads the checksum state for an existing stream of length `len`:
@@ -317,31 +371,21 @@ fn load_sums(root: &Path, name: &str, file: &File, len: u64, default_unit: u64) 
     let tail_len = len % sc.unit;
     let mut crcs = sc.crcs;
     let mut tail_expected = 0;
+    let mut tail = Crc32c::new();
     if tail_len > 0 {
         tail_expected = crcs[n_full];
         crcs.truncate(n_full);
-    }
-    let mut tail = Crc32c::new();
-    if tail_len > 0 {
         // Re-feed the on-disk tail so future appends continue the
         // rolling CRC. If the tail has rotted, `tail_expected` (the
         // recorded value) still disagrees with what a reader computes,
         // so the corruption surfaces on the next verified read.
         let mut buf = vec![0u8; tail_len as usize];
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            match pread(
-                file,
-                &mut buf[filled..],
-                n_full as u64 * sc.unit + filled as u64,
-            ) {
-                Ok(0) => return SumState::untracked(default_unit),
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return SumState::untracked(default_unit),
+        match fill(file, &mut buf, n_full as u64 * sc.unit, None, None) {
+            Ok(n) if n == buf.len() => {
+                tail.update(&buf);
             }
+            _ => return SumState::untracked(default_unit),
         }
-        tail.update(&buf);
     }
     SumState {
         unit: sc.unit,
@@ -371,17 +415,6 @@ struct FileHandle {
     /// per-superstep truncate of every update stream drops its sidecar,
     /// and building the path there would allocate in the steady state.
     sum_path: PathBuf,
-}
-
-/// How an intercepted operation must be perturbed (resolved from a
-/// [`FaultOutcome`]; errors are returned directly instead).
-enum Injected {
-    /// Proceed normally.
-    None,
-    /// Deliver a short read this round.
-    ShortRead,
-    /// Complete the read, then flip one payload byte.
-    BitFlip,
 }
 
 /// A directory of named append-only byte streams.
@@ -427,11 +460,6 @@ impl StreamStore {
         self
     }
 
-    /// Whether read paths verify per-chunk checksums.
-    pub fn verifies_reads(&self) -> bool {
-        self.verify
-    }
-
     /// Installs a deterministic fault-injection plan on this store (see
     /// [`crate::faults`]). Every read, write, flush and truncate path
     /// consults it; a disarmed or absent plan is free.
@@ -445,20 +473,15 @@ impl StreamStore {
         self.faults.as_ref()
     }
 
-    /// Consults the fault plan (if any) for operation `op` on stream
-    /// `name`. Returns how the operation must be perturbed (not at
-    /// all, a short read, a flipped payload byte) or the injected
-    /// error.
+    /// Consults the fault plan (if any) for write-side operation `op`
+    /// on stream `name`, returning the injected error. (Reads consult
+    /// it per piece in `fill`, the only place a short read or a bit
+    /// flip can apply.)
     #[inline]
-    fn inject(&self, name: &str, op: FaultOp) -> Result<Injected> {
-        let Some(plan) = &self.faults else {
-            return Ok(Injected::None);
-        };
-        match plan.check(name, op) {
-            FaultOutcome::Pass => Ok(Injected::None),
-            FaultOutcome::ShortRead => Ok(Injected::ShortRead),
-            FaultOutcome::BitFlip => Ok(Injected::BitFlip),
-            FaultOutcome::Error(e) => Err(Error::Io(e)),
+    fn inject(&self, name: &str, op: FaultOp) -> Result<()> {
+        match self.faults.as_ref().map(|plan| plan.check(name, op)) {
+            Some(FaultOutcome::Error(e)) => Err(Error::Io(e)),
+            _ => Ok(()),
         }
     }
 
@@ -589,83 +612,16 @@ impl StreamStore {
     /// caller's buffer capacity — the pooled variant of
     /// [`Self::read_all`] used by per-superstep hot paths.
     pub fn read_all_into(&self, name: &str, out: &mut Vec<u8>) -> Result<()> {
-        let device = (self.device_fn)(name);
-        let (file, id, len, sums) = self.with_handle(name, |h| {
-            Ok((Arc::clone(&h.file), h.id, h.len, Arc::clone(&h.sums)))
-        })?;
         out.clear();
-        out.reserve(len as usize);
-        let mut offset = 0u64;
-        loop {
-            let mut want = self.io_unit.min((len - offset) as usize);
-            if want == 0 {
-                break;
-            }
-            let mut flip = false;
-            match self.inject(name, FaultOp::Read)? {
-                Injected::None => {}
-                // Injected short read: deliver at most half the request
-                // this round; the loop completes the stream anyway.
-                Injected::ShortRead => want = (want / 2).max(1),
-                Injected::BitFlip => flip = true,
-            }
-            let start = out.len();
-            out.resize(start + want, 0);
-            let n = pread(&file, &mut out[start..], offset)?;
-            out.truncate(start + n);
-            if n == 0 {
-                break;
-            }
-            if flip {
-                out[start] ^= 0x01;
-            }
-            self.accounting.record_read(device, id, offset, n as u64);
-            offset += n as u64;
-        }
-        if self.verify {
-            self.verify_full(name, &sums, out)?;
-        }
-        Ok(())
-    }
-
-    /// Verifies a fully-read stream against its checksum state: every
-    /// complete chunk, plus the trailing partial chunk when `bytes`
-    /// covers the whole recorded stream. No-op for untracked streams.
-    fn verify_full(&self, name: &str, sums: &Mutex<SumState>, bytes: &[u8]) -> Result<()> {
-        let s = sums.lock();
-        if !s.tracked {
-            return Ok(());
-        }
-        let unit = s.unit as usize;
-        let corrupt = |chunk: u64, verified: u64| {
-            self.accounting.record_chunks_verified(verified + 1);
-            self.accounting.record_corruption();
-            Err(Error::Corrupt {
-                stream: name.to_string(),
-                chunk,
-            })
-        };
-        let full = (bytes.len() / unit).min(s.complete.len());
-        for k in 0..full {
-            if crc32c(&bytes[k * unit..(k + 1) * unit]) != s.complete[k] {
-                return corrupt(k as u64, k as u64);
-            }
-        }
-        let mut verified = full as u64;
-        if s.tail_len > 0 && bytes.len() as u64 == s.total_len() {
-            verified += 1;
-            if crc32c(&bytes[s.complete.len() * unit..]) != s.tail_expected {
-                return corrupt(s.complete.len() as u64, full as u64);
-            }
-        }
-        self.accounting.record_chunks_verified(verified);
-        Ok(())
+        self.read_range_into(name, 0, usize::MAX, out).map(drop)
     }
 
     /// Resolves stream `name` into a [`ReadSource`] for a persistent
     /// [`ReadAhead`] reader, with chunks a multiple of `record_size`
     /// bytes so no record straddles a chunk boundary (the analogue of
-    /// the paper's §3.3 alignment page).
+    /// the paper's §3.3 alignment page). The source records the
+    /// stream's current length; the reader fails the stream if its
+    /// file ends before that.
     ///
     /// The source borrows the store's cached file handle (`Arc`), so
     /// once a stream's handle exists this is allocation-free — the
@@ -674,19 +630,18 @@ impl StreamStore {
         let record_size = record_size.max(1);
         let chunk_size = (self.io_unit / record_size).max(1) * record_size;
         let device = (self.device_fn)(name);
-        let faults = self.faults.clone();
-        let verify = self.verify;
         self.with_handle(name, |h| {
             Ok(ReadSource {
                 file: Arc::clone(&h.file),
                 name: Arc::clone(&h.name),
                 id: h.id,
+                len: h.len,
                 device,
                 accounting: Arc::clone(&self.accounting),
                 chunk_size,
-                faults,
+                faults: self.faults.clone(),
                 sums: Arc::clone(&h.sums),
-                verify,
+                verify: self.verify,
             })
         })
     }
@@ -708,95 +663,13 @@ impl StreamStore {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<usize> {
-        let device = (self.device_fn)(name);
-        let (file, id, stream_len, sums) = self.with_handle(name, |h| {
-            Ok((Arc::clone(&h.file), h.id, h.len, Arc::clone(&h.sums)))
-        })?;
-        let want_total = len.min(stream_len.saturating_sub(offset) as usize);
+        let src = self.read_source(name, 1)?;
+        let want = len.min(src.len.saturating_sub(offset) as usize);
         let start = out.len();
-        out.resize(start + want_total, 0);
-        let mut filled = 0usize;
-        while filled < want_total {
-            let mut want = (want_total - filled).min(self.io_unit);
-            let mut flip = false;
-            match self.inject(name, FaultOp::Read)? {
-                Injected::None => {}
-                // Injected short read: deliver at most half the request
-                // this round; the fill loop completes the range anyway,
-                // so callers still see record-aligned data.
-                Injected::ShortRead => want = (want / 2).max(1),
-                Injected::BitFlip => flip = true,
-            }
-            let at = start + filled;
-            let n = pread(&file, &mut out[at..at + want], offset + filled as u64)?;
-            if n == 0 {
-                break;
-            }
-            if flip {
-                out[at] ^= 0x01;
-            }
-            self.accounting
-                .record_read(device, id, offset + filled as u64, n as u64);
-            filled += n;
-        }
-        out.truncate(start + filled);
-        if self.verify {
-            self.verify_covered(name, &sums, offset, &out[start..])?;
-        }
-        Ok(filled)
-    }
-
-    /// Verifies the sum-chunks *fully covered* by a ranged read of
-    /// `bytes` at `offset`. Sub-chunk ranges verify nothing (keeping
-    /// the sparse scatter's small ranged reads cheap — full coverage
-    /// is `scrub`'s job); large ranges verify every interior chunk and
-    /// the trailing partial chunk when the range reaches end-of-stream.
-    fn verify_covered(
-        &self,
-        name: &str,
-        sums: &Mutex<SumState>,
-        offset: u64,
-        bytes: &[u8],
-    ) -> Result<()> {
-        let s = sums.lock();
-        if !s.tracked || bytes.is_empty() {
-            return Ok(());
-        }
-        let unit = s.unit;
-        let end = offset + bytes.len() as u64;
-        let corrupt = |chunk: u64, verified: u64| {
-            self.accounting.record_chunks_verified(verified + 1);
-            self.accounting.record_corruption();
-            Err(Error::Corrupt {
-                stream: name.to_string(),
-                chunk,
-            })
-        };
-        let mut verified = 0u64;
-        let first = offset.div_ceil(unit);
-        let mut k = first;
-        while (k + 1) * unit <= end && (k as usize) < s.complete.len() {
-            let lo = (k * unit - offset) as usize;
-            if crc32c(&bytes[lo..lo + unit as usize]) != s.complete[k as usize] {
-                return corrupt(k, verified);
-            }
-            verified += 1;
-            k += 1;
-        }
-        // The trailing partial chunk, when the range covers it whole.
-        let tail_start = s.complete.len() as u64 * unit;
-        if s.tail_len > 0 && tail_start >= offset && end >= s.total_len() {
-            let lo = (tail_start - offset) as usize;
-            let hi = lo + s.tail_len as usize;
-            if hi <= bytes.len() {
-                if crc32c(&bytes[lo..hi]) != s.tail_expected {
-                    return corrupt(s.complete.len() as u64, verified);
-                }
-                verified += 1;
-            }
-        }
-        self.accounting.record_chunks_verified(verified);
-        Ok(())
+        out.resize(start + want, 0);
+        let mut verify = RollVerify::new(offset);
+        src.read_at(&mut out[start..], offset, &mut verify)?;
+        Ok(want)
     }
 
     /// Overwrites `bytes` at `offset` within stream `name` (positioned
@@ -868,20 +741,13 @@ impl StreamStore {
         }
     }
 
-    /// Replaces the contents of stream `name` with `bytes`: a
-    /// [`delete`](Self::delete) followed by an [`append`](Self::append).
-    pub fn write_replace(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.delete(name)?;
-        self.append(name, bytes)
-    }
-
     /// *Crash-atomically* replaces stream `name` with `bytes`: writes
     /// a `{name}.tmp` sibling, fsyncs it, renames it over the final
     /// path and fsyncs the directory. A crash at any point leaves
     /// either the old complete contents or the new complete contents —
-    /// never a torn mix. Used by the engine checkpoints; unlike
-    /// [`Self::write_replace`] this always pays an open + two fsyncs,
-    /// so it is not for per-superstep hot paths.
+    /// never a torn mix. Used by the engine checkpoints; it always
+    /// pays an open + two fsyncs, so it is not for per-superstep hot
+    /// paths.
     pub fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<()> {
         self.inject(name, FaultOp::Write)?;
         let device = (self.device_fn)(name);
@@ -940,38 +806,9 @@ impl StreamStore {
             .unwrap_or(false)
     }
 
-    /// Marks stream `name`'s checksums unknown and removes any
-    /// persisted sidecar — reads stop being verified until the stream
-    /// is rewritten. Used by repair/quarantine paths.
-    pub fn invalidate_sums(&self, name: &str) -> Result<()> {
-        self.with_handle(name, |h| {
-            h.sums.lock().tracked = false;
-            Ok(())
-        })?;
-        let _ = std::fs::remove_file(sum_path(&self.root, name));
-        Ok(())
-    }
-
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Names of all regular files in the store directory, sorted —
-    /// streams, sidecars, manifest, markers alike (`scrub` walks this
-    /// against the manifest).
-    pub fn stream_names(&self) -> Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if entry.file_type()?.is_file() {
-                if let Ok(name) = entry.file_name().into_string() {
-                    names.push(name);
-                }
-            }
-        }
-        names.sort_unstable();
-        Ok(names)
     }
 
     /// Removes the whole store directory (test/experiment teardown).
@@ -986,24 +823,50 @@ impl StreamStore {
     }
 }
 
-/// One stream queued for a [`ReadAhead`] reader: a shared file handle
-/// plus the accounting identity of the stream. Built by
-/// [`StreamStore::read_source`].
+/// One stream queued for a [`ReadAhead`] reader: a shared file handle,
+/// the stream's length and checksum state, and its accounting
+/// identity. Built by [`StreamStore::read_source`]; every store read
+/// goes through one.
 pub struct ReadSource {
     file: Arc<File>,
     /// Stream name (interned by the store) for fault matching.
     name: Arc<str>,
     id: u32,
+    /// The stream's length when the source was made; a file that ends
+    /// before it fails the read.
+    len: u64,
     device: DeviceId,
     accounting: Arc<IoAccounting>,
     chunk_size: usize,
-    /// The store's fault plan, consulted once per prefetched chunk.
+    /// The store's fault plan, consulted once per `chunk_size` piece.
     faults: Option<Arc<FaultPlan>>,
-    /// The stream's checksum state, rolled against by the prefetch
-    /// thread as chunks stream through.
+    /// The stream's checksum state, rolled against as bytes are read.
     sums: Arc<Mutex<SumState>>,
     /// Whether the store verifies reads.
     verify: bool,
+}
+
+impl ReadSource {
+    /// Fills `buf` from `offset` in `chunk_size` pieces through
+    /// [`fill`], then feeds it to `verify` before the caller sees it.
+    /// The file ending before `buf` is full is an error naming the
+    /// stream.
+    fn read_at(&self, buf: &mut [u8], offset: u64, verify: &mut RollVerify) -> Result<()> {
+        let faults = self.faults.as_deref().map(|plan| (plan, &*self.name));
+        let charge = Some((&*self.accounting, self.device, self.id));
+        let mut at = offset;
+        for piece in buf.chunks_mut(self.chunk_size) {
+            let n = fill(&self.file, piece, at, faults, charge)?;
+            at += n as u64;
+            if n < piece.len() {
+                return Err(Error::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    format!("stream {} ended at byte {at} of {}", self.name, self.len),
+                )));
+            }
+        }
+        verify.feed(self, buf)
+    }
 }
 
 /// Messages from the read-ahead thread to the consumer, tagged with
@@ -1029,77 +892,82 @@ impl ReadMsg {
     }
 }
 
-/// Rolling checksum verifier used by the read-ahead threads: feed the
-/// sequentially-read bytes in whatever chunk size the reader uses;
-/// each time a sum-chunk boundary crosses, the accumulated CRC is
-/// compared against the stream's recorded state (and at end-of-stream
-/// the trailing partial chunk is checked). Stack-allocated per job —
-/// the steady state stays allocation-free.
+/// The rolling checksum verifier behind every store read: feed it the
+/// bytes read from `from` on, in whatever pieces the reader uses.
+/// Rolling starts at the first sum-chunk boundary at or after `from`;
+/// each time a boundary crosses, the accumulated CRC is compared
+/// against the stream's recorded chunk sum, and when the fed bytes
+/// reach the stream's end the trailing partial chunk is checked too.
+/// Stack-allocated per read — the steady state stays allocation-free.
 struct RollVerify {
-    on: bool,
-    unit: u64,
+    /// Stream position of the read's first byte.
+    from: u64,
+    /// Stream position of the next byte fed.
     pos: u64,
     crc: Crc32c,
 }
 
 impl RollVerify {
-    fn begin(src: &ReadSource) -> Self {
-        let (on, unit) = if src.verify {
-            let s = src.sums.lock();
-            (s.tracked, s.unit)
-        } else {
-            (false, 1)
-        };
+    fn new(from: u64) -> Self {
         Self {
-            on,
-            unit,
-            pos: 0,
+            from,
+            pos: from,
             crc: Crc32c::new(),
         }
     }
 
-    /// Feeds the next sequential bytes; `Err(chunk)` on a mismatch.
-    fn feed(&mut self, src: &ReadSource, mut bytes: &[u8]) -> std::result::Result<(), u64> {
-        if !self.on {
+    /// Feeds the next bytes of the read under one lock of the sums;
+    /// `Err(Corrupt)` on a mismatch. A no-op when the store trusts its
+    /// reads or the stream's sums are unknown.
+    fn feed(&mut self, src: &ReadSource, mut bytes: &[u8]) -> Result<()> {
+        if !src.verify {
             return Ok(());
         }
-        while !bytes.is_empty() {
-            let into = (self.pos % self.unit) as usize;
-            let take = (self.unit as usize - into).min(bytes.len());
+        let s = src.sums.lock();
+        if !s.tracked {
+            return Ok(());
+        }
+        let unit = s.unit;
+        let start = self.from.next_multiple_of(unit);
+        let skip = (start.saturating_sub(self.pos) as usize).min(bytes.len());
+        self.pos += skip as u64;
+        bytes = &bytes[skip..];
+        let mut verified = 0u64;
+        let mut bad = None;
+        while !bytes.is_empty() && bad.is_none() {
+            let take = ((unit - self.pos % unit) as usize).min(bytes.len());
             self.crc.update(&bytes[..take]);
             self.pos += take as u64;
             bytes = &bytes[take..];
-            if self.pos.is_multiple_of(self.unit) {
-                let k = self.pos / self.unit - 1;
-                let expected = src.sums.lock().complete.get(k as usize).copied();
-                if let Some(e) = expected {
-                    src.accounting.record_chunks_verified(1);
-                    if e != self.crc.value() {
-                        src.accounting.record_corruption();
-                        return Err(k);
+            if self.pos.is_multiple_of(unit) {
+                let k = self.pos / unit - 1;
+                if let Some(&expected) = s.complete.get(k as usize) {
+                    verified += 1;
+                    if expected != self.crc.value() {
+                        bad = Some(k);
                     }
                 }
                 self.crc.reset();
             }
         }
-        Ok(())
-    }
-
-    /// End-of-stream: verifies the trailing partial chunk, provided
-    /// the whole recorded stream was read.
-    fn finish(&mut self, src: &ReadSource) -> std::result::Result<(), u64> {
-        if !self.on || self.pos.is_multiple_of(self.unit) {
-            return Ok(());
-        }
-        let s = src.sums.lock();
-        if s.tail_len > 0 && self.pos == s.total_len() {
-            src.accounting.record_chunks_verified(1);
+        // The trailing partial chunk, when rolled whole.
+        if bad.is_none() && s.tail_len > 0 && self.pos == s.total_len() && self.pos > start {
+            verified += 1;
             if s.tail_expected != self.crc.value() {
-                src.accounting.record_corruption();
-                return Err(s.complete.len() as u64);
+                bad = Some(s.complete.len() as u64);
             }
         }
-        Ok(())
+        src.accounting.record_chunks_verified(verified);
+        match bad {
+            None => Ok(()),
+            Some(chunk) => {
+                src.accounting.record_corruption();
+                Err(Error::Corrupt {
+                    stream: src.name.to_string(),
+                    chunk,
+                })
+            }
+        }
     }
 }
 
@@ -1190,116 +1058,33 @@ impl ReadAhead {
                         gen < shared_generation.load(std::sync::atomic::Ordering::Relaxed)
                     };
                     'jobs: while let Some((src, gen)) = jobs.pop() {
-                        if stale(gen) {
-                            continue;
-                        }
+                        let mut verify = RollVerify::new(0);
                         let mut offset = 0u64;
-                        let mut verify = RollVerify::begin(&src);
-                        let corrupt = |chunk: u64| Error::Corrupt {
-                            stream: src.name.to_string(),
-                            chunk,
-                        };
-                        loop {
+                        let last = loop {
                             if stale(gen) {
                                 continue 'jobs;
                             }
-                            // Fault-injection checkpoint: at most one
-                            // consult per prefetched chunk, a no-op
-                            // branch without an armed plan.
-                            let mut first_pread_cap = usize::MAX;
-                            let mut bit_flip = false;
-                            if let Some(plan) = &src.faults {
-                                match plan.check(&src.name, FaultOp::Read) {
-                                    FaultOutcome::Pass => {}
-                                    FaultOutcome::ShortRead => {
-                                        // Cap only the first pread of
-                                        // the chunk; the fill loop then
-                                        // completes it, so delivered
-                                        // chunks stay record-aligned.
-                                        first_pread_cap = (src.chunk_size / 2).max(1);
-                                    }
-                                    FaultOutcome::BitFlip => bit_flip = true,
-                                    FaultOutcome::Error(e) => {
-                                        if data.push(ReadMsg::Fail(gen, Error::Io(e))).is_err() {
-                                            return;
-                                        }
-                                        continue 'jobs;
-                                    }
-                                }
+                            if offset == src.len {
+                                break ReadMsg::End(gen);
                             }
+                            let want = src.chunk_size.min((src.len - offset) as usize);
                             let mut buf = recycled.try_pop().unwrap_or_default();
                             // Recycled buffers keep their length, so in
-                            // steady state this resize is a no-op (no
-                            // re-zeroing of the whole chunk).
-                            buf.resize(src.chunk_size, 0);
-                            let mut filled = 0usize;
-                            while filled < src.chunk_size {
-                                let end =
-                                    src.chunk_size.min(filled.saturating_add(first_pread_cap));
-                                first_pread_cap = usize::MAX;
-                                match pread(
-                                    &src.file,
-                                    &mut buf[filled..end],
-                                    offset + filled as u64,
-                                ) {
-                                    Ok(0) => break,
-                                    Ok(n) => filled += n,
-                                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                                    Err(e) => {
-                                        let _ = recycled.try_push(buf);
-                                        if data.push(ReadMsg::Fail(gen, Error::Io(e))).is_err() {
-                                            return;
-                                        }
-                                        continue 'jobs;
-                                    }
-                                }
-                            }
-                            if filled == 0 {
-                                let _ = recycled.try_push(buf);
-                                let msg = match verify.finish(&src) {
-                                    Ok(()) => ReadMsg::End(gen),
-                                    Err(k) => ReadMsg::Fail(gen, corrupt(k)),
-                                };
-                                if data.push(msg).is_err() {
-                                    return;
-                                }
-                                continue 'jobs;
-                            }
-                            if bit_flip {
-                                // The syscall "succeeded"; corrupt the
-                                // payload after the fact.
-                                buf[0] ^= 0x01;
-                            }
-                            let short = filled < src.chunk_size;
-                            buf.truncate(filled);
-                            // Verify before the chunk is exposed, so a
+                            // steady state this resize re-zeroes nothing.
+                            buf.resize(want, 0);
+                            // Verified before the chunk is exposed, so a
                             // consumer never computes on rotten bytes.
-                            let bad = match verify.feed(&src, &buf) {
-                                Err(k) => Some(k),
-                                Ok(()) if short => verify.finish(&src).err(),
-                                Ok(()) => None,
-                            };
-                            if let Some(k) = bad {
+                            if let Err(e) = src.read_at(&mut buf, offset, &mut verify) {
                                 let _ = recycled.try_push(buf);
-                                if data.push(ReadMsg::Fail(gen, corrupt(k))).is_err() {
-                                    return;
-                                }
-                                continue 'jobs;
+                                break ReadMsg::Fail(gen, e);
                             }
-                            src.accounting
-                                .record_read(src.device, src.id, offset, filled as u64);
-                            offset += filled as u64;
+                            offset += want as u64;
                             if data.push(ReadMsg::Chunk(gen, buf)).is_err() {
                                 return;
                             }
-                            if short {
-                                // A short chunk is end of stream; skip
-                                // the extra zero-byte read.
-                                if data.push(ReadMsg::End(gen)).is_err() {
-                                    return;
-                                }
-                                continue 'jobs;
-                            }
+                        };
+                        if data.push(last).is_err() {
+                            return;
                         }
                     }
                 })

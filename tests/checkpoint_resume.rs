@@ -266,8 +266,8 @@ fn resume_restores_on_disk_vertex_state_too() {
     let g = graph();
     let dir = tmp("ondisk");
     let _ = std::fs::remove_dir_all(&dir);
-    // On-disk vertex state: the restore path goes through per-partition
-    // store_back instead of one in-memory copy.
+    // On-disk vertex state: the restore path rewrites each partition's
+    // vertex file through `update_partition`.
     let cfg = EngineConfig {
         keep_vertices_in_memory: false,
         ..ckpt_config()
